@@ -87,16 +87,6 @@ let gse_arg =
            plus the GSE reciprocal solver on an NxNxN grid (N a power of \
            two; 0 = off). All grid phases run on the --domains backend.")
 
-let soa_arg =
-  Arg.(
-    value & flag
-    & info [ "soa" ]
-        ~doc:
-          "Run the bonded/1-4/pair force phases on the flat \
-           structure-of-arrays fast path (bitwise identical to the boxed \
-           reference kernels; ignored when --tables replaces the \
-           evaluator).")
-
 let xyz_arg =
   Arg.(
     value & opt (some string) None
@@ -159,14 +149,14 @@ let print_timings eng =
       (per.thermostat_s *. 1e6);
   Printf.printf "  total               %10.3f us\n"
     (timings_total per *. 1e6);
-  (* The Gc meter only wraps the serial SoA pair window. *)
-  if E.soa_active eng then
+  (* The Gc meter only wraps the one-slot pair window. *)
+  if Mdsp_util.Exec.n_slots (exec (E.force_calc eng)) = 1 then
     Printf.printf "  pair alloc          %10.1f words/step\n" per.pair_words
 
 let run_cmd =
   let doc = "Run molecular dynamics on a workload and report observables." in
-  let run preset steps temp dt thermostat use_tables seed domains gse soa
-      timings xyz xyz_stride checkpoint restart =
+  let run preset steps temp dt thermostat use_tables seed domains gse timings
+      xyz xyz_stride checkpoint restart =
    or_die @@ fun () ->
     let sys = build_system preset in
     let exec =
@@ -187,13 +177,12 @@ let run_cmd =
     let cfg = { E.default_config with dt_fs = dt; temperature = temp; thermostat } in
     let eng =
       Mdsp_workload.Workloads.make_engine ~config:cfg ?gse_grid ~seed ~exec
-        ~soa sys
+        sys
     in
     (match Mdsp_util.Exec.backend exec with
     | Mdsp_util.Exec.Serial -> ()
     | Mdsp_util.Exec.Domains { n } ->
         Printf.printf "execution backend: %d domains\n" n);
-    if E.soa_active eng then print_endline "data layout: flat (SoA) hot path";
     (match Mdsp_md.Force_calc.(longrange_kind (E.force_calc eng)) with
     | `Gse (gx, gy, gz) ->
         Printf.printf "long-range: GSE grid %dx%dx%d\n" gx gy gz
@@ -238,31 +227,9 @@ let run_cmd =
         xyz
     in
     if use_tables then begin
-      let cutoff =
-        Mdsp_space.Neighbor_list.cutoff (Mdsp_md.Force_calc.nlist (E.force_calc eng))
-      in
-      let has_charges =
-        Array.exists
-          (fun (a : Mdsp_ff.Topology.atom) -> a.Mdsp_ff.Topology.charge <> 0.)
-          sys.Mdsp_workload.Workloads.topo.Mdsp_ff.Topology.atoms
-      in
-      let elec =
-        if has_charges then
-          Mdsp_ff.Pair_interactions.Reaction_field { epsilon_rf = 78.5 }
-        else Mdsp_ff.Pair_interactions.No_coulomb
-      in
-      let ts =
-        Mdsp_core.Table.table_set_of_topology sys.Mdsp_workload.Workloads.topo
-          ~cutoff ~elec ~n:2048 ()
-      in
-      let types =
-        Array.map
-          (fun (a : Mdsp_ff.Topology.atom) -> a.Mdsp_ff.Topology.type_id)
-          sys.Mdsp_workload.Workloads.topo.Mdsp_ff.Topology.atoms
-      in
-      let charges = Mdsp_ff.Topology.charges sys.Mdsp_workload.Workloads.topo in
-      Mdsp_md.Force_calc.set_evaluator (E.force_calc eng)
-        (Mdsp_machine.Htis.evaluator ts ~types ~charges ~cutoff);
+      let fc = E.force_calc eng in
+      Mdsp_md.Force_calc.set_evaluator fc
+        (Mdsp_core.Table.machine_evaluator (Mdsp_md.Force_calc.evaluator fc));
       E.refresh_forces eng;
       Printf.printf "pair interactions: compiled machine tables (2048 intervals)\n"
     end;
@@ -306,7 +273,7 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
       const run $ preset_arg $ steps_arg $ temp_arg $ dt_arg $ thermostat_arg
-      $ tables_arg $ seed_arg $ domains_arg $ gse_arg $ soa_arg $ timings_arg
+      $ tables_arg $ seed_arg $ domains_arg $ gse_arg $ timings_arg
       $ xyz_arg $ xyz_stride_arg $ checkpoint_arg $ restart_arg)
 
 (* --- ensemble --- *)

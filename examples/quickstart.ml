@@ -32,22 +32,9 @@ let () =
 
   (* 4. Compile the force field into machine interpolation tables and swap
         the evaluator — the engine now runs "on the machine". *)
-  let cutoff = (Mdsp_md.Force_calc.nlist (E.force_calc eng)
-                |> Mdsp_space.Neighbor_list.cutoff) in
-  let tables =
-    Mdsp_core.Table.table_set_of_topology sys.Workloads.topo ~cutoff
-      ~elec:Mdsp_ff.Pair_interactions.No_coulomb ~n:2048 ()
-  in
-  let types =
-    Array.map
-      (fun (a : Mdsp_ff.Topology.atom) -> a.Mdsp_ff.Topology.type_id)
-      sys.Workloads.topo.Mdsp_ff.Topology.atoms
-  in
-  let charges = Mdsp_ff.Topology.charges sys.Workloads.topo in
-  let machine_eval =
-    Mdsp_machine.Htis.evaluator tables ~types ~charges ~cutoff
-  in
-  Mdsp_md.Force_calc.set_evaluator (E.force_calc eng) machine_eval;
+  let fc = E.force_calc eng in
+  Mdsp_md.Force_calc.set_evaluator fc
+    (Mdsp_core.Table.machine_evaluator (Mdsp_md.Force_calc.evaluator fc));
   E.refresh_forces eng;
   E.run eng 2000;
   Printf.printf "on tables:   T = %6.1f K   PE = %10.2f kcal/mol   P = %8.1f atm\n"

@@ -61,7 +61,7 @@ let evaluator info ~lambda =
         (e_lj +. e_c, f_lj +. f_c)
       end
     in
-    { Mdsp_ff.Pair_interactions.eval; cutoff = info.cutoff }
+    Mdsp_ff.Pair_interactions.of_eval ~cutoff:info.cutoff eval
   end
 
 (* Per-window machine compilation: the cross interaction becomes one
@@ -133,7 +133,7 @@ let table_evaluator info ~lambda ~n =
             end
       end
     in
-    { Mdsp_ff.Pair_interactions.eval; cutoff }
+    Mdsp_ff.Pair_interactions.of_eval ~cutoff eval
   end
 
 (* Cross (solute-environment) energy at a given lambda for one

@@ -150,3 +150,18 @@ let table_set_of_topology (topo : Mdsp_ff.Topology.t) ~cutoff ~elec ~n
     Option.map (fun s -> compile ~r_min ~r_cut:cutoff ~n ~quantize s) shape
   in
   { Mdsp_machine.Htis.lj; electrostatic }
+
+let machine_evaluator (ev : Mdsp_ff.Pair_interactions.evaluator) =
+  match ev.analytic with
+  | None ->
+      failwith
+        "Table.machine_evaluator: the evaluator records no analytic form \
+         (tables, FEP and custom evaluators cannot be recompiled)"
+  | Some { topo; elec; _ } ->
+      let cutoff = ev.cutoff in
+      let ts = table_set_of_topology topo ~cutoff ~elec ~n:2048 () in
+      let types =
+        Array.map (fun (a : Mdsp_ff.Topology.atom) -> a.type_id) topo.atoms
+      in
+      Mdsp_machine.Htis.evaluator ts ~types
+        ~charges:(Mdsp_ff.Topology.charges topo) ~cutoff

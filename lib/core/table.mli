@@ -58,3 +58,15 @@ val table_set_of_topology :
   ?quantize:bool ->
   unit ->
   Mdsp_machine.Htis.table_set
+
+(** [machine_evaluator ev] boards an analytic evaluator onto the machine:
+    the {!table_set_of_topology} set (2048 intervals per table) for the
+    topology, cutoff and electrostatics [ev] records, behind an
+    {!Mdsp_machine.Htis.evaluator}. Reading them from [ev] keeps the tables
+    on the model the engine runs — Ewald real-space pairs under a grid
+    solver, reaction field otherwise. The LJ tables are shifted at the
+    cutoff whatever truncation [ev] records. Fails if [ev] records no
+    analytic form (table, FEP and custom evaluators). *)
+val machine_evaluator :
+  Mdsp_ff.Pair_interactions.evaluator ->
+  Mdsp_ff.Pair_interactions.evaluator

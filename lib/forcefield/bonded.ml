@@ -12,8 +12,6 @@ let add_force acc i f = acc.forces.(i) <- Vec3.add acc.forces.(i) f
 
 (* --- per-slot scratch and deterministic reduction --- *)
 
-let make_slots ~slots n = Array.init slots (fun _ -> make_accum n)
-
 (* Fixed-shape pairwise tree over the slot contributions for one atom; the
    order depends only on the slot count, so the reduced force is
    deterministic regardless of which domain produced which partial. *)
@@ -224,16 +222,12 @@ let term_count (topo : Topology.t) =
   Array.length topo.bonds + Array.length topo.angles
   + Array.length topo.dihedrals + Array.length topo.impropers
 
-let all ?(exec = Exec.serial) ?slots box (topo : Topology.t) positions acc =
+let all ?(exec = Exec.serial) box (topo : Topology.t) positions acc =
   let ns = Exec.n_slots exec in
   if (ns = 1 && not (Exec.sanitizing exec)) || term_count topo = 0 then
     all_serial box topo positions acc
   else begin
-    let slots =
-      match slots with
-      | Some s when Array.length s = ns -> s
-      | _ -> make_slots ~slots:ns (Array.length acc.forces)
-    in
+    let slots = Array.init ns (fun _ -> make_accum (Array.length acc.forces)) in
     let b_tiles = Exec.tile_bounds ~total:(Array.length topo.bonds) ~ntiles:ns in
     let a_tiles = Exec.tile_bounds ~total:(Array.length topo.angles) ~ntiles:ns in
     let d_tiles =

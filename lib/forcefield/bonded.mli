@@ -17,10 +17,6 @@ type accum = {
 val make_accum : int -> accum
 val reset : accum -> unit
 
-(** Per-slot scratch accumulators for domain-parallel evaluation: one
-    [accum] of size [n] per execution slot. *)
-val make_slots : slots:int -> int -> accum array
-
 (** [reduce_slots ?exec ~into slots] adds every slot's forces and virial
     into [into] using a fixed-shape pairwise tree over the slots, so the
     result is deterministic for a given slot count. The per-atom sums are
@@ -47,12 +43,12 @@ val impropers : Pbc.t -> Topology.t -> Vec3.t array -> accum -> float
 
 (** All bonded terms. Returns (bond_e, angle_e, dihedral_e + improper_e).
     With a parallel [exec], each term array is cut into static contiguous
-    tiles, each slot accumulates into its own scratch accumulator (from
-    [slots], or freshly allocated when absent or mismatched), and the
-    partials are tree-reduced into [acc] deterministically. *)
+    tiles, each slot accumulates into its own freshly allocated scratch
+    accumulator, and the partials are tree-reduced into [acc]
+    deterministically. *)
 val all :
-  ?exec:Exec.t -> ?slots:accum array -> Pbc.t -> Topology.t -> Vec3.t array ->
-  accum -> float * float * float
+  ?exec:Exec.t -> Pbc.t -> Topology.t -> Vec3.t array -> accum ->
+  float * float * float
 
 (** Count of bonded interactions, used by the machine performance model. *)
 val term_count : Topology.t -> int

@@ -6,10 +6,19 @@ type electrostatics =
   | Reaction_field of { epsilon_rf : float }
   | Ewald_real of { beta : float }
 
+type analytic = {
+  topo : Topology.t;
+  trunc : Nonbonded.truncation;
+  elec : electrostatics;
+}
+
 type evaluator = {
   eval : int -> int -> float -> float * float;
   cutoff : float;
+  analytic : analytic option;
 }
+
+let of_eval ~cutoff eval = { eval; cutoff; analytic = None }
 
 let of_topology (topo : Topology.t) ~cutoff ~trunc ~elec =
   let charges = Topology.charges topo in
@@ -60,7 +69,7 @@ let of_topology (topo : Topology.t) ~cutoff ~trunc ~elec =
       (e_lj +. e_c, f_lj +. f_c)
     end
   in
-  { eval; cutoff }
+  { eval; cutoff; analytic = Some { topo; trunc; elec } }
 
 let apply_pair evaluator box positions (acc : Bonded.accum) energy i j =
   let d = Pbc.min_image box positions.(i) positions.(j) in
@@ -74,14 +83,7 @@ let apply_pair evaluator box positions (acc : Bonded.accum) energy i j =
     acc.virial <- acc.virial +. Vec3.dot f d
   end
 
-(* Slot scratch for the parallel paths: reuse the caller's per-slot accums
-   when they match the executor width, else allocate fresh ones. *)
-let ensure_slots slots ~ns ~n =
-  match slots with
-  | Some s when Array.length s = ns -> s
-  | _ -> Bonded.make_slots ~slots:ns n
-
-let compute ?(exec = Exec.serial) ?slots evaluator box nlist positions acc =
+let compute ?(exec = Exec.serial) evaluator box nlist positions acc =
   let ns = Exec.n_slots exec in
   if ns = 1 && not (Exec.sanitizing exec) then begin
     let energy = ref 0. in
@@ -90,7 +92,8 @@ let compute ?(exec = Exec.serial) ?slots evaluator box nlist positions acc =
     !energy
   end
   else begin
-    let slots = ensure_slots slots ~ns ~n:(Array.length acc.Bonded.forces) in
+    let n = Array.length acc.Bonded.forces in
+    let slots = Array.init ns (fun _ -> Bonded.make_accum n) in
     let tiles = Mdsp_space.Neighbor_list.tiles nlist ~ntiles:ns in
     let total = snd tiles.(ns - 1) in
     let natoms = Array.length positions in
@@ -145,7 +148,7 @@ let apply_pair14 (topo : Topology.t) ~charges ~types ~cutoff box positions
     acc.virial <- acc.virial +. Vec3.dot f d
   end
 
-let compute_pairs14 ?(exec = Exec.serial) ?slots (topo : Topology.t) ~cutoff
+let compute_pairs14 ?(exec = Exec.serial) (topo : Topology.t) ~cutoff
     box positions (acc : Bonded.accum) =
   let npairs = Array.length topo.pairs14 in
   if npairs = 0 || (topo.scale14_lj <= 0. && topo.scale14_coul <= 0.) then 0.
@@ -163,9 +166,8 @@ let compute_pairs14 ?(exec = Exec.serial) ?slots (topo : Topology.t) ~cutoff
       !energy
     end
     else begin
-      let slots =
-        ensure_slots slots ~ns ~n:(Array.length acc.Bonded.forces)
-      in
+      let n = Array.length acc.Bonded.forces in
+      let slots = Array.init ns (fun _ -> Bonded.make_accum n) in
       let tiles = Exec.tile_bounds ~total:npairs ~ntiles:ns in
       let natoms = Array.length positions in
       let energies = Array.make ns 0. in

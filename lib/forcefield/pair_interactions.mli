@@ -4,7 +4,11 @@
     and squared distance to (energy, f_over_r). The reference evaluator is
     built analytically from the topology; the machine model substitutes an
     evaluator backed by quantized interpolation tables. Everything downstream
-    (energies, forces, virial) is agnostic to which one it is given. *)
+    (energies, forces, virial) is agnostic to which one it is given.
+
+    The force calculator runs flat mirrors of {!compute} and
+    {!compute_pairs14} (Mdsp_md.Soa_kernels); these boxed kernels are the
+    reference the mirrors are tested against, bit for bit. *)
 
 open Mdsp_util
 
@@ -17,11 +21,30 @@ type electrostatics =
   | Ewald_real of { beta : float }
       (** real-space part of an Ewald decomposition *)
 
-type evaluator = {
+(** The analytic form an {!of_topology} evaluator was built from. *)
+type analytic = {
+  topo : Topology.t;
+  trunc : Nonbonded.truncation;
+  elec : electrostatics;
+}
+
+(** Private so that [analytic] always describes [eval]: only {!of_topology}
+    builds an evaluator with [analytic = Some], and no record copy can swap
+    the [eval] under it. *)
+type evaluator = private {
   eval : int -> int -> float -> float * float;
       (** [eval i j r2] is [(energy, f_over_r)] for the atom pair *)
   cutoff : float;
+  analytic : analytic option;
+      (** [Some] for {!of_topology}, which records its topology, truncation
+          and electrostatics so a consumer can specialise on them; [None]
+          for {!of_eval} (table, FEP and custom evaluators), known only
+          through [eval] *)
 }
+
+(** [of_eval ~cutoff eval] wraps a pair function known only through
+    [eval]; [analytic] is [None]. *)
+val of_eval : cutoff:float -> (int -> int -> float -> float * float) -> evaluator
 
 (** Analytic reference evaluator for a topology. [trunc] applies to the LJ
     part; electrostatics are handled per the [electrostatics] choice. *)
@@ -36,11 +59,10 @@ val of_topology :
     all neighbor-list pairs and returns the potential energy. With a
     parallel [exec], the pair list is cut into static contiguous tiles
     ({!Mdsp_space.Neighbor_list.tiles}), each execution slot accumulates
-    into its own scratch accumulator (from [slots] when it matches the slot
-    count, else freshly allocated), and partial forces/virial/energy are
-    tree-reduced into [acc] deterministically. *)
+    into its own freshly allocated scratch accumulator, and partial
+    forces/virial/energy are tree-reduced into [acc] deterministically. *)
 val compute :
-  ?exec:Exec.t -> ?slots:Bonded.accum array ->
+  ?exec:Exec.t ->
   evaluator -> Pbc.t -> Mdsp_space.Neighbor_list.t -> Vec3.t array ->
   Bonded.accum -> float
 
@@ -51,7 +73,7 @@ val compute :
     bonded work on the programmable cores. Parallelizes over [exec] like
     {!compute}, tiling the 1-4 pair array. *)
 val compute_pairs14 :
-  ?exec:Exec.t -> ?slots:Bonded.accum array ->
+  ?exec:Exec.t ->
   Topology.t -> cutoff:float -> Pbc.t -> Vec3.t array -> Bonded.accum -> float
 
 (** All-pairs O(N^2) version used as a test oracle (ignores no pairs; applies

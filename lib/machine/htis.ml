@@ -18,10 +18,8 @@ let eval_pair ts types charges i j r2 =
       end
 
 let evaluator ts ~types ~charges ~cutoff =
-  {
-    Mdsp_ff.Pair_interactions.eval = (fun i j r2 -> eval_pair ts types charges i j r2);
-    cutoff;
-  }
+  Mdsp_ff.Pair_interactions.of_eval ~cutoff (fun i j r2 ->
+      eval_pair ts types charges i j r2)
 
 type result = {
   forces : Vec3.t array;

@@ -111,7 +111,6 @@ let set_serial_integrator t b = t.serial_integrator <- b
 let set_serial_constraints t b = t.serial_constraints <- b
 let timings t = Force_calc.timings t.fc
 let reset_timings t = Force_calc.reset_timings t.fc
-let soa_active t = Force_calc.soa_active t.fc
 let config t = t.cfg
 let rng t = t.rng
 let steps_done t = t.nsteps

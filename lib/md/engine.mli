@@ -89,10 +89,6 @@ val timings : t -> Force_calc.timings
 
 val reset_timings : t -> unit
 
-(** Whether the force calculator is running the flat (SoA) fast path (see
-    {!Force_calc.soa_active}). *)
-val soa_active : t -> bool
-
 val potential_energy : t -> float
 val kinetic_energy : t -> float
 val total_energy : t -> float

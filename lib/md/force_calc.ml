@@ -108,12 +108,11 @@ type transform = {
 
 module K = Soa_kernels
 
-(* SoA fast-path context: the flat particle store, the flattened pair
-   parameters, and the per-slot scratch for the parallel phases. Slot
-   stores share the position columns with [store] (only their force
-   columns are private), so one load serves every phase. *)
-type soa_ctx = {
-  params : K.pair_params;
+(* The flat particle store every force phase runs on, and the per-slot
+   scratch for the parallel phases. Slot stores share the position columns
+   with [store] (only their force columns are private), so one load serves
+   every phase. *)
+type flat = {
   store : Soa.t;
   sc : K.scratch;
   slot_stores : Soa.t array;
@@ -122,7 +121,7 @@ type soa_ctx = {
   slot_fz : Soa.fa array;
   slot_sc : K.scratch array;
   (* Per-phase slot outputs, preallocated; every slot overwrites its entry
-     before any read, matching the boxed path's fresh arrays bit for bit. *)
+     before any read. *)
   slot_energy : float array;
   slot_virial : float array;
   eb : float array;
@@ -130,7 +129,7 @@ type soa_ctx = {
   ed : float array;
 }
 
-let make_soa_ctx ~exec params natoms =
+let make_flat ~exec natoms =
   let store = Soa.create natoms in
   let ns = Exec.n_slots exec in
   (* Sanitizing runs take the parallel (declaring) branches even at one
@@ -146,7 +145,6 @@ let make_soa_ctx ~exec params natoms =
         })
   in
   {
-    params;
     store;
     sc = K.make_scratch ();
     slot_stores;
@@ -164,6 +162,8 @@ let make_soa_ctx ~exec params natoms =
 type t = {
   topo : Mdsp_ff.Topology.t;
   mutable evaluator : Mdsp_ff.Pair_interactions.evaluator;
+  (* The pair loop [evaluator] selects; swapped with it. *)
+  mutable kernel : K.pair_kernel;
   longrange : longrange;
   nlist : Mdsp_space.Neighbor_list.t;
   (* Newest-first; every consumer restores registration order. *)
@@ -171,36 +171,27 @@ type t = {
   mutable transform : transform option;
   charges : float array;
   exec : Exec.t;
-  slots : Mdsp_ff.Bonded.accum array;
   (* Cached handle for the GSE self/excluded corrections: those depend only
      on beta (self) or on the box passed per call (excluded), so the handle
      never goes stale even under a barostat. *)
   mutable gse_ewald : Mdsp_longrange.Ewald.t option;
-  mutable soa : soa_ctx option;
+  flat : flat;
   tm : timings;
 }
 
-let create ?(exec = Exec.serial) ?soa topo ~evaluator ~longrange ~nlist =
-  let ns = Exec.n_slots exec in
-  let natoms = Mdsp_ff.Topology.n_atoms topo in
+let create ?(exec = Exec.serial) topo ~evaluator ~longrange ~nlist =
   {
     topo;
     evaluator;
+    kernel = K.pair_kernel topo evaluator;
     longrange;
     nlist;
     biases_rev = [];
     transform = None;
     charges = Mdsp_ff.Topology.charges topo;
     exec;
-    slots =
-      (if ns > 1 || Exec.sanitizing exec then
-         Mdsp_ff.Bonded.make_slots ~slots:ns natoms
-       else [||]);
     gse_ewald = None;
-    soa =
-      (match soa with
-      | None -> None
-      | Some params -> Some (make_soa_ctx ~exec params natoms));
+    flat = make_flat ~exec (Mdsp_ff.Topology.n_atoms topo);
     tm = zero_timings ();
   }
 
@@ -213,13 +204,13 @@ let longrange_kind t =
   | Lr_none -> `None
   | Lr_ewald _ -> `Ewald
   | Lr_gse gse -> `Gse (Mdsp_longrange.Gse.grid gse)
-(* A replaced evaluator (tables, FEP lambdas, custom forms) has no flat
-   specialization, so swapping it drops the SoA fast path back to boxed. *)
+
+let evaluator t = t.evaluator
+
 let set_evaluator t e =
   t.evaluator <- e;
-  t.soa <- None
+  t.kernel <- K.pair_kernel t.topo e
 
-let soa_active t = match t.soa with Some _ -> true | None -> false
 let add_bias t b = t.biases_rev <- b :: t.biases_rev
 
 let remove_bias t name =
@@ -323,210 +314,199 @@ let rebuild_timed t box positions =
   tm.nbuild_s <-
     tm.nbuild_s +. (Mdsp_space.Neighbor_list.build_seconds t.nlist -. nb0)
 
-(* --- SoA fast path -------------------------------------------------- *)
+(* --- the flat force phases ----------------------------------------- *)
 
-(* Phase mirror of Bonded.all on the flat store: same serial/parallel
-   split, same per-term tilings, declares and reduction, so both the
-   sanitizer view and the accumulated bits match the boxed path. *)
-let soa_bonded t ctx box =
+(* One slot and no sanitizer: the phases run inline on the calling domain
+   instead of as declared pool phases. *)
+let inline t = Exec.n_slots t.exec = 1 && not (Exec.sanitizing t.exec)
+
+(* A declared pool phase on the flat store: [body s store sc] runs on slot
+   [s]'s private force columns and scratch (cleared first), then the
+   columns and virials reduce into the store with the boxed tree shape.
+   [reads] names the iteration spaces the reduction consumes. Returns the
+   tree sum of the slot energies. *)
+let slot_phase t ~phase ~reads body =
+  let ctx = t.flat in
+  Exec.parallel_run ~phase t.exec (fun s ->
+      let sst = ctx.slot_stores.(s) and ssc = ctx.slot_sc.(s) in
+      Soa.clear_forces sst;
+      K.reset_scratch ssc;
+      body s sst ssc;
+      ctx.slot_energy.(s) <- ssc.K.energy;
+      ctx.slot_virial.(s) <- ssc.K.virial);
+  K.reduce_slots ~exec:t.exec ~reads ~into:ctx.store ~slot_fx:ctx.slot_fx
+    ~slot_fy:ctx.slot_fy ~slot_fz:ctx.slot_fz ~slot_virial:ctx.slot_virial
+    ctx.sc;
+  Exec.sum_tree ctx.slot_energy
+
+(* The four bonded terms over the given ranges, each energy accumulated
+   from zero (dihedrals and impropers summed). *)
+let bonded_terms box topo store sc (b_lo, b_hi) (a_lo, a_hi) (d_lo, d_hi)
+    (i_lo, i_hi) =
+  sc.K.energy <- 0.;
+  K.bonds_range box topo store b_lo b_hi sc;
+  let eb = sc.K.energy in
+  sc.K.energy <- 0.;
+  K.angles_range box topo store a_lo a_hi sc;
+  let ea = sc.K.energy in
+  sc.K.energy <- 0.;
+  K.dihedrals_range box topo store d_lo d_hi sc;
+  let e_d = sc.K.energy in
+  sc.K.energy <- 0.;
+  K.impropers_range box topo store i_lo i_hi sc;
+  (eb, ea, e_d +. sc.K.energy)
+
+(* Bonded terms on the flat store: the same serial/parallel split, per-term
+   tilings, declares and reduction tree as Bonded.all, so both the
+   sanitizer view and the accumulated bits match the boxed oracle. *)
+let bonded t box =
   let topo = t.topo in
-  let ns = Exec.n_slots t.exec in
-  let store = ctx.store in
-  let sc = ctx.sc in
+  let ctx = t.flat in
   let nb = Array.length topo.Mdsp_ff.Topology.bonds in
   let na = Array.length topo.Mdsp_ff.Topology.angles in
   let nd = Array.length topo.Mdsp_ff.Topology.dihedrals in
   let ni = Array.length topo.Mdsp_ff.Topology.impropers in
-  if
-    (ns = 1 && not (Exec.sanitizing t.exec))
-    || Mdsp_ff.Bonded.term_count topo = 0
-  then begin
-    sc.K.energy <- 0.;
-    K.bonds_range box topo store 0 nb sc;
-    let eb = sc.K.energy in
-    sc.K.energy <- 0.;
-    K.angles_range box topo store 0 na sc;
-    let ea = sc.K.energy in
-    sc.K.energy <- 0.;
-    K.dihedrals_range box topo store 0 nd sc;
-    let e_d = sc.K.energy in
-    sc.K.energy <- 0.;
-    K.impropers_range box topo store 0 ni sc;
-    (eb, ea, e_d +. sc.K.energy)
-  end
+  if inline t || Mdsp_ff.Bonded.term_count topo = 0 then
+    bonded_terms box topo ctx.store ctx.sc (0, nb) (0, na) (0, nd) (0, ni)
   else begin
-    let b_tiles = Exec.tile_bounds ~total:nb ~ntiles:ns in
-    let a_tiles = Exec.tile_bounds ~total:na ~ntiles:ns in
-    let d_tiles = Exec.tile_bounds ~total:nd ~ntiles:ns in
-    let i_tiles = Exec.tile_bounds ~total:ni ~ntiles:ns in
+    let ns = Exec.n_slots t.exec in
+    let terms =
+      [|
+        ("bonded.bonds", nb);
+        ("bonded.angles", na);
+        ("bonded.dihedrals", nd);
+        ("bonded.impropers", ni);
+      |]
+    in
+    let tiles =
+      Array.map (fun (_, n) -> Exec.tile_bounds ~total:n ~ntiles:ns) terms
+    in
     let eb = ctx.eb and ea = ctx.ea and ed = ctx.ed in
-    let natoms = Soa.n store in
-    Exec.parallel_run ~phase:"bonded" t.exec (fun s ->
-        let sst = ctx.slot_stores.(s) in
-        Soa.clear_forces sst;
-        let ssc = ctx.slot_sc.(s) in
-        K.reset_scratch ssc;
-        let declare resource tiles total =
-          let lo, hi = tiles in
-          Exec.declare_write ~slot:s ~resource ~total ~lo ~hi t.exec
-        in
-        declare "bonded.bonds" b_tiles.(s) nb;
-        declare "bonded.angles" a_tiles.(s) na;
-        declare "bonded.dihedrals" d_tiles.(s) nd;
-        declare "bonded.impropers" i_tiles.(s) ni;
-        (* Each term reads arbitrary atoms via its index tuples. *)
-        Exec.declare_read ~slot:s ~resource:"soa.positions" ~lo:0 ~hi:natoms
-          t.exec;
-        let lo, hi = b_tiles.(s) in
-        ssc.K.energy <- 0.;
-        K.bonds_range box topo sst lo hi ssc;
-        eb.(s) <- ssc.K.energy;
-        let lo, hi = a_tiles.(s) in
-        ssc.K.energy <- 0.;
-        K.angles_range box topo sst lo hi ssc;
-        ea.(s) <- ssc.K.energy;
-        let lo, hi = d_tiles.(s) in
-        ssc.K.energy <- 0.;
-        K.dihedrals_range box topo sst lo hi ssc;
-        let e_d = ssc.K.energy in
-        let lo, hi = i_tiles.(s) in
-        ssc.K.energy <- 0.;
-        K.impropers_range box topo sst lo hi ssc;
-        ed.(s) <- e_d +. ssc.K.energy;
-        ctx.slot_virial.(s) <- ssc.K.virial);
-    K.reduce_slots ~exec:t.exec
-      ~reads:
-        [
-          ("bonded.bonds", nb);
-          ("bonded.angles", na);
-          ("bonded.dihedrals", nd);
-          ("bonded.impropers", ni);
-        ]
-      ~into:store ~slot_fx:ctx.slot_fx ~slot_fy:ctx.slot_fy
-      ~slot_fz:ctx.slot_fz ~slot_virial:ctx.slot_virial sc;
+    let natoms = Soa.n ctx.store in
+    ignore
+      (slot_phase t ~phase:"bonded" ~reads:(Array.to_list terms)
+         (fun s sst ssc ->
+           Array.iteri
+             (fun k (resource, total) ->
+               let lo, hi = tiles.(k).(s) in
+               Exec.declare_write ~slot:s ~resource ~total ~lo ~hi t.exec)
+             terms;
+           (* Each term reads arbitrary atoms via its index tuples. *)
+           Exec.declare_read ~slot:s ~resource:"soa.positions" ~lo:0
+             ~hi:natoms t.exec;
+           let b, a, d =
+             bonded_terms box topo sst ssc tiles.(0).(s) tiles.(1).(s)
+               tiles.(2).(s) tiles.(3).(s)
+           in
+           eb.(s) <- b;
+           ea.(s) <- a;
+           ed.(s) <- d));
     (Exec.sum_tree eb, Exec.sum_tree ea, Exec.sum_tree ed)
   end
 
-(* Parallel 1-4 phase, mirror of Pair_interactions.compute_pairs14 (ns > 1
-   path). The skip condition matches the boxed one exactly. *)
-let soa_pairs14_par t ctx box =
-  let params = ctx.params in
-  if not (K.pairs14_active params) then 0.
+(* Scaled 1-4 terms at the evaluator's cutoff, the mirror of
+   Pair_interactions.compute_pairs14 (same skip condition, same tiling). *)
+let pairs14 t box =
+  let ctx = t.flat in
+  let p14 = K.kernel_pairs14 t.kernel in
+  let np = K.pairs14_count p14 in
+  if not (K.pairs14_active p14) then 0.
+  else if inline t then begin
+    ctx.sc.K.energy <- 0.;
+    K.pairs14_range p14 box ctx.store 0 np ctx.sc;
+    ctx.sc.K.energy
+  end
   else begin
-    let np = K.pairs14_count params in
-    let ns = Exec.n_slots t.exec in
-    let tiles = Exec.tile_bounds ~total:np ~ntiles:ns in
-    let energies = ctx.slot_energy in
+    let tiles = Exec.tile_bounds ~total:np ~ntiles:(Exec.n_slots t.exec) in
     let natoms = Soa.n ctx.store in
-    Exec.parallel_run ~phase:"pair14" t.exec (fun s ->
-        let sst = ctx.slot_stores.(s) in
-        Soa.clear_forces sst;
-        let ssc = ctx.slot_sc.(s) in
-        K.reset_scratch ssc;
+    slot_phase t ~phase:"pair14" ~reads:[ ("pair.pairs14", np) ]
+      (fun s sst ssc ->
         let lo, hi = tiles.(s) in
         Exec.declare_write ~slot:s ~resource:"pair.pairs14" ~total:np ~lo ~hi
           t.exec;
         Exec.declare_read ~slot:s ~resource:"soa.positions" ~lo:0 ~hi:natoms
           t.exec;
-        K.pairs14_range params box sst lo hi ssc;
-        energies.(s) <- ssc.K.energy;
-        ctx.slot_virial.(s) <- ssc.K.virial);
-    K.reduce_slots ~exec:t.exec ~reads:[ ("pair.pairs14", np) ]
-      ~into:ctx.store ~slot_fx:ctx.slot_fx ~slot_fy:ctx.slot_fy
-      ~slot_fz:ctx.slot_fz ~slot_virial:ctx.slot_virial ctx.sc;
-    Exec.sum_tree energies
+        K.pairs14_range p14 box sst lo hi ssc)
   end
 
 (* Parallel pair phase, mirror of Pair_interactions.compute (ns > 1). *)
-let soa_pair_par t ctx box =
+let pair_par t box =
   let ns = Exec.n_slots t.exec in
   let is, js = Mdsp_space.Neighbor_list.raw_pairs t.nlist in
   let tiles = Mdsp_space.Neighbor_list.tiles t.nlist ~ntiles:ns in
   let total = snd tiles.(ns - 1) in
-  let energies = ctx.slot_energy in
-  let natoms = Soa.n ctx.store in
-  Exec.parallel_run ~phase:"pair" t.exec (fun s ->
-      let sst = ctx.slot_stores.(s) in
-      Soa.clear_forces sst;
-      let ssc = ctx.slot_sc.(s) in
-      K.reset_scratch ssc;
+  let natoms = Soa.n t.flat.store in
+  slot_phase t ~phase:"pair" ~reads:[ ("pair.tiles", total) ]
+    (fun s sst ssc ->
       let lo, hi = tiles.(s) in
       Exec.declare_write ~slot:s ~resource:"pair.tiles" ~total ~lo ~hi t.exec;
       Exec.declare_read ~slot:s ~resource:"nlist.pairs" ~total ~lo ~hi t.exec;
       Exec.declare_read ~slot:s ~resource:"soa.positions" ~lo:0 ~hi:natoms
         t.exec;
-      K.pair_range ctx.params box sst ~is ~js lo hi ssc;
-      energies.(s) <- ssc.K.energy;
-      ctx.slot_virial.(s) <- ssc.K.virial);
-  K.reduce_slots ~exec:t.exec ~reads:[ ("pair.tiles", total) ]
-    ~into:ctx.store ~slot_fx:ctx.slot_fx ~slot_fy:ctx.slot_fy
-    ~slot_fz:ctx.slot_fz ~slot_virial:ctx.slot_virial ctx.sc;
-  Exec.sum_tree energies
+      K.kernel_range t.kernel box sst ~is ~js lo hi ssc)
 
-(* Serial 1-4 + pair kernels with the minor-heap probe around them: the
+(* Inline 1-4 + pair kernels with the minor-heap probe around them: the
    window contains only unit-returning kernel calls and float-record field
-   traffic, so the LJ pair loop measures exactly zero words. Everything
+   traffic, so an analytic LJ pair loop measures exactly zero words (a
+   generic loop measures what its evaluator allocates). Everything else
    that allocates (raw array fetch, result boxing, the timing fields) sits
    outside the [w0, w1] window. *)
-let soa_pair_serial t ctx box ~with14 =
+let pair_inline t box ~with14 =
   let tm = t.tm in
-  let store = ctx.store in
-  let sc = ctx.sc in
-  let params = ctx.params in
+  let store = t.flat.store in
+  let sc = t.flat.sc in
+  let p14 = K.kernel_pairs14 t.kernel in
   let is, js = Mdsp_space.Neighbor_list.raw_pairs t.nlist in
   let npairs = Mdsp_space.Neighbor_list.length t.nlist in
-  let active14 = with14 && K.pairs14_active params in
-  let np14 = K.pairs14_count params in
+  let active14 = with14 && K.pairs14_active p14 in
+  let np14 = K.pairs14_count p14 in
   let w0 = Gc.minor_words () in
   sc.K.energy <- 0.;
-  if active14 then K.pairs14_range params box store 0 np14 sc;
+  if active14 then K.pairs14_range p14 box store 0 np14 sc;
   let pair14 = sc.K.energy in
   sc.K.energy <- 0.;
-  K.pair_range params box store ~is ~js 0 npairs sc;
+  K.kernel_range t.kernel box store ~is ~js 0 npairs sc;
   let w1 = Gc.minor_words () in
   let p = pair14 +. sc.K.energy in
   tm.pair_words <- tm.pair_words +. (w1 -. w0);
   p
 
-(* Load positions into the flat store and reset its accumulators; charged
-   to whichever phase runs first on the SoA path. With a multi-slot
-   executor this is the declared ["soa.load"] phase. *)
-let soa_load t ctx box positions =
-  let store = ctx.store in
+(* Load positions into the flat store and reset its accumulators. With a
+   multi-slot executor this is the declared ["soa.load"] phase. *)
+let load t box positions =
+  let store = t.flat.store in
   store.Soa.box <- box;
   Soa.sync_load ~exec:t.exec store positions;
-  K.reset_scratch ctx.sc
+  K.reset_scratch t.flat.sc
 
 (* Flush the flat force sums and the virial into the boxed accumulator.
    Plain overwrite: the kernels accumulated in the boxed order, so this
-   reproduces the boxed accumulator bits at the phase boundary. The
-   longrange / bias phases then keep adding into [acc] exactly as before —
-   this is the gather/spread synchronization point (the declared
-   ["soa.store"] phase on a multi-slot executor). *)
-let soa_flush t ctx acc =
-  Soa.sync_store ~exec:t.exec ctx.store acc;
-  acc.Mdsp_ff.Bonded.virial <- ctx.sc.K.virial
+   reproduces the boxed oracle's accumulator bits at the phase boundary.
+   The longrange / bias phases then keep adding into [acc] — this is the
+   gather/spread synchronization point (the declared ["soa.store"] phase
+   on a multi-slot executor). *)
+let flush t acc =
+  Soa.sync_store ~exec:t.exec t.flat.store acc;
+  acc.Mdsp_ff.Bonded.virial <- t.flat.sc.K.virial
 
-let compute_soa t ctx box positions acc =
+let compute t box positions acc =
   Mdsp_ff.Bonded.reset acc;
   let tm = t.tm in
   rebuild_timed t box positions;
   let bond, angle, dihedral =
     timed (fun d -> tm.bonded_s <- tm.bonded_s +. d) (fun () ->
-        soa_load t ctx box positions;
-        soa_bonded t ctx box)
+        load t box positions;
+        bonded t box)
   in
   let pair =
     timed (fun d -> tm.pair_s <- tm.pair_s +. d) (fun () ->
         let p =
-          if Exec.n_slots t.exec = 1 && not (Exec.sanitizing t.exec) then
-            soa_pair_serial t ctx box ~with14:true
-          else begin
-            let pair14 = soa_pairs14_par t ctx box in
-            pair14 +. soa_pair_par t ctx box
-          end
+          if inline t then pair_inline t box ~with14:true
+          else
+            let pair14 = pairs14 t box in
+            pair14 +. pair_par t box
         in
-        soa_flush t ctx acc;
+        flush t acc;
         p)
   in
   let recip, correction =
@@ -546,143 +526,42 @@ let compute_soa t ctx box positions acc =
   tm.calls <- tm.calls + 1;
   e
 
-let compute_boxed t box positions acc =
-  Mdsp_ff.Bonded.reset acc;
-  let tm = t.tm in
-  rebuild_timed t box positions;
-  let bond, angle, dihedral =
-    timed (fun d -> tm.bonded_s <- tm.bonded_s +. d) (fun () ->
-        Mdsp_ff.Bonded.all ~exec:t.exec ~slots:t.slots box t.topo positions
-          acc)
-  in
-  let pair =
-    timed (fun d -> tm.pair_s <- tm.pair_s +. d) (fun () ->
-        let pair14 =
-          Mdsp_ff.Pair_interactions.compute_pairs14 ~exec:t.exec
-            ~slots:t.slots t.topo
-            ~cutoff:t.evaluator.Mdsp_ff.Pair_interactions.cutoff box positions
-            acc
-        in
-        pair14
-        +. Mdsp_ff.Pair_interactions.compute ~exec:t.exec ~slots:t.slots
-             t.evaluator box t.nlist positions acc)
-  in
-  let recip, correction =
-    timed (fun d -> tm.longrange_s <- tm.longrange_s +. d) (fun () ->
-        compute_longrange t box positions acc)
-  in
-  let e =
-    timed (fun d -> tm.bias_s <- tm.bias_s +. d) (fun () ->
-        let bias = compute_biases t box positions acc in
-        let e = { bond; angle; dihedral; pair; recip; correction; bias } in
-        match t.transform with
-        | None -> e
-        | Some tr ->
-            let boost = tr.tr_apply box positions acc (total e) in
-            { e with bias = e.bias +. boost })
-  in
-  tm.calls <- tm.calls + 1;
-  e
-
-let compute t box positions acc =
-  match t.soa with
-  | Some ctx -> compute_soa t ctx box positions acc
-  | None -> compute_boxed t box positions acc
-
-(* RESPA class split on the flat store, mirroring the boxed branches. *)
-let compute_class_soa t ctx cls box positions acc =
-  Mdsp_ff.Bonded.reset acc;
-  let tm = t.tm in
-  match cls with
-  | `Fast ->
-      let bond, angle, dihedral =
-        timed (fun d -> tm.bonded_s <- tm.bonded_s +. d) (fun () ->
-            soa_load t ctx box positions;
-            soa_bonded t ctx box)
-      in
-      let pair14 =
-        timed (fun d -> tm.pair_s <- tm.pair_s +. d) (fun () ->
-            let p =
-              if Exec.n_slots t.exec = 1 && not (Exec.sanitizing t.exec)
-              then begin
-                let params = ctx.params in
-                let sc = ctx.sc in
-                if K.pairs14_active params then begin
-                  sc.K.energy <- 0.;
-                  K.pairs14_range params box ctx.store 0
-                    (K.pairs14_count params) sc;
-                  sc.K.energy
-                end
-                else 0.
-              end
-              else soa_pairs14_par t ctx box
-            in
-            soa_flush t ctx acc;
-            p)
-      in
-      let bias =
-        timed (fun d -> tm.bias_s <- tm.bias_s +. d) (fun () ->
-            compute_biases t box positions acc)
-      in
-      { zero_energies with bond; angle; dihedral; pair = pair14; bias }
-  | `Slow ->
-      rebuild_timed t box positions;
-      let pair =
-        timed (fun d -> tm.pair_s <- tm.pair_s +. d) (fun () ->
-            soa_load t ctx box positions;
-            let p =
-              if Exec.n_slots t.exec = 1 && not (Exec.sanitizing t.exec) then
-                soa_pair_serial t ctx box ~with14:false
-              else soa_pair_par t ctx box
-            in
-            soa_flush t ctx acc;
-            p)
-      in
-      let recip, correction =
-        timed (fun d -> tm.longrange_s <- tm.longrange_s +. d) (fun () ->
-            compute_longrange t box positions acc)
-      in
-      tm.calls <- tm.calls + 1;
-      { zero_energies with pair; recip; correction }
-
-(* Dispatch added below, after the boxed class-split body. *)
-let compute_class_boxed t cls box positions acc =
-  Mdsp_ff.Bonded.reset acc;
-  let tm = t.tm in
-  match cls with
-  | `Fast ->
-      let bond, angle, dihedral =
-        timed (fun d -> tm.bonded_s <- tm.bonded_s +. d) (fun () ->
-            Mdsp_ff.Bonded.all ~exec:t.exec ~slots:t.slots box t.topo
-              positions acc)
-      in
-      let pair14 =
-        timed (fun d -> tm.pair_s <- tm.pair_s +. d) (fun () ->
-            Mdsp_ff.Pair_interactions.compute_pairs14 ~exec:t.exec
-              ~slots:t.slots t.topo
-              ~cutoff:t.evaluator.Mdsp_ff.Pair_interactions.cutoff box
-              positions acc)
-      in
-      let bias =
-        timed (fun d -> tm.bias_s <- tm.bias_s +. d) (fun () ->
-            compute_biases t box positions acc)
-      in
-      { zero_energies with bond; angle; dihedral; pair = pair14; bias }
-  | `Slow ->
-      rebuild_timed t box positions;
-      let pair =
-        timed (fun d -> tm.pair_s <- tm.pair_s +. d) (fun () ->
-            Mdsp_ff.Pair_interactions.compute ~exec:t.exec ~slots:t.slots
-              t.evaluator box t.nlist positions acc)
-      in
-      let recip, correction =
-        timed (fun d -> tm.longrange_s <- tm.longrange_s +. d) (fun () ->
-            compute_longrange t box positions acc)
-      in
-      tm.calls <- tm.calls + 1;
-      { zero_energies with pair; recip; correction }
-
 let compute_class t cls box positions acc =
-  match t.soa with
-  | Some ctx -> compute_class_soa t ctx cls box positions acc
-  | None -> compute_class_boxed t cls box positions acc
+  Mdsp_ff.Bonded.reset acc;
+  let tm = t.tm in
+  match cls with
+  | `Fast ->
+      let bond, angle, dihedral =
+        timed (fun d -> tm.bonded_s <- tm.bonded_s +. d) (fun () ->
+            load t box positions;
+            bonded t box)
+      in
+      let pair14 =
+        timed (fun d -> tm.pair_s <- tm.pair_s +. d) (fun () ->
+            let p = pairs14 t box in
+            flush t acc;
+            p)
+      in
+      let bias =
+        timed (fun d -> tm.bias_s <- tm.bias_s +. d) (fun () ->
+            compute_biases t box positions acc)
+      in
+      { zero_energies with bond; angle; dihedral; pair = pair14; bias }
+  | `Slow ->
+      rebuild_timed t box positions;
+      let pair =
+        timed (fun d -> tm.pair_s <- tm.pair_s +. d) (fun () ->
+            load t box positions;
+            let p =
+              if inline t then pair_inline t box ~with14:false
+              else pair_par t box
+            in
+            flush t acc;
+            p)
+      in
+      let recip, correction =
+        timed (fun d -> tm.longrange_s <- tm.longrange_s +. d) (fun () ->
+            compute_longrange t box positions acc)
+      in
+      tm.calls <- tm.calls + 1;
+      { zero_energies with pair; recip; correction }

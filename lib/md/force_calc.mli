@@ -54,10 +54,10 @@ val zero_energies : energies
     force work.
     [pair_words] is not a time at all:
     it is the cumulative minor-heap allocation (in words, from
-    [Gc.minor_words]) of the short-range pair kernels — on the serial SoA
-    path the LJ pair loop is allocation-free and this stays exactly 0,
-    which [bench e21] asserts. On the boxed path it counts the closure and
-    box traffic of the reference kernels. *)
+    [Gc.minor_words]) of the 1-4 and pair loops on one slot — with an
+    analytic evaluator the LJ pair loop is allocation-free and this stays
+    exactly 0, which [bench e21] asserts; a table or FEP evaluator counts
+    the result tuples its [eval] allocates. It stays 0 on a pool. *)
 type timings = {
   mutable pair_s : float;
   mutable bonded_s : float;
@@ -103,23 +103,21 @@ type transform = {
 
 type t
 
-(** [create ?exec ?soa topo ~evaluator ~longrange ~nlist] builds the
+(** [create ?exec topo ~evaluator ~longrange ~nlist] builds the
     calculator. [exec] (default {!Mdsp_util.Exec.serial}) selects the
-    execution backend for the pair and bonded phases; per-slot scratch
-    accumulators are sized here and reused across steps.
+    execution backend for the pair and bonded phases; the flat particle
+    store and the per-slot scratch are sized here and reused across steps.
 
-    [soa] installs the flat (structure-of-arrays) fast path: the bonded,
-    1-4 and short-range pair phases then run the {!Soa_kernels} batched
-    loops over a {!Soa} store instead of the boxed reference kernels. The
-    flat parameters must describe the same (topology, cutoff, truncation,
-    electrostatics) as [evaluator] — build them with
-    {!Soa_kernels.pair_params_of_topology} at the same call site. Results
-    are bitwise identical to the boxed path; long-range, biases and
-    transforms always stay boxed (the store syncs back at the pair-phase
-    boundary). *)
+    The bonded, 1-4 and short-range pair phases run the {!Soa_kernels}
+    loops over a {!Soa} store; the pair loop is the one
+    {!Soa_kernels.pair_kernel} selects for [evaluator]. Results are bitwise
+    identical to the boxed reference kernels ({!Mdsp_ff.Bonded.all},
+    {!Mdsp_ff.Pair_interactions.compute_pairs14} at the evaluator's cutoff,
+    then {!Mdsp_ff.Pair_interactions.compute}), which the test suites keep
+    as the oracle. Long-range, biases and transforms add into the boxed
+    accumulator after the store syncs back at the pair-phase boundary. *)
 val create :
   ?exec:Exec.t ->
-  ?soa:Soa_kernels.pair_params ->
   Mdsp_ff.Topology.t ->
   evaluator:Mdsp_ff.Pair_interactions.evaluator ->
   longrange:longrange ->
@@ -156,15 +154,17 @@ val add_constraints_s : t -> float -> unit
     rescales ([thermostat_s]). *)
 val add_thermostat_s : t -> float -> unit
 
-(** Replace the pair evaluator (FEP lambda switching, machine
-    substitution). This also disables the SoA fast path if one was
-    installed: a swapped-in evaluator has no flat specialization, so the
-    calculator falls back to the boxed reference kernels. *)
-val set_evaluator : t -> Mdsp_ff.Pair_interactions.evaluator -> unit
+(** The installed pair evaluator. *)
+val evaluator : t -> Mdsp_ff.Pair_interactions.evaluator
 
-(** Whether the flat (SoA) fast path is currently driving the bonded and
-    pair phases. *)
-val soa_active : t -> bool
+(** Replace the pair evaluator (FEP lambda switching, machine
+    substitution) and the flat pair loop it selects
+    ({!Soa_kernels.pair_kernel}): an
+    {!Mdsp_ff.Pair_interactions.of_topology} evaluator built from this
+    calculator's topology runs the specialised analytic loop, every other
+    evaluator runs through its [eval]. Either way the forces are the ones
+    {!Mdsp_ff.Pair_interactions.compute} gives for the evaluator. *)
+val set_evaluator : t -> Mdsp_ff.Pair_interactions.evaluator -> unit
 
 val add_bias : t -> bias -> unit
 

@@ -50,8 +50,8 @@ type pair_params = {
   scale14_coul : float;
 }
 
-(* Switch truncation keeps the boxed evaluator (no flat specialization);
-   table/custom evaluators never reach this builder. *)
+(* Switch truncation has no specialised loop; [pair_kernel] sends it, like
+   table and custom evaluators, to the generic one. *)
 let pair_params_of_topology (topo : Topology.t) ~cutoff
     ~(trunc : Nonbonded.truncation) ~(elec : Pair_interactions.electrostatics)
     =
@@ -331,6 +331,74 @@ let pair_range pp box s ~is ~js lo hi sc =
   | Ek_cutoff -> pair_range_cutoff pp box s ~is ~js lo hi sc
   | Ek_rf { krf; crf } -> pair_range_rf pp ~krf ~crf box s ~is ~js lo hi sc
   | Ek_ewald { beta } -> pair_range_ewald pp ~beta box s ~is ~js lo hi sc
+
+(* Any other evaluator (tables, FEP lambdas, Switch, custom forms): the
+   mirror of Pair_interactions.apply_pair with the call to [eval] left in,
+   so it allocates the evaluator's result tuple per pair in range. *)
+let eval_range (ev : Pair_interactions.evaluator) (box : Pbc.t) (s : Soa.t)
+    ~(is : int array) ~(js : int array) lo hi (sc : scratch) =
+  let x = s.Soa.x and y = s.Soa.y and z = s.Soa.z in
+  let fx = s.Soa.fx and fy = s.Soa.fy and fz = s.Soa.fz in
+  let lx = box.Pbc.lx and ly = box.Pbc.ly and lz = box.Pbc.lz in
+  let eval = ev.Pair_interactions.eval in
+  let rc2 = ev.Pair_interactions.cutoff *. ev.Pair_interactions.cutoff in
+  for k = lo to hi - 1 do
+    let i = is.(k) and j = js.(k) in
+    let dx0 = x.{i} -. x.{j} in
+    let dy0 = y.{i} -. y.{j} in
+    let dz0 = z.{i} -. z.{j} in
+    let dx = dx0 -. (lx *. Float.round (dx0 /. lx)) in
+    let dy = dy0 -. (ly *. Float.round (dy0 /. ly)) in
+    let dz = dz0 -. (lz *. Float.round (dz0 /. lz)) in
+    let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) in
+    if r2 < rc2 then begin
+      let e, fr = eval i j r2 in
+      sc.energy <- sc.energy +. e;
+      let gx = fr *. dx and gy = fr *. dy and gz = fr *. dz in
+      fx.{i} <- fx.{i} +. gx;
+      fy.{i} <- fy.{i} +. gy;
+      fz.{i} <- fz.{i} +. gz;
+      fx.{j} <- fx.{j} -. gx;
+      fy.{j} <- fy.{j} -. gy;
+      fz.{j} <- fz.{j} -. gz;
+      sc.virial <- sc.virial +. ((gx *. dx) +. (gy *. dy) +. (gz *. dz))
+    end
+  done
+
+(* ------------------------------------------------------------------ *)
+(* The pair kernel an evaluator selects.                               *)
+(* ------------------------------------------------------------------ *)
+
+type pair_loop =
+  | Analytic of pair_params
+  | Generic of Pair_interactions.evaluator
+
+type pair_kernel = { loop : pair_loop; p14 : pair_params }
+
+let pair_kernel topo (ev : Pair_interactions.evaluator) =
+  let cutoff = ev.Pair_interactions.cutoff in
+  let analytic =
+    match ev.Pair_interactions.analytic with
+    | Some a when a.Pair_interactions.topo == topo ->
+        pair_params_of_topology topo ~cutoff ~trunc:a.trunc ~elec:a.elec
+    | _ -> None
+  in
+  match analytic with
+  | Some pp -> { loop = Analytic pp; p14 = pp }
+  | None ->
+      (* The 1-4 constants depend on the cutoff alone. *)
+      let p14 =
+        pair_params_of_topology topo ~cutoff ~trunc:Nonbonded.Shift
+          ~elec:Pair_interactions.No_coulomb
+      in
+      { loop = Generic ev; p14 = Option.get p14 }
+
+let kernel_pairs14 k = k.p14
+
+let kernel_range k box s ~is ~js lo hi sc =
+  match k.loop with
+  | Analytic pp -> pair_range pp box s ~is ~js lo hi sc
+  | Generic ev -> eval_range ev box s ~is ~js lo hi sc
 
 (* ------------------------------------------------------------------ *)
 (* 1-4 pairs: Shift-truncated LJ + cutoff Coulomb, both scaled.        *)

@@ -1,11 +1,13 @@
 (** Flat (SoA) force kernels: batched per-tile loops over {!Soa} columns.
+    They are the only kernels {!Force_calc} runs.
 
-    Each kernel is an expression-for-expression mirror of the boxed path
-    ({!Mdsp_ff.Pair_interactions}, {!Mdsp_ff.Bonded},
+    Each kernel is an expression-for-expression mirror of the boxed
+    reference kernels ({!Mdsp_ff.Pair_interactions}, {!Mdsp_ff.Bonded},
     {!Mdsp_ff.Nonbonded}): same parse trees, same guards, same accumulation
     order, so the results are bitwise identical to the boxed results — not
-    merely close. The pair loops additionally allocate nothing on the minor
-    heap per pair (no closures, no boxed floats, no tuples), which
+    merely close. The boxed kernels are kept as the test oracle for that
+    identity. The analytic pair loops additionally allocate nothing on the
+    minor heap per pair (no closures, no boxed floats, no tuples), which
     [bench e21] asserts.
 
     Kernels accumulate energy and virial into a caller-owned {!scratch} and
@@ -27,9 +29,8 @@ val reset_scratch : scratch -> unit
 type pair_params
 
 (** [pair_params_of_topology topo ~cutoff ~trunc ~elec] flattens the
-    analytic evaluator. Returns [None] for [Switch] truncation (the boxed
-    evaluator stays authoritative there); table and custom evaluators never
-    have a flat form. *)
+    analytic evaluator. Returns [None] for [Switch] truncation, which has no
+    specialised loop ({!pair_kernel} runs it through its [eval]). *)
 val pair_params_of_topology :
   Mdsp_ff.Topology.t ->
   cutoff:float ->
@@ -51,6 +52,40 @@ val pair_range :
   int ->
   scratch ->
   unit
+
+(** The pair loop an evaluator selects, with the 1-4 constants at the
+    evaluator's cutoff. *)
+type pair_kernel
+
+(** [pair_kernel topo ev] specialises on what [ev] records: a [Shift] or
+    [Truncate] evaluator that {!Mdsp_ff.Pair_interactions.of_topology}
+    built from [topo] itself (physically the same value) gets the
+    allocation-free loop of {!pair_range} for its electrostatics. Every
+    other evaluator — tables, FEP lambdas, [Switch], custom forms, or an
+    analytic one built from another topology — gets one loop that calls
+    [ev.eval i j r2] per pair within the cutoff, the mirror of
+    {!Mdsp_ff.Pair_interactions.compute}; it allocates what [eval]
+    allocates. The 1-4 constants always come from [topo]. *)
+val pair_kernel :
+  Mdsp_ff.Topology.t -> Mdsp_ff.Pair_interactions.evaluator -> pair_kernel
+
+(** [kernel_range k box s ~is ~js lo hi sc] is {!pair_range} for the loop
+    [k] selected. *)
+val kernel_range :
+  pair_kernel ->
+  Pbc.t ->
+  Soa.t ->
+  is:int array ->
+  js:int array ->
+  int ->
+  int ->
+  scratch ->
+  unit
+
+(** The 1-4 constants of the kernel: the topology's 1-4 list at the
+    evaluator's cutoff, as [Pair_interactions.compute_pairs14
+    ~cutoff:ev.cutoff] evaluates it. *)
+val kernel_pairs14 : pair_kernel -> pair_params
 
 (** Number of 1-4 pairs in the parameter set. *)
 val pairs14_count : pair_params -> int

@@ -12,14 +12,14 @@ module W = Mdsp_workload.Workloads
    gather -> kick1 ordering through the per-name graph and manufacture a
    cycle that no single step contains. *)
 
-(* One velocity-Verlet step of a solvated water box on the SoA hot path
-   with the GSE grid solver: the integrator sweeps (kick1 / drift / kick2),
-   the boxed<->SoA sync, the SoA bonded / 1-4 / pair tiles with their
-   per-atom reduction, and every grid-pipeline phase (spread / combine /
-   both FFT passes / convolve / phi scale / gather). *)
-let step_soa ~exec () =
+(* One velocity-Verlet step of a solvated water box with the GSE grid
+   solver: the integrator sweeps (kick1 / drift / kick2), the boxed<->flat
+   sync, the flat bonded and pair tiles with their per-atom reduction, and
+   every grid-pipeline phase (spread / combine / both FFT passes /
+   convolve / phi scale / gather). *)
+let step_gse ~exec () =
   let eng =
-    W.make_engine ~seed:13 ~exec ~gse_grid:(16, 16, 16) ~soa:true
+    W.make_engine ~seed:13 ~exec ~gse_grid:(16, 16, 16)
       (W.water_box ~n_side:3 ())
   in
   fun () -> E.step eng
@@ -39,20 +39,37 @@ let scaled14_chain () =
       };
   }
 
-(* One step of a charged bead chain on the boxed reference path: bond /
-   angle / dihedral tiles, 1-4 and reaction-field pair tiles, the boxed
-   per-atom reduction, and the integrator sweeps. *)
-let step_boxed ~exec () =
+(* One step of a charged bead chain with scaled 1-4 terms: bond / angle /
+   dihedral tiles, the flat 1-4 and reaction-field pair tiles with their
+   per-atom reduction, the store sync into the second kick, and the
+   integrator sweeps. *)
+let step_chain14 ~exec () =
   let eng = W.make_engine ~seed:5 ~exec (scaled14_chain ()) in
   fun () -> E.step eng
 
-(* Forced neighbor rebuild followed by a full SoA force evaluation: the
-   tiled cell-list bin and pair-list build run first, so the pair phase's
-   read of the fresh list appears as an in-window nbuild -> pair edge. *)
-let rebuild_soa ~exec () =
+(* The boxed oracle kernels the test suites and the benchmark call, on an
+   engine's evaluator and list: Bonded.all, the 1-4 terms and the
+   neighbor-list pairs on a boxed accumulator, each with its per-atom
+   reduction (bonded.reduce). No engine runs them, but they ship and run
+   on the pool. *)
+let oracle_forces ~exec () =
+  let sys = scaled14_chain () in
+  let fc = E.force_calc (W.make_engine ~seed:5 ~exec sys) in
+  let ev = FC.evaluator fc and box = sys.W.box and x = sys.W.positions in
+  let acc = Mdsp_ff.Bonded.make_accum (Array.length x) in
+  fun () ->
+    ignore (Mdsp_ff.Bonded.all ~exec box sys.W.topo x acc);
+    ignore
+      (Mdsp_ff.Pair_interactions.compute_pairs14 ~exec sys.W.topo
+         ~cutoff:ev.Mdsp_ff.Pair_interactions.cutoff box x acc);
+    ignore (Mdsp_ff.Pair_interactions.compute ~exec ev box (FC.nlist fc) x acc)
+
+(* Forced neighbor rebuild followed by a full force evaluation: the tiled
+   cell-list bin and pair-list build run first, so the pair phase's read
+   of the fresh list appears as an in-window nbuild -> pair edge. *)
+let rebuild_forces ~exec () =
   let eng =
-    W.make_engine ~seed:5 ~exec ~soa:true
-      (W.bead_chain ~n_beads:16 ~n_total:256 ())
+    W.make_engine ~seed:5 ~exec (W.bead_chain ~n_beads:16 ~n_total:256 ())
   in
   let st = E.state eng in
   let acc = Mdsp_ff.Bonded.make_accum (Mdsp_md.State.n st) in
@@ -127,10 +144,10 @@ let service_slice ~exec () =
 let collective ~exec () = fun () -> ignore (Exec.map_slots exec (fun s -> s))
 
 (* One velocity-Verlet step of a rigid water box with a Berendsen
-   thermostat on the boxed path: the batched SHAKE/RATTLE cluster sweeps,
-   the constraint velocity fold, and the end-of-step thermostat velocity
-   rescale. (step.soa covers the same constraint phases on the SoA path,
-   but never rescales — No_thermostat.) *)
+   thermostat: the batched SHAKE/RATTLE cluster sweeps, the constraint
+   velocity fold, and the end-of-step thermostat velocity rescale.
+   (step.gse covers the same constraint phases, but never rescales —
+   No_thermostat.) *)
 let step_thermo ~exec () =
   let cfg =
     {
@@ -162,11 +179,12 @@ let step_langevin ~exec () =
 
 let windows =
   [
-    ("step.soa", step_soa);
-    ("step.boxed", step_boxed);
+    ("step.gse", step_gse);
+    ("step.chain14", step_chain14);
+    ("oracle.forces", oracle_forces);
     ("step.thermo", step_thermo);
     ("step.langevin", step_langevin);
-    ("rebuild.soa", rebuild_soa);
+    ("rebuild.forces", rebuild_forces);
     ("soa.sync", soa_sync);
     ("decomp.frame", decomp_frame);
     ("service.slice", service_slice);

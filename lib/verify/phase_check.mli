@@ -2,8 +2,9 @@
 
     Runs representative workloads through every parallel phase in the force
     stack and the engine — pair tiles, 1-4 pairs, bonded tiles, per-atom
-    reductions, the GSE grid pipeline (spread / combine / FFT sweeps /
-    convolve / phi scale / gather), the boxed<->SoA sync, the integrator
+    reductions (of the flat store, and of the boxed oracle kernels), the
+    GSE grid pipeline (spread / combine / FFT sweeps / convolve / phi
+    scale / gather), the boxed<->SoA sync, the integrator
     kick/drift sweeps, the batched SHAKE/RATTLE cluster sweeps with the
     constraint velocity fold, the thermostat sweeps (Langevin O-step,
     velocity rescale), the decomposition scans, service-scheduler batches

@@ -103,7 +103,7 @@ let kob_andersen_evaluator sys ~cutoff =
       Mdsp_ff.Nonbonded.eval_truncated forms.(types.(i)).(types.(j)) ~cutoff
         ~trunc:Mdsp_ff.Nonbonded.Shift r2
   in
-  { Mdsp_ff.Pair_interactions.eval; cutoff }
+  Mdsp_ff.Pair_interactions.of_eval ~cutoff eval
 
 let water_box ?(seed = 11) ~n_side () =
   if n_side < 2 then invalid_arg "Workloads.water_box: n_side >= 2";
@@ -448,7 +448,7 @@ let of_name name =
                name))
 
 let make_engine ?(config = Mdsp_md.Engine.default_config) ?cutoff ?elec
-    ?gse_grid ?(seed = 23) ?(exec = Exec.serial) ?(soa = false) sys =
+    ?gse_grid ?(seed = 23) ?(exec = Exec.serial) ?soa:_ sys =
   let has_charges =
     Array.exists (fun (a : Mdsp_ff.Topology.atom) -> a.charge <> 0.)
       sys.topo.atoms
@@ -483,15 +483,8 @@ let make_engine ?(config = Mdsp_md.Engine.default_config) ?cutoff ?elec
           (Mdsp_longrange.Gse.create ~beta ~grid sys.box)
     | _ -> Mdsp_md.Force_calc.Lr_none
   in
-  let soa_params =
-    if soa then
-      Mdsp_md.Soa_kernels.pair_params_of_topology sys.topo ~cutoff
-        ~trunc:Mdsp_ff.Nonbonded.Shift ~elec
-    else None
-  in
   let fc =
-    Mdsp_md.Force_calc.create ~exec ?soa:soa_params sys.topo ~evaluator
-      ~longrange ~nlist
+    Mdsp_md.Force_calc.create ~exec sys.topo ~evaluator ~longrange ~nlist
   in
   if sys.label = "double_well" then begin
     let barrier, half_width = dw_defaults in

@@ -112,10 +112,9 @@ val of_name : string -> system
     [exec]. Ignored for uncharged systems; an explicit [elec] still wins
     for the pair part.
 
-    [soa] (default false) installs the flat structure-of-arrays fast path
-    for the bonded/1-4/pair phases ({!Mdsp_md.Soa_kernels}); results are
-    bitwise identical to the boxed reference kernels. The neighbor list
-    always runs its tiled rebuild on [exec] regardless. *)
+    [soa] is ignored: every engine runs its force phases on the flat
+    store ({!Mdsp_md.Force_calc.create}). The label is kept so that
+    callers passing it still compile. *)
 val make_engine :
   ?config:Mdsp_md.Engine.config ->
   ?cutoff:float ->

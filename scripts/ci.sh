@@ -10,8 +10,9 @@ dune runtest
 
 # e21 exercises the Domains backend end to end and writes the phase
 # timings (including the GSE sub-phase keys); keep it cheap but real.
-# It also runs the same workload on both data layouts (boxed and flat
-# SoA — bitwise-identical results, enforced by test_parallel).
+# It also times the boxed oracle kernels on the engine's own pair list
+# and positions, next to the flat pair phase every engine runs
+# (bitwise-identical results, enforced by test_parallel).
 dune exec bench/main.exe -- e21 --json /tmp/mdsp-timings.json
 test -s /tmp/mdsp-timings.json
 grep -q 'e21\.lr_spread_serial_us' /tmp/mdsp-timings.json
@@ -21,9 +22,9 @@ grep -q 'e21\.constraints_serial_us' /tmp/mdsp-timings.json
 grep -q 'e21\.constraints_domains4_us' /tmp/mdsp-timings.json
 grep -q 'e21\.thermostat_serial_us' /tmp/mdsp-timings.json
 
-# The SoA hot path must not be slower than the boxed kernels on the pair
-# phase, and the Gc-metered serial SoA pair window must allocate exactly
-# zero minor words per step.
+# The flat pair phase must not be slower than the boxed oracle kernels,
+# and the Gc-metered serial flat pair window must allocate exactly zero
+# minor words per step.
 awk -F': ' '
   /"e21\.soa_pair_speedup"/ {
     v = $2; gsub(/,/, "", v); found = 1

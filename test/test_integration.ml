@@ -242,6 +242,25 @@ let test_determinism_same_seed_same_trajectory () =
       if v <> b.(i) then Alcotest.failf "trajectories diverge at atom %d" i)
     a
 
+let test_machine_tables_follow_gse_evaluator () =
+  (* Under the grid solver the engine's pairs are Ewald real-space, and
+     the reciprocal and correction terms carry the rest of the
+     electrostatics. Tables compiled from the installed evaluator take the
+     same split, so the table-path energy matches the analytic one;
+     reaction-field tables would count the electrostatics twice. *)
+  let sys = Mdsp_workload.Workloads.water_box ~n_side:4 () in
+  let eng = Mdsp_workload.Workloads.make_engine ~gse_grid:(16, 16, 16) sys in
+  let analytic = E.potential_energy eng in
+  let fc = E.force_calc eng in
+  Mdsp_md.Force_calc.set_evaluator fc
+    (Mdsp_core.Table.machine_evaluator (Mdsp_md.Force_calc.evaluator fc));
+  E.refresh_forces eng;
+  let tabled = E.potential_energy eng in
+  check_true
+    (Printf.sprintf "table-path PE %.6g within 1e-3 relative of analytic %.6g"
+       tabled analytic)
+    (Float.abs (tabled -. analytic) <= 1e-3 *. Float.abs analytic)
+
 let test_tip4p_on_machine_tables () =
   (* The full stack at once: virtual sites + compiled tables + reaction
      field + constraints, running stably. *)
@@ -336,6 +355,8 @@ let () =
             test_engine_runs_on_machine_evaluator;
           Alcotest.test_case "short-horizon trajectory agreement" `Slow
             test_machine_vs_reference_trajectories_agree_initially;
+          Alcotest.test_case "GSE water: tables follow the evaluator" `Quick
+            test_machine_tables_follow_gse_evaluator;
         ] );
       ( "full_stack",
         [

@@ -566,12 +566,15 @@ let test_gse_subphase_timings () =
     ((E.timings plain).lr_spread_s = 0.
     && (E.timings plain).lr_fft_s = 0.)
 
-(* --- the flat (SoA) hot path ---
+(* --- one force path: the flat store against the boxed oracle ---
 
-   The Soa_kernels pair/bonded loops are expression-for-expression mirrors
-   of the boxed reference kernels, so the SoA path must agree with the
-   boxed path *bitwise* — energies, every force component and the virial —
-   on every seed workload, serially and on a pool. *)
+   Force_calc runs every force phase on the flat (SoA) store. The boxed
+   kernels (Bonded, Pair_interactions) stay as its oracle: the flat loops
+   mirror them expression for expression, so energies, every force
+   component and the virial must agree *bitwise* — on every seed workload,
+   for every kind of evaluator, serially and on a pool. *)
+
+module PI = Mdsp_ff.Pair_interactions
 
 let soa_systems () =
   [
@@ -581,18 +584,76 @@ let soa_systems () =
       Mdsp_workload.Workloads.bead_chain ~n_beads:16 ~n_total:256 () );
   ]
 
-let compute_sys ?gse_grid ~exec ~soa sys =
-  let eng =
-    Mdsp_workload.Workloads.make_engine ?gse_grid ~seed:5 ~exec ~soa sys
+(* The stock bead chain fully excludes its 1-4 pairs, and its walk is
+   biased to extend, leaving them beyond any cutoff used here. AMBER-style
+   scaling makes the 1-4 phase run, and folding the chain to half size
+   about its first bead (beads come first in the position array) brings
+   its 1-4 pairs inside the cutoff. *)
+let scaled14_chain () =
+  let n_beads = 16 in
+  let sys = Mdsp_workload.Workloads.bead_chain ~n_beads ~n_total:256 () in
+  let x = sys.Mdsp_workload.Workloads.positions in
+  {
+    Mdsp_workload.Workloads.topo =
+      {
+        sys.Mdsp_workload.Workloads.topo with
+        Mdsp_ff.Topology.scale14_lj = 0.5;
+        scale14_coul = 1. /. 1.2;
+      };
+    positions =
+      Array.mapi
+        (fun i p ->
+          if i < n_beads then Vec3.add x.(0) (Vec3.scale 0.5 (Vec3.sub p x.(0)))
+          else p)
+        x;
+    box = sys.Mdsp_workload.Workloads.box;
+    label = sys.Mdsp_workload.Workloads.label;
+  }
+
+(* The GSE handle [make_engine ~gse_grid] installs: beta = 3 / cutoff. *)
+let oracle_gse fc grid box =
+  let cutoff = (FC.evaluator fc).PI.cutoff in
+  Mdsp_longrange.Gse.create ~beta:(3.0 /. cutoff) ~grid box
+
+(* The boxed kernels in the order Force_calc runs the flat phases, on the
+   calculator's executor, evaluator and neighbor list: bonded, 1-4 at the
+   evaluator's cutoff, pairs — then the long-range terms the calculator
+   adds into the accumulator after its flush. [cls] restricts to a RESPA
+   class the way [compute_class] does. *)
+let oracle ?gse ?(cls = `All) fc box positions =
+  let exec = FC.exec fc and topo = FC.topology fc and ev = FC.evaluator fc in
+  let acc = Mdsp_ff.Bonded.make_accum (Array.length positions) in
+  let fast = cls <> `Slow and slow = cls <> `Fast in
+  let bond, angle, dihedral =
+    if fast then Mdsp_ff.Bonded.all ~exec box topo positions acc
+    else (0., 0., 0.)
   in
-  check_true "soa flag surfaced" (E.soa_active eng = soa);
-  let st = E.state eng in
-  let acc = Mdsp_ff.Bonded.make_accum (Mdsp_md.State.n st) in
-  let e =
-    FC.compute (E.force_calc eng) st.Mdsp_md.State.box
-      st.Mdsp_md.State.positions acc
+  let pair14 =
+    if fast then
+      PI.compute_pairs14 ~exec topo ~cutoff:ev.PI.cutoff box positions acc
+    else 0.
   in
-  (e, acc)
+  let pair =
+    if slow then pair14 +. PI.compute ~exec ev box (FC.nlist fc) positions acc
+    else pair14
+  in
+  let recip, correction =
+    match gse with
+    | Some gse when slow ->
+        let q = Mdsp_ff.Topology.charges topo in
+        let recip = Mdsp_longrange.Gse.reciprocal ~exec gse q positions acc in
+        let ew =
+          Mdsp_longrange.Ewald.create ~beta:(Mdsp_longrange.Gse.beta gse)
+            ~kmax:1 box
+        in
+        ( recip,
+          Mdsp_longrange.Ewald.self_energy ew q
+          +. Mdsp_longrange.Ewald.excluded_correction ew box q positions
+               topo.Mdsp_ff.Topology.exclusions acc )
+    | _ -> (0., 0.)
+  in
+  ( { FC.zero_energies with bond; angle; dihedral; pair; recip; correction },
+    acc )
 
 let check_bitwise name (e_a, acc_a) (e_b, acc_b) =
   check_true (name ^ ": energies bit-identical") (e_a = e_b);
@@ -606,89 +667,119 @@ let check_bitwise name (e_a, acc_a) (e_b, acc_b) =
     acc_a.Mdsp_ff.Bonded.forces;
   check_true (name ^ ": forces bit-identical") !identical
 
+(* One flat evaluation of [fc] at the engine's state, and the oracle's on
+   the list that evaluation used. *)
+let flat_and_oracle ?gse ?(cls = `All) eng =
+  let fc = E.force_calc eng in
+  let st = E.state eng in
+  let box = st.Mdsp_md.State.box and x = st.Mdsp_md.State.positions in
+  let acc = Mdsp_ff.Bonded.make_accum (Mdsp_md.State.n st) in
+  let e =
+    match cls with
+    | `All -> FC.compute fc box x acc
+    | (`Fast | `Slow) as c -> FC.compute_class fc c box x acc
+  in
+  ((e, acc), oracle ?gse ~cls fc box x)
+
+let compute_sys ?gse_grid ~exec sys =
+  let eng =
+    Mdsp_workload.Workloads.make_engine ?gse_grid ~seed:5 ~exec sys
+  in
+  let gse =
+    Option.map
+      (fun grid ->
+        oracle_gse (E.force_calc eng) grid sys.Mdsp_workload.Workloads.box)
+      gse_grid
+  in
+  flat_and_oracle ?gse eng
+
+let check_flat_vs_oracle ?gse_grid ~exec name sys =
+  let flat, boxed = compute_sys ?gse_grid ~exec sys in
+  check_bitwise name flat boxed
+
 let test_soa_matches_boxed_serial () =
   List.iter
-    (fun (name, sys) ->
-      check_bitwise name
-        (compute_sys ~exec:Exec.serial ~soa:false sys)
-        (compute_sys ~exec:Exec.serial ~soa:true sys))
+    (fun (name, sys) -> check_flat_vs_oracle ~exec:Exec.serial name sys)
     (soa_systems ())
 
 let test_soa_matches_boxed_domains () =
-  (* The SoA parallel phases mirror the boxed tile decomposition and
+  (* The flat parallel phases mirror the boxed tile decomposition and
      reduction tree shape, so agreement holds bitwise on a pool too. *)
   let pool = Exec.create (Exec.Domains { n = 3 }) in
   List.iter
-    (fun (name, sys) ->
-      check_bitwise name
-        (compute_sys ~exec:pool ~soa:false sys)
-        (compute_sys ~exec:pool ~soa:true sys))
+    (fun (name, sys) -> check_flat_vs_oracle ~exec:pool name sys)
     (soa_systems ());
   Exec.shutdown pool
 
 let test_soa_matches_boxed_gse () =
-  (* Ewald real-space pairs + GSE reciprocal: the SoA pair kernel covers
-     the erfc path; the grid phase stays boxed on both sides. *)
+  (* Ewald real-space pairs + GSE reciprocal: the flat pair kernel covers
+     the erfc path; the grid phase adds into the same accumulator. *)
   let sys () = Mdsp_workload.Workloads.water_box ~n_side:3 () in
-  check_bitwise "gse water (serial)"
-    (compute_sys ~gse_grid:(16, 16, 16) ~exec:Exec.serial ~soa:false (sys ()))
-    (compute_sys ~gse_grid:(16, 16, 16) ~exec:Exec.serial ~soa:true (sys ()));
+  check_flat_vs_oracle ~gse_grid:(16, 16, 16) ~exec:Exec.serial
+    "gse water (serial)" (sys ());
   let pool = Exec.create (Exec.Domains { n = 4 }) in
-  check_bitwise "gse water (domains)"
-    (compute_sys ~gse_grid:(16, 16, 16) ~exec:pool ~soa:false (sys ()))
-    (compute_sys ~gse_grid:(16, 16, 16) ~exec:pool ~soa:true (sys ()));
+  check_flat_vs_oracle ~gse_grid:(16, 16, 16) ~exec:pool "gse water (domains)"
+    (sys ());
   Exec.shutdown pool
 
 let test_soa_respa_classes_match () =
-  let sys = Mdsp_workload.Workloads.bead_chain ~n_beads:16 ~n_total:256 () in
-  let run soa cls =
-    let eng =
-      Mdsp_workload.Workloads.make_engine ~seed:5 ~exec:Exec.serial ~soa sys
-    in
-    let st = E.state eng in
-    let acc = Mdsp_ff.Bonded.make_accum (Mdsp_md.State.n st) in
-    let e =
-      FC.compute_class (E.force_calc eng) cls st.Mdsp_md.State.box
-        st.Mdsp_md.State.positions acc
-    in
-    (e, acc)
-  in
+  let sys = scaled14_chain () in
   List.iter
     (fun (name, cls) ->
-      check_bitwise name (run false cls) (run true cls))
+      let eng =
+        Mdsp_workload.Workloads.make_engine ~seed:5 ~exec:Exec.serial sys
+      in
+      let flat, boxed = flat_and_oracle ~cls eng in
+      check_bitwise name flat boxed)
     [ ("fast class", `Fast); ("slow class", `Slow) ]
 
 let test_soa_trajectory_matches_boxed () =
-  (* Bitwise force identity implies bitwise trajectory identity: same
-     seed, same thermostat noise stream, 25 steps with rebuilds and
-     constraints. *)
-  let run soa =
-    let sys = Mdsp_workload.Workloads.water_box ~n_side:3 () in
-    let cfg =
-      {
-        E.default_config with
-        dt_fs = 1.0;
-        temperature = 300.;
-        thermostat = E.Langevin { gamma_fs = 0.02 };
-      }
-    in
-    let eng = Mdsp_workload.Workloads.make_engine ~config:cfg ~seed:7 ~soa sys in
-    E.run eng 25;
-    (Array.copy (E.state eng).Mdsp_md.State.positions, E.total_energy eng)
+  (* A trajectory is a function of the forces at the configurations it
+     visits, so flat forces equal to the oracle's at every visited
+     configuration make it the oracle's trajectory, bit for bit: same seed,
+     same thermostat noise stream, 25 steps with rebuilds, constraints and
+     virtual sites. Checked at creation and after every step. *)
+  let sys = Mdsp_workload.Workloads.water_box ~n_side:3 () in
+  let cfg =
+    {
+      E.default_config with
+      dt_fs = 1.0;
+      temperature = 300.;
+      thermostat = E.Langevin { gamma_fs = 0.02 };
+    }
   in
-  let pos_b, e_b = run false in
-  let pos_s, e_s = run true in
-  check_true "trajectory energy bit-identical" (e_b = e_s);
-  let identical = ref true in
-  Array.iteri (fun i p -> if p <> pos_s.(i) then identical := false) pos_b;
-  check_true "trajectory positions bit-identical" !identical
+  let eng = Mdsp_workload.Workloads.make_engine ~config:cfg ~seed:7 sys in
+  let vsites = Mdsp_md.Virtual_sites.create sys.Mdsp_workload.Workloads.topo in
+  let mismatches = ref [] in
+  let check eng =
+    let st = E.state eng in
+    let e, acc =
+      oracle (E.force_calc eng) st.Mdsp_md.State.box st.Mdsp_md.State.positions
+    in
+    Mdsp_md.Virtual_sites.spread_forces vsites acc;
+    let snap = E.snapshot eng in
+    if
+      not
+        (E.energies eng = e
+        && snap.E.snap_virial = acc.Mdsp_ff.Bonded.virial
+        && snap.E.snap_forces = acc.Mdsp_ff.Bonded.forces)
+    then mismatches := E.steps_done eng :: !mismatches
+  in
+  check eng;
+  E.add_post_step eng ~name:"oracle" check;
+  E.run eng 25;
+  check_true "25 steps taken" (E.steps_done eng = 25);
+  check_true
+    (Printf.sprintf "flat forces equal the oracle's at every step (mismatch \
+                     at steps [%s])"
+       (String.concat "; " (List.rev_map string_of_int !mismatches)))
+    (!mismatches = [])
 
 let test_soa_parallel_determinism () =
   let run () =
     let pool = Exec.create (Exec.Domains { n = 4 }) in
-    let r =
-      compute_sys ~exec:pool ~soa:true
-        (Mdsp_workload.Workloads.water_box ~n_side:3 ())
+    let r, _ =
+      compute_sys ~exec:pool (Mdsp_workload.Workloads.water_box ~n_side:3 ())
     in
     Exec.shutdown pool;
     r
@@ -696,11 +787,10 @@ let test_soa_parallel_determinism () =
   check_bitwise "fresh pools" (run ()) (run ())
 
 let test_soa_pair_loop_zero_alloc () =
-  (* The serial SoA pair window is measured with Gc.minor_words: the flat
-     loops must not allocate at all once warm. *)
+  (* The one-slot pair window is measured with Gc.minor_words: the
+     analytic flat loops must not allocate at all once warm. *)
   let sys = Mdsp_workload.Workloads.lj_fluid ~n:500 () in
-  let eng = Mdsp_workload.Workloads.make_engine ~seed:3 ~soa:true sys in
-  check_true "soa active" (E.soa_active eng);
+  let eng = Mdsp_workload.Workloads.make_engine ~seed:3 sys in
   E.run eng 2;
   E.reset_timings eng;
   E.run eng 10;
@@ -712,7 +802,7 @@ let test_soa_pair_loop_zero_alloc () =
     (tm.FC.pair_words = 0.)
 
 let test_soa_phases_race_free () =
-  (* The SoA parallel phases under the write-set sanitizer at 2 and 4
+  (* The flat parallel phases under the write-set sanitizer at 2 and 4
      slots: pair tiles, 1-4 pairs, the four bonded terms, the per-atom
      reduction, plus the cell-list bin and pair-list build phases. *)
   List.iter
@@ -721,14 +811,105 @@ let test_soa_phases_race_free () =
       Fun.protect
         ~finally:(fun () -> Exec.shutdown exec)
         (fun () ->
+          ignore (compute_sys ~exec (scaled14_chain ()));
           ignore
-            (compute_sys ~exec ~soa:true
-               (Mdsp_workload.Workloads.bead_chain ~n_beads:16 ~n_total:256
-                  ()));
-          ignore
-            (compute_sys ~gse_grid:(16, 16, 16) ~exec ~soa:true
+            (compute_sys ~gse_grid:(16, 16, 16) ~exec
                (Mdsp_workload.Workloads.water_box ~n_side:3 ()))))
     [ 2; 4 ]
+
+(* --- the generality layer on the flat path ---
+
+   Table, FEP-lambda, Switch and custom evaluators run the generic flat
+   loop, which calls [eval] per pair; it must match the boxed oracle
+   bitwise like the specialised loops do, at 1 slot and on a 3-slot pool.
+   [install] swaps the evaluator on an engine built by make_engine. *)
+
+let on_slots f =
+  f ~exec:Exec.serial "1 slot";
+  let pool = Exec.create (Exec.Domains { n = 3 }) in
+  Fun.protect ~finally:(fun () -> Exec.shutdown pool) (fun () ->
+      f ~exec:pool "3 slots")
+
+let check_installed ?(classes = [ `All ]) ~exec label sys install =
+  let eng = Mdsp_workload.Workloads.make_engine ~seed:5 ~exec sys in
+  let fc = E.force_calc eng in
+  FC.set_evaluator fc (install sys (FC.evaluator fc));
+  List.iter
+    (fun cls ->
+      let name =
+        match cls with
+        | `All -> label
+        | `Fast -> label ^ " (fast class)"
+        | `Slow -> label ^ " (slow class)"
+      in
+      let flat, boxed = flat_and_oracle ~cls eng in
+      check_bitwise name flat boxed)
+    classes
+
+(* The electrostatics make_engine's analytic evaluator recorded. *)
+let recorded_elec ev =
+  match ev.PI.analytic with
+  | Some a -> a.PI.elec
+  | None -> Alcotest.fail "make_engine's evaluator records its form"
+
+let machine_tables _sys ev = Mdsp_core.Table.machine_evaluator ev
+
+let test_flat_tables_match_oracle () =
+  on_slots (fun ~exec slots ->
+      check_installed ~exec ("lj tables, " ^ slots)
+        (Mdsp_workload.Workloads.lj_fluid ~n:256 ())
+        machine_tables;
+      check_installed ~exec ("water tables, " ^ slots)
+        (Mdsp_workload.Workloads.water_box ~n_side:3 ())
+        machine_tables)
+
+let test_flat_fep_matches_oracle () =
+  on_slots (fun ~exec slots ->
+      check_installed ~exec ("fep lambda 0.5, " ^ slots)
+        (Mdsp_workload.Workloads.water_box ~n_side:3 ())
+        (fun sys ev ->
+          let topo = sys.Mdsp_workload.Workloads.topo in
+          let elec = recorded_elec ev in
+          (* The first water molecule (four sites) is the solute. *)
+          let solute =
+            Array.init (Mdsp_ff.Topology.n_atoms topo) (fun i -> i < 4)
+          in
+          Mdsp_core.Fep.evaluator
+            (Mdsp_core.Fep.make_info topo ~solute ~cutoff:ev.PI.cutoff ~elec)
+            ~lambda:0.5))
+
+let test_flat_switch_matches_oracle () =
+  on_slots (fun ~exec slots ->
+      check_installed ~exec ("switch-truncated water, " ^ slots)
+        (Mdsp_workload.Workloads.water_box ~n_side:3 ())
+        (fun sys ev ->
+          let elec = recorded_elec ev in
+          PI.of_topology sys.Mdsp_workload.Workloads.topo ~cutoff:ev.PI.cutoff
+            ~trunc:(Mdsp_ff.Nonbonded.Switch { r_on = 0.8 *. ev.PI.cutoff })
+            ~elec))
+
+let test_flat_chain14_tables_match_oracle () =
+  (* Tables at a cutoff below the list's: the flat 1-4 kernel must take
+     the installed evaluator's cutoff (its LJ shift and Coulomb offset),
+     as compute_pairs14 ~cutoff:evaluator.cutoff does — and so must
+     compute_class [`Fast] and [`Slow]. *)
+  on_slots (fun ~exec slots ->
+      check_installed ~classes:[ `All; `Fast; `Slow ] ~exec
+        ("scaled 1-4 chain tables, " ^ slots)
+        (scaled14_chain ())
+        (fun sys ev ->
+          let topo = sys.Mdsp_workload.Workloads.topo in
+          let cutoff = 0.8 *. ev.PI.cutoff in
+          let elec = recorded_elec ev in
+          let ts =
+            Mdsp_core.Table.table_set_of_topology topo ~cutoff ~elec ~n:1024 ()
+          in
+          Mdsp_machine.Htis.evaluator ts
+            ~types:
+              (Array.map
+                 (fun (a : Mdsp_ff.Topology.atom) -> a.Mdsp_ff.Topology.type_id)
+                 topo.Mdsp_ff.Topology.atoms)
+            ~charges:(Mdsp_ff.Topology.charges topo) ~cutoff))
 
 let test_nbuild_subphase_timed () =
   let sys = Mdsp_workload.Workloads.lj_fluid ~n:256 () in
@@ -886,6 +1067,14 @@ let () =
             test_soa_pair_loop_zero_alloc;
           Alcotest.test_case "sanitized SoA phases race-free" `Quick
             test_soa_phases_race_free;
+          Alcotest.test_case "table evaluator = oracle bitwise" `Quick
+            test_flat_tables_match_oracle;
+          Alcotest.test_case "FEP lambda evaluator = oracle bitwise" `Quick
+            test_flat_fep_matches_oracle;
+          Alcotest.test_case "Switch evaluator = oracle bitwise" `Quick
+            test_flat_switch_matches_oracle;
+          Alcotest.test_case "scaled 1-4 chain tables = oracle bitwise"
+            `Quick test_flat_chain14_tables_match_oracle;
         ] );
       ( "timing",
         [

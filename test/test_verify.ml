@@ -435,8 +435,8 @@ let test_dataflow_edges_expected () =
     (has ("nbuild", "pair", "nlist.tiles"));
   check_true "first kick precedes the drift"
     (has ("integrate.kick1", "integrate.drift", "state.velocities"));
-  check_true "the boxed reduction precedes the second kick"
-    (has ("bonded.reduce", "integrate.kick2", "state.forces"));
+  check_true "the flat store sync precedes the second kick"
+    (has ("soa.store", "integrate.kick2", "state.forces"));
   check_true "the grid pipeline chains into the gather"
     (has ("gse.phi_scale", "gse.gather", "gse.grid"));
   check_true "the SoA reduction drains into the store"
