@@ -2,7 +2,13 @@ open Mdsp_util
 
 type kvec = { kx : float; ky : float; kz : float; a : float; k2 : float }
 
-type t = { beta_ : float; kvecs : kvec array; volume : float; box : Pbc.t }
+type t = {
+  beta_ : float;
+  kmax : int;
+  kvecs : kvec array;
+  volume : float;
+  box : Pbc.t;
+}
 
 let create ~beta ~kmax box =
   if beta <= 0. then invalid_arg "Ewald.create: beta must be positive";
@@ -27,9 +33,11 @@ let create ~beta ~kmax box =
       done
     done
   done;
-  { beta_ = beta; kvecs = Array.of_list !acc; volume; box }
+  { beta_ = beta; kmax; kvecs = Array.of_list !acc; volume; box }
 
+let with_box t box = create ~beta:t.beta_ ~kmax:t.kmax box
 let beta t = t.beta_
+let box t = t.box
 let k_count t = Array.length t.kvecs
 
 let reciprocal t charges positions (acc : Mdsp_ff.Bonded.accum) =

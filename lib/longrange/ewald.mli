@@ -31,6 +31,12 @@ type t
     with 0 < |n|^2 <= kmax^2. *)
 val create : beta:float -> kmax:int -> Pbc.t -> t
 
+(** [with_box t box] is a fresh handle for [box] with [t]'s [beta] and
+    [kmax]. {!reciprocal} uses the box the handle was built for;
+    [Mdsp_md.Force_calc] calls this whenever it is passed a box that
+    differs, so an engine's handle follows the box under a barostat. *)
+val with_box : t -> Pbc.t -> t
+
 (** [reciprocal t charges positions acc] adds reciprocal-space forces and
     virial and returns the reciprocal energy. *)
 val reciprocal :
@@ -53,4 +59,8 @@ val total_reference :
   t -> Pbc.t -> float array -> Vec3.t array -> float
 
 val beta : t -> float
+
+(** The box the handle was built for. *)
+val box : t -> Pbc.t
+
 val k_count : t -> int

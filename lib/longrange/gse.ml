@@ -1,18 +1,50 @@
 open Mdsp_util
 
+(* The spreading stencil is truncated at this radius, in units of sigma. *)
+let support = 4.
+
+(* One axis of a charge's stencil. Slot k stands for the grid point at
+   offset k - s from the charge's home point: its index wrapped onto the
+   periodic grid, the displacement of the charge from the (unwrapped) grid
+   point, that displacement squared, and the 1-D Gaussian factor
+   exp (-d^2 / 2 sigma^2). The 3-D Gaussian is the product of the three
+   factors, so a charge costs 3 (2s + 1) [exp] calls rather than one per
+   stencil point. *)
+type axis = {
+  idx : int array;
+  d : float array;
+  d2 : float array;
+  e : float array;
+}
+
+type stencil = { ax : axis; ay : axis; az : axis }
+
 type t = {
   beta_ : float;
   sigma : float;
-  support : float;
   nx : int;
   ny : int;
   nz : int;
   box : Pbc.t;
+  hx : float;  (** grid spacing along x, [box.lx / nx] *)
+  hy : float;
+  hz : float;
+  sx : int;  (** stencil half-width along x, in grid points *)
+  sy : int;
+  sz : int;
+  norm : float;  (** Gaussian normalisation (2 pi sigma^2)^(-3/2) *)
+  inv_2s2 : float;  (** 1 / (2 sigma^2) *)
+  r_max2 : float;  (** squared truncation radius: the spherical cut *)
   ghat : float array;  (** influence function, indexed like the grid *)
   k2s : float array;  (** squared wavevector per grid point *)
-  (* Per-slot scratch grids for domain-parallel charge spreading, sized
-     lazily to the executor actually used and reused across steps. *)
+  (* The grid itself, reused across calls. *)
+  re : float array;
+  im : float array;
+  (* Per-slot scratch grids for domain-parallel charge spreading and
+     per-slot stencils, sized lazily to the executor actually used and
+     reused across steps. *)
   mutable scratch : float array array;
+  mutable stencils : stencil array;
 }
 
 type phases = {
@@ -27,7 +59,7 @@ let zero_phases () =
 
 let phases_total p = p.spread_s +. p.fft_s +. p.convolve_s +. p.gather_s
 
-let create ~beta ~grid:(nx, ny, nz) ?sigma_s ?(support = 4.) box =
+let create ~beta ~grid:(nx, ny, nz) ?sigma_s box =
   if beta <= 0. then invalid_arg "Gse.create: beta must be positive";
   if not (Fft.is_pow2 nx && Fft.is_pow2 ny && Fft.is_pow2 nz) then
     invalid_arg "Gse.create: grid dims must be powers of two";
@@ -54,8 +86,9 @@ let create ~beta ~grid:(nx, ny, nz) ?sigma_s ?(support = 4.) box =
      harmless perturbation of the influence function, not a blow-up, since
      |rem| k^2 stays tiny for every representable grid wavevector. *)
   let rem = (1. /. (4. *. beta *. beta)) -. (sigma *. sigma) in
-  let ghat = Array.make (nx * ny * nz) 0. in
-  let k2s = Array.make (nx * ny * nz) 0. in
+  let total = nx * ny * nz in
+  let ghat = Array.make total 0. in
+  let k2s = Array.make total 0. in
   for mz = 0 to nz - 1 do
     for my = 0 to ny - 1 do
       for mx = 0 to nx - 1 do
@@ -70,69 +103,151 @@ let create ~beta ~grid:(nx, ny, nz) ?sigma_s ?(support = 4.) box =
       done
     done
   done;
-  { beta_ = beta; sigma; support; nx; ny; nz; box; ghat; k2s; scratch = [||] }
+  let hx = box.lx /. float_of_int nx in
+  let hy = box.ly /. float_of_int ny in
+  let hz = box.lz /. float_of_int nz in
+  let r = support *. sigma in
+  let half h = int_of_float (ceil (r /. h)) in
+  {
+    beta_ = beta;
+    sigma;
+    nx;
+    ny;
+    nz;
+    box;
+    hx;
+    hy;
+    hz;
+    sx = half hx;
+    sy = half hy;
+    sz = half hz;
+    norm = (2. *. Float.pi *. sigma *. sigma) ** (-1.5);
+    inv_2s2 = 1. /. (2. *. sigma *. sigma);
+    r_max2 = r ** 2.;
+    ghat;
+    k2s;
+    re = Array.make total 0.;
+    im = Array.make total 0.;
+    scratch = [||];
+    stencils = [||];
+  }
+
+let with_box t box =
+  create ~beta:t.beta_ ~grid:(t.nx, t.ny, t.nz) ~sigma_s:t.sigma box
 
 let beta t = t.beta_
 let grid t = (t.nx, t.ny, t.nz)
+let box t = t.box
 
-let support_cells t =
-  let open Pbc in
-  let dx = t.box.lx /. float_of_int t.nx in
-  let dy = t.box.ly /. float_of_int t.ny in
-  let dz = t.box.lz /. float_of_int t.nz in
-  let r = t.support *. t.sigma in
-  ( int_of_float (ceil (r /. dx)),
-    int_of_float (ceil (r /. dy)),
-    int_of_float (ceil (r /. dz)) )
+(* [Pbc.wrap] on one coordinate, the same expression. *)
+let[@inline] wrap1 l x =
+  let x = Float.rem x l in
+  if x < 0. then x +. l else x
 
-let support_points t =
-  let sx, sy, sz = support_cells t in
-  ((2 * sx) + 1) * ((2 * sy) + 1) * ((2 * sz) + 1)
+(* Fill one axis of the stencil for the wrapped coordinate [w]. The home
+   point is c = floor (w / h); slot k walks the unwrapped grid point
+   c + k - s, whose *index* is reduced mod n onto the periodic grid while
+   the *displacement* is taken against the unwrapped coordinate
+   (c + k - s) h. As long as the support radius is below half the box
+   (enforced in practice by any sensible grid), that unwrapped point is the
+   nearest periodic image of the grid point, so no minimum-image step is
+   needed — and a particle and its wrapped copy get the same weights, which
+   is what makes spreading translation-consistent under PBC. Inlined so the
+   float arguments stay unboxed. *)
+let[@inline] fill_axis (a : axis) ~n ~s ~h ~inv_2s2 w =
+  let c = int_of_float (w /. h) in
+  for k = 0 to 2 * s do
+    let g = c + k - s in
+    a.idx.(k) <- ((g mod n) + n) mod n;
+    let dd = w -. (float_of_int g *. h) in
+    let dd2 = dd *. dd in
+    a.d.(k) <- dd;
+    a.d2.(k) <- dd2;
+    a.e.(k) <- exp (-.dd2 *. inv_2s2)
+  done
 
-(* Iterate over the grid points within the spreading support of position p,
-   calling [f idx gauss dx dy dz]. The position is first wrapped into the
-   primary box ([Pbc.wrap]) to find its home cell (cx, cy, cz); the stencil
-   then walks unwrapped neighbor coordinates cx+ox, ... whose *indices* are
-   reduced mod n into the periodic grid while the *displacement* is taken
-   against the unwrapped coordinate float_of_int (cx+ox) * dx. As long as
-   the support radius is below half the box (enforced in practice by any
-   sensible grid), that unwrapped neighbor is the nearest periodic image of
-   grid point (gx, gy, gz), so no additional minimum-image step is needed —
-   and the same weight is produced for a particle and its wrapped copy,
-   which is what makes spreading translation-consistent under PBC. *)
-let iter_support t (p : Vec3.t) f =
-  let open Pbc in
-  let dx = t.box.lx /. float_of_int t.nx in
-  let dy = t.box.ly /. float_of_int t.ny in
-  let dz = t.box.lz /. float_of_int t.nz in
-  let sx, sy, sz = support_cells t in
-  let w = Pbc.wrap t.box p in
-  let cx = int_of_float (w.Vec3.x /. dx) in
-  let cy = int_of_float (w.Vec3.y /. dy) in
-  let cz = int_of_float (w.Vec3.z /. dz) in
-  let norm = (2. *. Float.pi *. t.sigma *. t.sigma) ** (-1.5) in
-  let inv_2s2 = 1. /. (2. *. t.sigma *. t.sigma) in
-  let r_max2 = (t.support *. t.sigma) ** 2. in
-  for oz = -sz to sz do
-    for oy = -sy to sy do
-      for ox = -sx to sx do
-        let gx = ((cx + ox) mod t.nx + t.nx) mod t.nx in
-        let gy = ((cy + oy) mod t.ny + t.ny) mod t.ny in
-        let gz = ((cz + oz) mod t.nz + t.nz) mod t.nz in
-        let rx = float_of_int (cx + ox) *. dx in
-        let ry = float_of_int (cy + oy) *. dy in
-        let rz = float_of_int (cz + oz) *. dz in
-        let ddx = w.Vec3.x -. rx in
-        let ddy = w.Vec3.y -. ry in
-        let ddz = w.Vec3.z -. rz in
-        let r2 = (ddx *. ddx) +. (ddy *. ddy) +. (ddz *. ddz) in
-        if r2 <= r_max2 then begin
-          let g = norm *. exp (-.r2 *. inv_2s2) in
-          let idx = gx + (t.nx * (gy + (t.ny * gz))) in
-          f idx g ddx ddy ddz
-        end
+(* The stencil of a charge at [p], wrapped into the box first. *)
+let fill t st (p : Vec3.t) =
+  let b = t.box and inv_2s2 = t.inv_2s2 in
+  fill_axis st.ax ~n:t.nx ~s:t.sx ~h:t.hx ~inv_2s2 (wrap1 b.Pbc.lx p.Vec3.x);
+  fill_axis st.ay ~n:t.ny ~s:t.sy ~h:t.hy ~inv_2s2 (wrap1 b.Pbc.ly p.Vec3.y);
+  fill_axis st.az ~n:t.nz ~s:t.sz ~h:t.hz ~inv_2s2 (wrap1 b.Pbc.lz p.Vec3.z)
+
+(* Spread charges [lo, hi) into [grid], in particle order. Both kernels
+   visit a stencil point only if its squared distance, summed from the
+   per-axis squares as (x + y) + z, is at most [r_max2]: a spherical cut of
+   the (2s + 1)^3 cube. Per point that is one compare and, here, one
+   multiply-add; no closure, no boxed float, no [Vec3]. *)
+let spread_range t st grid charges (positions : Vec3.t array) lo hi =
+  let nx = t.nx and nxy = t.nx * t.ny in
+  let ax = st.ax and ay = st.ay and az = st.az in
+  let r_max2 = t.r_max2 in
+  for i = lo to hi - 1 do
+    let q = charges.(i) in
+    if q <> 0. then begin
+      fill t st positions.(i);
+      let qn = q *. t.norm in
+      for kz = 0 to 2 * t.sz do
+        let dz2 = az.d2.(kz) and wz = qn *. az.e.(kz) in
+        let bz = nxy * az.idx.(kz) in
+        for ky = 0 to 2 * t.sy do
+          let dy2 = ay.d2.(ky) and wyz = wz *. ay.e.(ky) in
+          let byz = bz + (nx * ay.idx.(ky)) in
+          for kx = 0 to 2 * t.sx do
+            if ax.d2.(kx) +. dy2 +. dz2 <= r_max2 then begin
+              let g = byz + ax.idx.(kx) in
+              grid.(g) <- grid.(g) +. (wyz *. ax.e.(kx))
+            end
+          done
+        done
       done
-    done
+    end
+  done
+
+(* Gather forces on charges [lo, hi) from the potential grid [phi]:
+   F_i = q_i [scale] sum_g phi_g (r_i - r_g) gauss_g / norm. Each stencil
+   row along x is summed first (phi e_x and phi e_x dx), then weighted by
+   its y and z factors. *)
+let gather_range t st phi charges (positions : Vec3.t array)
+    (forces : Vec3.t array) ~scale lo hi =
+  let nx = t.nx and nxy = t.nx * t.ny in
+  let ax = st.ax and ay = st.ay and az = st.az in
+  let r_max2 = t.r_max2 in
+  for i = lo to hi - 1 do
+    let q = charges.(i) in
+    if q <> 0. then begin
+      fill t st positions.(i);
+      let fx = ref 0. and fy = ref 0. and fz = ref 0. in
+      for kz = 0 to 2 * t.sz do
+        let dz2 = az.d2.(kz) and ez = az.e.(kz) and dz = az.d.(kz) in
+        let bz = nxy * az.idx.(kz) in
+        for ky = 0 to 2 * t.sy do
+          let dy2 = ay.d2.(ky) and dy = ay.d.(ky) in
+          let eyz = ay.e.(ky) *. ez in
+          let byz = bz + (nx * ay.idx.(ky)) in
+          let s0 = ref 0. and s1 = ref 0. in
+          for kx = 0 to 2 * t.sx do
+            if ax.d2.(kx) +. dy2 +. dz2 <= r_max2 then begin
+              let v = phi.(byz + ax.idx.(kx)) *. ax.e.(kx) in
+              s0 := !s0 +. v;
+              s1 := !s1 +. (v *. ax.d.(kx))
+            end
+          done;
+          let w = eyz *. !s0 in
+          fx := !fx +. (eyz *. !s1);
+          fy := !fy +. (w *. dy);
+          fz := !fz +. (w *. dz)
+        done
+      done;
+      let c = q *. scale in
+      let f = forces.(i) in
+      forces.(i) <-
+        {
+          Vec3.x = f.Vec3.x +. (c *. !fx);
+          y = f.Vec3.y +. (c *. !fy);
+          z = f.Vec3.z +. (c *. !fz);
+        }
+    end
   done
 
 let now () = Unix.gettimeofday ()
@@ -150,12 +265,17 @@ let timed phases sel f =
 (* Fixed-shape pairwise tree over the per-slot spread grids at one grid
    point — same recursion shape as Bonded's per-atom force reduction, so
    the combined charge density is deterministic regardless of which domain
-   produced which partial grid. *)
-let rec tree_cell grids g lo hi =
-  if hi - lo = 1 then grids.(lo).(g)
+   produced which partial grid. The sum of slots [lo, hi) is left in
+   [stack.(d)]; partial sums travel through [stack] rather than as return
+   values, so no float is boxed. [stack] needs one entry per tree level
+   plus one. *)
+let rec tree_cell stack d grids g lo hi =
+  if hi - lo = 1 then stack.(d) <- grids.(lo).(g)
   else begin
     let mid = lo + ((hi - lo) / 2) in
-    tree_cell grids g lo mid +. tree_cell grids g mid hi
+    tree_cell stack d grids g lo mid;
+    tree_cell stack (d + 1) grids g mid hi;
+    stack.(d) <- stack.(d) +. stack.(d + 1)
   end
 
 let scratch_grids t ns =
@@ -165,21 +285,33 @@ let scratch_grids t ns =
   then t.scratch <- Array.init ns (fun _ -> Array.make total 0.);
   t.scratch
 
+let stencils t ns =
+  if Array.length t.stencils <> ns then begin
+    let axis s =
+      let w = (2 * s) + 1 in
+      {
+        idx = Array.make w 0;
+        d = Array.make w 0.;
+        d2 = Array.make w 0.;
+        e = Array.make w 0.;
+      }
+    in
+    t.stencils <-
+      Array.init ns (fun _ -> { ax = axis t.sx; ay = axis t.sy; az = axis t.sz })
+  end;
+  t.stencils
+
 (* 1. Spread charges. Serial: accumulate directly into [re] in particle
-   order (bitwise identical to the historical serial path). Parallel: each
-   slot spreads its contiguous particle tile into a private scratch grid,
-   then the grids are combined point-wise with the fixed-shape tree,
-   itself tiled over the pool. *)
-let spread ~exec t charges positions re =
+   order. Parallel: each slot spreads its contiguous particle tile into a
+   private scratch grid, then the grids are combined point-wise with the
+   fixed-shape tree, itself tiled over the pool. *)
+let spread ~exec t sts charges positions re =
   let n = Array.length positions in
   let ns = Exec.n_slots exec in
-  if ns = 1 && not (Exec.sanitizing exec) then
-    for i = 0 to n - 1 do
-      let q = charges.(i) in
-      if q <> 0. then
-        iter_support t positions.(i) (fun idx g _ _ _ ->
-            re.(idx) <- re.(idx) +. (q *. g))
-    done
+  if ns = 1 && not (Exec.sanitizing exec) then begin
+    Array.fill re 0 (Array.length re) 0.;
+    spread_range t sts.(0) re charges positions 0 n
+  end
   else begin
     let grids = scratch_grids t ns in
     let p_tiles = Exec.tile_bounds ~total:n ~ntiles:ns in
@@ -192,12 +324,7 @@ let spread ~exec t charges positions re =
         Exec.declare_write ~slot:s ~resource:"gse.spread" ~total:n ~lo ~hi
           exec;
         Exec.declare_read ~slot:s ~resource:"state.positions" ~lo ~hi exec;
-        for i = lo to hi - 1 do
-          let q = charges.(i) in
-          if q <> 0. then
-            iter_support t positions.(i) (fun idx g _ _ _ ->
-                grid.(idx) <- grid.(idx) +. (q *. g))
-        done);
+        spread_range t sts.(s) grid charges positions lo hi);
     let total = t.nx * t.ny * t.nz in
     let g_tiles = Exec.tile_bounds ~total ~ntiles:ns in
     Exec.parallel_run ~phase:"gse.combine" exec (fun s ->
@@ -207,8 +334,10 @@ let spread ~exec t charges positions re =
         (* The tree combine reads every slot's partial grid, i.e. the whole
            particle footprint the spread phase declared. *)
         Exec.declare_read ~slot:s ~resource:"gse.spread" ~lo:0 ~hi:n exec;
+        let stack = Array.make (ns + 1) 0. in
         for g = lo to hi - 1 do
-          re.(g) <- tree_cell grids g 0 ns
+          tree_cell stack 0 grids g 0 ns;
+          re.(g) <- stack.(0)
         done)
   end
 
@@ -217,12 +346,13 @@ let reciprocal ?(exec = Exec.serial) ?phases t charges positions
   let n = Array.length positions in
   let ns = Exec.n_slots exec in
   let total = t.nx * t.ny * t.nz in
-  let re = Array.make total 0. in
-  let im = Array.make total 0. in
+  let re = t.re and im = t.im in
+  let sts = stencils t ns in
+  Array.fill im 0 total 0.;
   (* 1. Spread charges onto the grid. *)
   timed phases
     (fun p d -> p.spread_s <- p.spread_s +. d)
-    (fun () -> spread ~exec t charges positions re);
+    (fun () -> spread ~exec t sts charges positions re);
   (* 2. Forward transform to k-space. *)
   timed phases
     (fun p d -> p.fft_s <- p.fft_s +. d)
@@ -290,7 +420,9 @@ let reciprocal ?(exec = Exec.serial) ?phases t charges positions
      each slot writes only its own particles' force entries, so no scratch
      accumulators or reduction are needed and the per-particle arithmetic
      is identical to serial. *)
-  let inv_s2 = 1. /. (t.sigma *. t.sigma) in
+  let scale =
+    cell_vol /. (t.sigma *. t.sigma) *. Units.coulomb *. t.norm
+  in
   timed phases
     (fun p d -> p.gather_s <- p.gather_s +. d)
     (fun () ->
@@ -309,19 +441,5 @@ let reciprocal ?(exec = Exec.serial) ?phases t charges positions
             exec;
           Exec.declare_read ~slot:s ~resource:"state.positions" ~lo ~hi
             exec;
-          for i = lo to hi - 1 do
-            let q = charges.(i) in
-            if q <> 0. then begin
-              let fx = ref 0. and fy = ref 0. and fz = ref 0. in
-              iter_support t positions.(i) (fun idx g dx dy dz ->
-                  let w = re.(idx) *. g in
-                  fx := !fx +. (w *. dx);
-                  fy := !fy +. (w *. dy);
-                  fz := !fz +. (w *. dz));
-              let c = q *. cell_vol *. inv_s2 *. Units.coulomb in
-              acc.forces.(i) <-
-                Vec3.add acc.forces.(i)
-                  (Vec3.make (c *. !fx) (c *. !fy) (c *. !fz))
-            end
-          done));
+          gather_range t sts.(s) re charges positions acc.forces ~scale lo hi));
   energy

@@ -33,9 +33,28 @@
       (static tiles, fixed reduction shapes);
     - serial and parallel results differ only by floating-point summation
       order in the spread and convolve reductions — relative differences at
-      rounding level (the test suite enforces <= 1e-10);
-    - the serial path ([Exec.serial]) is bitwise identical to the
-      historical serial implementation.
+      rounding level (the test suite enforces <= 1e-10).
+
+    {2 Separable kernels}
+
+    The spreading Gaussian factorises per axis. For each charge, spread and
+    gather fill per-axis tables once — wrapped grid index, displacement,
+    squared displacement and the 1-D factor [exp (-d^2 / 2 sigma^2)] at
+    each of the [2s + 1] stencil offsets — and then walk the stencil with
+    multiplies only, without allocating. The stencil is truncated at
+    4 [sigma_s] by a spherical cut on [(dx^2 + dy^2) + dz^2].
+
+    - Results agree with the direct form (one [exp] of the full squared
+      distance per stencil point) to rounding: the two visit the same grid
+      points and differ only in how each weight is rounded (the test suite
+      enforces 1e-12 relative).
+    - A handle owns its grids (the charge/potential grid, per-slot scratch
+      grids and stencils, reused across calls), so two callers must not use
+      one handle at the same time.
+    - A handle is built for one box ({!box}); {!with_box} rebuilds it for
+      another. [Mdsp_md.Force_calc] does so whenever it is passed a box
+      that differs, so an engine's handle follows the box under a
+      barostat.
 
     Grid dimensions must be powers of two. *)
 
@@ -61,13 +80,15 @@ val zero_phases : unit -> phases
 (** Sum of the four phase buckets. *)
 val phases_total : phases -> float
 
-(** [create ~beta ~grid:(nx, ny, nz) ?sigma_s ?support box]. [sigma_s]
-    defaults to [1 / (2 sqrt 2 beta)] (must be <= 1/(2 beta)); [support] is
-    the spreading truncation radius in units of [sigma_s], default 4.
-    Precomputes the influence function; cost O(nx ny nz). *)
+(** [create ~beta ~grid:(nx, ny, nz) ?sigma_s box]. [sigma_s] defaults to
+    [1 / (2 sqrt 2 beta)] (must be <= 1/(2 beta)); charges spread to
+    4 [sigma_s]. Precomputes the influence function; cost O(nx ny nz). *)
 val create :
-  beta:float -> grid:int * int * int -> ?sigma_s:float -> ?support:float ->
-  Pbc.t -> t
+  beta:float -> grid:int * int * int -> ?sigma_s:float -> Pbc.t -> t
+
+(** [with_box t box] is a fresh handle for [box] with [t]'s [beta],
+    [sigma_s] and grid — what {!create} gives with those arguments. *)
+val with_box : t -> Pbc.t -> t
 
 (** [reciprocal ?exec ?phases t charges positions acc] adds
     reciprocal-space forces and the reciprocal virial into [acc] and
@@ -77,8 +98,9 @@ val create :
 
     [exec] (default {!Mdsp_util.Exec.serial}) runs every stage — spread,
     FFT, convolve, gather — on the pool as described above; [phases]
-    accumulates per-stage wall time when provided. Per-slot scratch grids
-    are cached inside [t] and reused across calls. *)
+    accumulates per-stage wall time when provided. The grid, per-slot
+    scratch grids and stencils are cached inside [t] and reused across
+    calls. Positions may lie anywhere; each is wrapped into [t]'s box. *)
 val reciprocal :
   ?exec:Exec.t -> ?phases:phases ->
   t -> float array -> Vec3.t array -> Mdsp_ff.Bonded.accum -> float
@@ -89,5 +111,5 @@ val beta : t -> float
 (** Grid dimensions [(nx, ny, nz)]. *)
 val grid : t -> int * int * int
 
-(** Number of grid points each charge spreads to (cost model input). *)
-val support_points : t -> int
+(** The box the handle was built for. *)
+val box : t -> Pbc.t

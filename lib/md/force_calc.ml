@@ -164,7 +164,8 @@ type t = {
   mutable evaluator : Mdsp_ff.Pair_interactions.evaluator;
   (* The pair loop [evaluator] selects; swapped with it. *)
   mutable kernel : K.pair_kernel;
-  longrange : longrange;
+  (* Rebuilt by [follow_box] when the box changes. *)
+  mutable longrange : longrange;
   nlist : Mdsp_space.Neighbor_list.t;
   (* Newest-first; every consumer restores registration order. *)
   mutable biases_rev : bias list;
@@ -264,7 +265,22 @@ let gse_correction_handle t gse box =
       t.gse_ewald <- Some ew;
       ew
 
+(* A reciprocal-space handle computes on the box it was built for. Under a
+   barostat the box changes between calls, so the handle is rebuilt for the
+   box passed in (GSE: same beta, sigma and grid; Ewald: same beta and
+   k-max). With a fixed box this costs one comparison per call. *)
+let follow_box t box =
+  match t.longrange with
+  | Lr_none -> ()
+  | Lr_ewald ew ->
+      if Mdsp_longrange.Ewald.box ew <> box then
+        t.longrange <- Lr_ewald (Mdsp_longrange.Ewald.with_box ew box)
+  | Lr_gse gse ->
+      if Mdsp_longrange.Gse.box gse <> box then
+        t.longrange <- Lr_gse (Mdsp_longrange.Gse.with_box gse box)
+
 let compute_longrange t box positions acc =
+  follow_box t box;
   match t.longrange with
   | Lr_none -> (0., 0.)
   | Lr_ewald ew ->

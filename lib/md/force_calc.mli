@@ -115,7 +115,15 @@ type t
     {!Mdsp_ff.Pair_interactions.compute_pairs14} at the evaluator's cutoff,
     then {!Mdsp_ff.Pair_interactions.compute}), which the test suites keep
     as the oracle. Long-range, biases and transforms add into the boxed
-    accumulator after the store syncs back at the pair-phase boundary. *)
+    accumulator after the store syncs back at the pair-phase boundary.
+
+    The long-range handle follows the box: when {!compute} or
+    {!compute_class} is passed a box other than the one the handle was
+    built for (a barostat rescaled it), the calculator rebuilds the handle
+    for that box with {!Mdsp_longrange.Gse.with_box} or
+    {!Mdsp_longrange.Ewald.with_box}. The calculator owns its handle; do
+    not share one GSE handle between calculators that run at the same
+    time. *)
 val create :
   ?exec:Exec.t ->
   Mdsp_ff.Topology.t ->

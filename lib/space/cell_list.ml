@@ -110,6 +110,31 @@ let half_offsets =
    with the first index as the owner. *)
 let tile_units t = if t.degenerate then t.n else t.ncells
 
+(* Home cells own similar candidate counts, so they are cut into equal
+   runs. In the all-pairs fallback unit i owns the n - 1 - i pairs
+   (i, j > i), so equal runs would hand the first tile most of the work;
+   there the cuts fall at equal shares of the n (n - 1) / 2 candidates. *)
+let tile_bounds t ~ntiles =
+  if not t.degenerate then Exec.tile_bounds ~total:t.ncells ~ntiles
+  else begin
+    if ntiles < 1 then invalid_arg "Cell_list.tile_bounds: ntiles";
+    let n = t.n in
+    let total = n * (n - 1) / 2 in
+    let cuts = Array.make (ntiles + 1) n in
+    cuts.(0) <- 0;
+    (* [owned] counts the candidates of units below [i]. *)
+    let i = ref 0 and owned = ref 0 in
+    for k = 1 to ntiles - 1 do
+      let target = total * k / ntiles in
+      while !owned < target do
+        owned := !owned + (n - 1 - !i);
+        incr i
+      done;
+      cuts.(k) <- !i
+    done;
+    Array.init ntiles (fun k -> (cuts.(k), cuts.(k + 1)))
+  end
+
 let iter_cell_pair t ca cb f =
   (* All pairs (i in ca, j in cb), ca <> cb. *)
   let sa = t.cell_start.(ca) and ea = t.cell_start.(ca + 1) in

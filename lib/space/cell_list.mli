@@ -43,6 +43,14 @@ val degenerate : t -> bool
     ranges partitions the pair enumeration. *)
 val tile_units : t -> int
 
+(** [tile_bounds t ~ntiles] cuts [0, tile_units t) into [ntiles]
+    contiguous half-open ranges that own near-equal numbers of candidate
+    pairs: equal runs of home cells, or — in the all-pairs fallback, where
+    unit [i] owns the [n - 1 - i] pairs [(i, j > i)] — cuts at equal shares
+    of the [n (n - 1) / 2] candidates. A pure function of the particle
+    count, the cell grid and [ntiles]. *)
+val tile_bounds : t -> ntiles:int -> (int * int) array
+
 (** [iter_range_pairs t lo hi f] calls [f i j] exactly once for every
     candidate pair owned by a unit in [lo, hi) — the tile primitive the
     parallel neighbor-list rebuild is built on. [iter_range_pairs t 0

@@ -47,7 +47,8 @@ let do_build t positions =
   let cl = Cell_list.build ~exec t.box positions ~cutoff:r in
   let units = Cell_list.tile_units cl in
   let ntiles = max 1 (min units max_build_tiles) in
-  let tile_ranges = Exec.tile_bounds ~total:units ~ntiles in
+  let tile_ranges = Cell_list.tile_bounds cl ~ntiles in
+  let lx = t.box.Pbc.lx and ly = t.box.Pbc.ly and lz = t.box.Pbc.lz in
   let bufs =
     Array.init ntiles (fun _ -> { bi = [||]; bj = [||]; cnt = 0 })
   in
@@ -69,7 +70,16 @@ let do_build t positions =
         let b = bufs.(tile) in
         let lo, hi = tile_ranges.(tile) in
         Cell_list.iter_range_pairs cl lo hi (fun i j ->
-            if Pbc.dist2 t.box positions.(i) positions.(j) <= r2 then begin
+            (* [Pbc.dist2], inlined on the fields so that no [Vec3] is
+               allocated per candidate. *)
+            let pi = positions.(i) and pj = positions.(j) in
+            let dx0 = pi.Vec3.x -. pj.Vec3.x in
+            let dy0 = pi.Vec3.y -. pj.Vec3.y in
+            let dz0 = pi.Vec3.z -. pj.Vec3.z in
+            let dx = dx0 -. (lx *. Float.round (dx0 /. lx)) in
+            let dy = dy0 -. (ly *. Float.round (dy0 /. ly)) in
+            let dz = dz0 -. (lz *. Float.round (dz0 /. lz)) in
+            if (dx *. dx) +. (dy *. dy) +. (dz *. dz) <= r2 then begin
               let skip =
                 match t.exclusions with
                 | Some ex -> Exclusions.excluded ex i j

@@ -294,6 +294,178 @@ let test_gse_chargeless_is_zero () =
     (fun f -> check_true "zero forces" (Vec3.norm f = 0.))
     acc.Mdsp_ff.Bonded.forces
 
+(* The direct form of the GSE reciprocal sum: one [exp] of the full squared
+   distance per stencil point, through a closure per point, serial and
+   self-contained. The reference the separable kernels must match to
+   rounding. Returns (energy, virial, forces). *)
+let direct_gse ~beta ~grid:(nx, ny, nz) (box : Pbc.t) charges positions =
+  let sigma = 1. /. (2. *. sqrt 2. *. beta) in
+  let total = nx * ny * nz in
+  let two_pi = 2. *. Float.pi in
+  let freq n l m =
+    let m' = if m <= n / 2 then m else m - n in
+    two_pi *. float_of_int m' /. l
+  in
+  let rem = (1. /. (4. *. beta *. beta)) -. (sigma *. sigma) in
+  let ghat = Array.make total 0. and k2s = Array.make total 0. in
+  for mz = 0 to nz - 1 do
+    for my = 0 to ny - 1 do
+      for mx = 0 to nx - 1 do
+        let kx = freq nx box.lx mx in
+        let ky = freq ny box.ly my in
+        let kz = freq nz box.lz mz in
+        let k2 = (kx *. kx) +. (ky *. ky) +. (kz *. kz) in
+        let idx = mx + (nx * (my + (ny * mz))) in
+        k2s.(idx) <- k2;
+        if k2 > 0. then
+          ghat.(idx) <- 4. *. Float.pi *. exp (-.k2 *. rem) /. k2
+      done
+    done
+  done;
+  let dx = box.lx /. float_of_int nx in
+  let dy = box.ly /. float_of_int ny in
+  let dz = box.lz /. float_of_int nz in
+  let r = 4. *. sigma in
+  let cells h = int_of_float (ceil (r /. h)) in
+  let sx = cells dx and sy = cells dy and sz = cells dz in
+  let norm = (2. *. Float.pi *. sigma *. sigma) ** (-1.5) in
+  let inv_2s2 = 1. /. (2. *. sigma *. sigma) in
+  let r_max2 = r ** 2. in
+  let iter_support p f =
+    let w = Pbc.wrap box p in
+    let cx = int_of_float (w.Vec3.x /. dx) in
+    let cy = int_of_float (w.Vec3.y /. dy) in
+    let cz = int_of_float (w.Vec3.z /. dz) in
+    for oz = -sz to sz do
+      for oy = -sy to sy do
+        for ox = -sx to sx do
+          let gx = (((cx + ox) mod nx) + nx) mod nx in
+          let gy = (((cy + oy) mod ny) + ny) mod ny in
+          let gz = (((cz + oz) mod nz) + nz) mod nz in
+          let ddx = w.Vec3.x -. (float_of_int (cx + ox) *. dx) in
+          let ddy = w.Vec3.y -. (float_of_int (cy + oy) *. dy) in
+          let ddz = w.Vec3.z -. (float_of_int (cz + oz) *. dz) in
+          let r2 = (ddx *. ddx) +. (ddy *. ddy) +. (ddz *. ddz) in
+          if r2 <= r_max2 then
+            f (gx + (nx * (gy + (ny * gz))))
+              (norm *. exp (-.r2 *. inv_2s2))
+              ddx ddy ddz
+        done
+      done
+    done
+  in
+  let re = Array.make total 0. and im = Array.make total 0. in
+  Array.iteri
+    (fun i p ->
+      let q = charges.(i) in
+      if q <> 0. then
+        iter_support p (fun idx g _ _ _ -> re.(idx) <- re.(idx) +. (q *. g)))
+    positions;
+  Fft.fft_3d ~sign:(-1) ~nx ~ny ~nz re im;
+  let vol = Pbc.volume box in
+  let cell_vol = vol /. float_of_int total in
+  let e_scale = cell_vol *. cell_vol /. (2. *. vol) *. Units.coulomb in
+  let inv_2b2 = 1. /. (2. *. beta *. beta) in
+  let energy = ref 0. and virial = ref 0. in
+  for k = 0 to total - 1 do
+    let e_k = ghat.(k) *. ((re.(k) *. re.(k)) +. (im.(k) *. im.(k))) in
+    energy := !energy +. e_k;
+    virial := !virial +. (e_k *. (1. -. (k2s.(k) *. inv_2b2)));
+    re.(k) <- re.(k) *. ghat.(k);
+    im.(k) <- im.(k) *. ghat.(k)
+  done;
+  Fft.fft_3d ~sign:1 ~nx ~ny ~nz re im;
+  let phi_scale = cell_vol /. vol in
+  let forces =
+    Array.mapi
+      (fun i p ->
+        let q = charges.(i) in
+        let fx = ref 0. and fy = ref 0. and fz = ref 0. in
+        iter_support p (fun idx g dx dy dz ->
+            let w = re.(idx) *. phi_scale *. g in
+            fx := !fx +. (w *. dx);
+            fy := !fy +. (w *. dy);
+            fz := !fz +. (w *. dz));
+        let c = q *. cell_vol /. (sigma *. sigma) *. Units.coulomb in
+        Vec3.make (c *. !fx) (c *. !fy) (c *. !fz))
+      positions
+  in
+  (!energy *. e_scale, !virial *. e_scale, forces)
+
+let test_gse_matches_direct_form () =
+  (* A non-cubic box on an unequal grid, with charges at negative
+     coordinates, beyond the box and exactly on its edges, at 1 and 3
+     slots. *)
+  let box = Pbc.make ~lx:14. ~ly:22. ~lz:12. in
+  let grid = (16, 32, 8) and beta = 0.35 in
+  let rng = Rng.create 69 in
+  let inside =
+    List.init 40 (fun _ ->
+        Vec3.make
+          (Rng.uniform_in rng 0. box.lx)
+          (Rng.uniform_in rng 0. box.ly)
+          (Rng.uniform_in rng 0. box.lz))
+  in
+  let special =
+    [
+      Vec3.make (-3.2) (-0.7) (-11.9);
+      Vec3.make (box.lx +. 5.3) ((2. *. box.ly) +. 0.1) (-.box.lz -. 1.);
+      Vec3.make box.lx 0. box.lz;
+      Vec3.make (-.box.lx) box.ly 0.;
+      Vec3.make 0. (-.box.ly) (3. *. box.lz);
+      Vec3.make (-1e-17) 7.25 box.lz;
+    ]
+  in
+  let pos = Array.of_list (inside @ special) in
+  let n = Array.length pos in
+  let q = Array.init n (fun i -> if i mod 2 = 0 then 0.8 else -0.8) in
+  q.(3) <- 0.;
+  let e_ref, w_ref, f_ref = direct_gse ~beta ~grid box q pos in
+  let check label exec =
+    let gse = Gse.create ~beta ~grid box in
+    (* Twice on one handle: the reused grids must not carry state over. *)
+    for pass = 1 to 2 do
+      let acc = Mdsp_ff.Bonded.make_accum n in
+      let e = Gse.reciprocal ~exec gse q pos acc in
+      let tag s = Printf.sprintf "%s, pass %d: %s" label pass s in
+      check_close ~rel:1e-12 (tag "energy") e_ref e;
+      check_close ~rel:1e-12 (tag "virial") w_ref acc.Mdsp_ff.Bonded.virial;
+      Array.iteri
+        (fun i f ->
+          let err = Vec3.dist f f_ref.(i) and mag = Vec3.norm f_ref.(i) in
+          if err > 1e-12 *. mag then
+            Alcotest.failf "%s: force %d off by %.3e of %.3e" label i
+              (err /. mag) mag)
+        acc.Mdsp_ff.Bonded.forces
+    done
+  in
+  check "1 slot" Exec.serial;
+  let pool = Exec.create (Exec.Domains { n = 3 }) in
+  Fun.protect
+    ~finally:(fun () -> Exec.shutdown pool)
+    (fun () -> check "3 slots" pool)
+
+let test_gse_serial_allocation () =
+  (* The serial grid pipeline allocates O(1) per call plus the updated
+     force vector per charge: at most 16 minor words per charged particle
+     once the handle's grids and stencils exist. *)
+  let sys = Mdsp_workload.Workloads.water_box ~n_side:4 () in
+  let open Mdsp_workload.Workloads in
+  let q = Mdsp_ff.Topology.charges sys.topo in
+  let charged =
+    Array.fold_left (fun c x -> if x <> 0. then c + 1 else c) 0 q
+  in
+  let gse = Gse.create ~beta:0.35 ~grid:(32, 32, 32) sys.box in
+  let acc = Mdsp_ff.Bonded.make_accum (Array.length q) in
+  ignore (Gse.reciprocal gse q sys.positions acc);
+  let w0 = Gc.minor_words () in
+  ignore (Gse.reciprocal gse q sys.positions acc);
+  let w1 = Gc.minor_words () in
+  let per = (w1 -. w0) /. float_of_int charged in
+  check_true
+    (Printf.sprintf "%.1f minor words per charged particle (<= 16)" per)
+    (per <= 16.)
+
 let () =
   Alcotest.run "mdsp_longrange"
     [
@@ -334,5 +506,9 @@ let () =
             test_gse_rejects_bad_config;
           Alcotest.test_case "chargeless zero" `Quick
             test_gse_chargeless_is_zero;
+          Alcotest.test_case "separable kernels = direct form" `Quick
+            test_gse_matches_direct_form;
+          Alcotest.test_case "serial reciprocal allocation" `Quick
+            test_gse_serial_allocation;
         ] );
     ]

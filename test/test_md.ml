@@ -339,6 +339,75 @@ let test_mc_barostat_runs_and_relaxes () =
   let v1 = Pbc.volume (E.state eng).State.box in
   check_true "volume expanded under MC barostat" (v1 > v0)
 
+(* Under a barostat the box changes every step; the calculator's reciprocal
+   term must be the one a handle built on the current box gives, bit for
+   bit. [fresh box q x acc] is that handle's reciprocal sum. *)
+let check_recip_follows_box name eng fresh =
+  let box0 = (E.state eng).State.box in
+  E.run eng 20;
+  let st = E.state eng in
+  let box = st.State.box and x = st.State.positions in
+  check_true (name ^ ": the barostat moved the box") (box <> box0);
+  let fc = E.force_calc eng in
+  let q = Mdsp_ff.Topology.charges (Force_calc.topology fc) in
+  let acc = Mdsp_ff.Bonded.make_accum (State.n st) in
+  let e = Force_calc.compute fc box x acc in
+  let acc' = Mdsp_ff.Bonded.make_accum (State.n st) in
+  let recip = fresh box q x acc' in
+  check_true
+    (Printf.sprintf "%s: recip %.17g = fresh handle's %.17g" name
+       e.Force_calc.recip recip)
+    (e.Force_calc.recip = recip)
+
+let test_longrange_follows_box () =
+  let cfg =
+    {
+      E.default_config with
+      dt_fs = 2.0;
+      thermostat = E.Langevin { gamma_fs = 0.02 };
+      barostat = E.Berendsen_baro { tau_fs = 100.; pressure_atm = 1000. };
+    }
+  in
+  let grid = (16, 16, 16) in
+  let sys = Mdsp_workload.Workloads.water_box ~n_side:4 () in
+  let eng = Mdsp_workload.Workloads.make_engine ~config:cfg ~gse_grid:grid sys in
+  let beta =
+    3.0 /. (Force_calc.evaluator (E.force_calc eng)).Mdsp_ff.Pair_interactions.cutoff
+  in
+  check_recip_follows_box "GSE" eng (fun box q x acc ->
+      Mdsp_longrange.Gse.reciprocal
+        (Mdsp_longrange.Gse.create ~beta ~grid box)
+        q x acc);
+  (* The same system on direct Ewald. *)
+  let sys = Mdsp_workload.Workloads.water_box ~n_side:4 () in
+  let open Mdsp_workload.Workloads in
+  let cutoff = 0.45 *. Pbc.min_edge sys.box in
+  let beta = 3.0 /. cutoff in
+  let evaluator =
+    Mdsp_ff.Pair_interactions.of_topology sys.topo ~cutoff
+      ~trunc:Mdsp_ff.Nonbonded.Shift
+      ~elec:(Mdsp_ff.Pair_interactions.Ewald_real { beta })
+  in
+  let nlist =
+    Mdsp_space.Neighbor_list.create ~exclusions:sys.topo.Mdsp_ff.Topology.exclusions
+      ~cutoff ~skin:1. sys.box sys.positions
+  in
+  let ew = Mdsp_longrange.Ewald.create ~beta ~kmax:5 sys.box in
+  let fc =
+    Force_calc.create sys.topo ~evaluator ~longrange:(Force_calc.Lr_ewald ew)
+      ~nlist
+  in
+  let st =
+    State.create ~positions:sys.positions
+      ~masses:(Mdsp_ff.Topology.masses sys.topo) ~box:sys.box
+  in
+  State.thermalize st (Rng.create 5) ~temp:cfg.E.temperature;
+  let eng = E.create ~seed:5 sys.topo fc st cfg in
+  check_recip_follows_box "Ewald" eng (fun box q x acc ->
+      Mdsp_longrange.Ewald.reciprocal
+        (Mdsp_longrange.Ewald.create ~beta ~kmax:5 box)
+        q x acc)
+
 let test_respa_energy_and_agreement () =
   (* RESPA with inner bonded steps should track the bead-chain dynamics
      with stable energies. *)
@@ -774,6 +843,8 @@ let () =
           Alcotest.test_case "Berendsen relaxes pressure" `Slow
             test_berendsen_barostat_relaxes_pressure;
           Alcotest.test_case "MC barostat" `Slow test_mc_barostat_runs_and_relaxes;
+          Alcotest.test_case "long-range handle follows the box" `Quick
+            test_longrange_follows_box;
           Alcotest.test_case "ideal gas pressure" `Slow
             test_pressure_virial_ideal_gas_limit;
         ] );

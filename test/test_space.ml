@@ -46,6 +46,28 @@ let test_cell_list_degenerate_small_box () =
   Cell_list.iter_pairs cl (fun _ _ -> incr count);
   Alcotest.(check int) "all pairs enumerated" (30 * 29 / 2) !count
 
+let test_cell_list_degenerate_tiles_balanced () =
+  (* In the all-pairs fallback unit i owns n - 1 - i candidates: the tiles
+     must partition the units in order and split the candidates evenly. *)
+  let n = 1000 in
+  let box, positions = random_positions ~seed:24 ~n ~box_l:24. ~min_dist:0.5 in
+  let cl = Cell_list.build box positions ~cutoff:10. in
+  check_true "degenerate" (Cell_list.degenerate cl);
+  let ntiles = 64 in
+  let tiles = Cell_list.tile_bounds cl ~ntiles in
+  Alcotest.(check int) "tile count" ntiles (Array.length tiles);
+  let share = n * (n - 1) / 2 / ntiles in
+  Array.iteri
+    (fun k (lo, hi) ->
+      Alcotest.(check int) "contiguous" (if k = 0 then 0 else snd tiles.(k - 1)) lo;
+      let owned = ref 0 in
+      Cell_list.iter_range_pairs cl lo hi (fun _ _ -> incr owned);
+      check_true
+        (Printf.sprintf "tile %d owns %d candidates (share %d)" k !owned share)
+        (abs (!owned - share) < n))
+    tiles;
+  Alcotest.(check int) "covers every unit" n (snd tiles.(ntiles - 1))
+
 let test_cell_list_neighbors_include_all () =
   let box, positions = random_positions ~seed:23 ~n:120 ~box_l:16. ~min_dist:0.7 in
   let cutoff = 3.5 in
@@ -242,33 +264,43 @@ let prop_neighbor_list_skin_sweep =
 let test_neighbor_list_parallel_rebuild_identical () =
   (* The tiled rebuild uses a fixed tile count, so the stored pair list —
      content *and order* — is a pure function of the positions, bitwise
-     identical across executor widths. *)
-  let box, positions =
-    random_positions ~seed:37 ~n:300 ~box_l:20. ~min_dist:0.7
-  in
-  let build exec =
-    let nl =
-      Neighbor_list.create ~exec ~cutoff:4. ~skin:1. box positions
-    in
-    let moved =
-      Array.map (fun p -> Vec3.add p (Vec3.make 0.9 0.4 (-0.7))) positions
-    in
-    ignore (Neighbor_list.rebuild nl moved);
-    let is, js = Neighbor_list.raw_pairs nl in
-    let n = Neighbor_list.length nl in
-    (Array.sub is 0 n, Array.sub js 0 n)
-  in
-  let ref_is, ref_js = build Exec.serial in
-  check_true "serial rebuild found pairs" (Array.length ref_is > 0);
+     identical across executor widths. Checked on a box with four cells per
+     axis and on one with two (the all-pairs fallback, whose tiles are cut
+     at equal candidate shares). *)
   List.iter
-    (fun slots ->
-      let pool = Exec.create (Exec.Domains { n = slots }) in
-      let is, js = build pool in
-      Exec.shutdown pool;
-      check_true
-        (Printf.sprintf "%d-slot rebuild identical to serial" slots)
-        (is = ref_is && js = ref_js))
-    [ 2; 4 ]
+    (fun (label, box_l, n, degenerate) ->
+      let box, positions =
+        random_positions ~seed:37 ~n ~box_l ~min_dist:0.7
+      in
+      let cells = Cell_list.build box positions ~cutoff:5. in
+      check_true (label ^ ": cell grid as intended")
+        (Cell_list.degenerate cells = degenerate);
+      let build exec =
+        let nl =
+          Neighbor_list.create ~exec ~cutoff:4. ~skin:1. box positions
+        in
+        let moved =
+          Array.map (fun p -> Vec3.add p (Vec3.make 0.9 0.4 (-0.7))) positions
+        in
+        ignore (Neighbor_list.rebuild nl moved);
+        let is, js = Neighbor_list.raw_pairs nl in
+        let n = Neighbor_list.length nl in
+        (Array.sub is 0 n, Array.sub js 0 n)
+      in
+      let ref_is, ref_js = build Exec.serial in
+      check_true (label ^ ": serial rebuild found pairs")
+        (Array.length ref_is > 0);
+      List.iter
+        (fun slots ->
+          let pool = Exec.create (Exec.Domains { n = slots }) in
+          let is, js = build pool in
+          Exec.shutdown pool;
+          check_true
+            (Printf.sprintf "%s: %d-slot rebuild identical to serial" label
+               slots)
+            (is = ref_is && js = ref_js))
+        [ 2; 3; 4 ])
+    [ ("4 cells per axis", 20., 300, false); ("all-pairs box", 12., 150, true) ]
 
 let test_neighbor_list_parallel_rebuild_race_free () =
   (* The rebuild's parallel phases ("cell.bin", "nlist.tiles") under the
@@ -353,6 +385,8 @@ let () =
             test_cell_list_pair_completeness;
           Alcotest.test_case "degenerate small box" `Quick
             test_cell_list_degenerate_small_box;
+          Alcotest.test_case "degenerate tiles balanced" `Quick
+            test_cell_list_degenerate_tiles_balanced;
           Alcotest.test_case "per-particle neighbors" `Quick
             test_cell_list_neighbors_include_all;
           Alcotest.test_case "floored binning outside the box" `Quick

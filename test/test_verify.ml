@@ -440,7 +440,18 @@ let test_dataflow_edges_expected () =
   check_true "the grid pipeline chains into the gather"
     (has ("gse.phi_scale", "gse.gather", "gse.grid"));
   check_true "the SoA reduction drains into the store"
-    (has ("soa.reduce", "soa.store", "soa.forces"))
+    (has ("soa.reduce", "soa.store", "soa.forces"));
+  (* The GSE stages read the constrained positions, the gather adds into
+     the forces the flat store wrote, and the combined grid feeds the
+     forward transform. *)
+  check_true "SHAKE precedes the spread"
+    (has ("constraints.shake", "gse.spread", "state.positions"));
+  check_true "SHAKE precedes the gather"
+    (has ("constraints.shake", "gse.gather", "state.positions"));
+  check_true "the flat store sync precedes the gather"
+    (has ("soa.store", "gse.gather", "state.forces"));
+  check_true "the combined grid feeds the forward transform"
+    (has ("gse.combine", "gse.fft_fwd.x", "gse.grid"))
 
 let test_dataflow_dot_deterministic () =
   let r = Lazy.force dataflow_report in
