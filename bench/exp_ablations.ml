@@ -270,14 +270,14 @@ let a5 () =
   List.iter
     (fun nodes ->
       let mean policy =
-        let d = Mdsp_space.Decomp.create sys.box ~nodes ~cutoff:9.0 ~policy in
-        let counts = Mdsp_space.Decomp.import_counts d sys.positions in
+        let d = Mdsp_machine.Decomp.create sys.box ~nodes ~cutoff:9.0 in
+        let counts = Mdsp_machine.Decomp.import_counts d ~policy sys.positions in
         float_of_int (Array.fold_left ( + ) 0 counts)
         /. float_of_int (Array.length counts)
       in
-      let full = mean Mdsp_space.Decomp.Full_shell in
-      let half = mean Mdsp_space.Decomp.Half_shell in
-      let mid = mean Mdsp_space.Decomp.Midpoint in
+      let full = mean Mdsp_machine.Decomp.Full_shell in
+      let half = mean Mdsp_machine.Decomp.Half_shell in
+      let mid = mean Mdsp_machine.Decomp.Midpoint in
       let px, py, pz = nodes in
       T.row t
         [

@@ -66,7 +66,7 @@ let soa_setup =
        | None -> assert false
      in
      let store = Mdsp_md.Soa.create ~box:sys.Mdsp_workload.Workloads.box 500 in
-     Mdsp_md.Soa.load_positions store sys.Mdsp_workload.Workloads.positions;
+     Mdsp_md.Soa.sync_load store sys.Mdsp_workload.Workloads.positions;
      let is, js = Mdsp_space.Neighbor_list.raw_pairs nlist in
      let np = Mdsp_space.Neighbor_list.length nlist in
      let sc = Mdsp_md.Soa_kernels.make_scratch () in

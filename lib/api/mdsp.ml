@@ -19,7 +19,7 @@ module Histogram = Mdsp_util.Histogram
 module Cell_list = Mdsp_space.Cell_list
 module Neighbor_list = Mdsp_space.Neighbor_list
 module Exclusions = Mdsp_space.Exclusions
-module Decomp = Mdsp_space.Decomp
+module Decomp = Mdsp_machine.Decomp
 
 (** {1 Force field} *)
 

@@ -25,32 +25,13 @@ let rec tree_force slots i lo hi =
 let reduce_slots ?(exec = Exec.serial) ?(phase = "bonded.reduce")
     ?(reads = []) ~into slots =
   let nslots = Array.length slots in
-  if nslots = 1 && not (Exec.sanitizing exec) then begin
-    let src = slots.(0) in
-    let n = Array.length into.forces in
-    for i = 0 to n - 1 do
-      into.forces.(i) <- Vec3.add into.forces.(i) src.forces.(i)
-    done;
-    into.virial <- into.virial +. src.virial
-  end
-  else if nslots >= 1 then begin
-    let n = Array.length into.forces in
-    let bounds = Exec.tile_bounds ~total:n ~ntiles:(Exec.n_slots exec) in
-    Exec.parallel_run ~phase exec (fun s ->
-        let lo, hi = bounds.(s) in
-        (* This phase writes the *shared* accumulator, so the declared
-           resource is the atom index space itself. It reads every slot's
-           partials — [reads] names the iteration-space resources the
-           producing phase declared — and read-modifies its own tile of
-           the accumulator. *)
-        Exec.declare_write ~slot:s ~resource:"bonded.reduce" ~total:n ~lo ~hi
-          exec;
-        Exec.declare_read ~slot:s ~resource:"bonded.reduce" ~total:n ~lo ~hi
-          exec;
-        List.iter
-          (fun (resource, total) ->
-            Exec.declare_read ~slot:s ~resource ~lo:0 ~hi:total exec)
-          reads;
+  if nslots >= 1 then begin
+    (* This phase writes the *shared* accumulator, so the declared resource
+       is the atom index space itself: each slot read-modifies its own
+       tile of it after reading every slot's partials — [reads] names the
+       iteration-space resources the producing phase declared. *)
+    Exec.sweep ~phase ~reads:[ "bonded.reduce" ] ~writes:[ "bonded.reduce" ]
+      ~whole:reads exec ~total:(Array.length into.forces) (fun _ lo hi ->
         for i = lo to hi - 1 do
           into.forces.(i) <-
             Vec3.add into.forces.(i) (tree_force slots i 0 nslots)

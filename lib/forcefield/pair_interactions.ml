@@ -168,18 +168,13 @@ let compute_pairs14 ?(exec = Exec.serial) (topo : Topology.t) ~cutoff
     else begin
       let n = Array.length acc.Bonded.forces in
       let slots = Array.init ns (fun _ -> Bonded.make_accum n) in
-      let tiles = Exec.tile_bounds ~total:npairs ~ntiles:ns in
-      let natoms = Array.length positions in
       let energies = Array.make ns 0. in
-      Exec.parallel_run ~phase:"pair14" exec (fun s ->
+      Exec.sweep ~phase:"pair14" ~writes:[ "pair.pairs14" ]
+        ~whole:[ ("state.positions", Array.length positions) ]
+        exec ~total:npairs (fun s lo hi ->
           let a = slots.(s) in
           Bonded.reset a;
           let energy = ref 0. in
-          let lo, hi = tiles.(s) in
-          Exec.declare_write ~slot:s ~resource:"pair.pairs14" ~total:npairs
-            ~lo ~hi exec;
-          Exec.declare_read ~slot:s ~resource:"state.positions" ~lo:0
-            ~hi:natoms exec;
           for k = lo to hi - 1 do
             let i, j = topo.pairs14.(k) in
             apply_pair14 topo ~charges ~types ~cutoff box positions a energy

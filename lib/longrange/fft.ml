@@ -65,24 +65,21 @@ let fft_3d ?(exec = Exec.serial) ~sign ~nx ~ny ~nz re im =
   if Array.length re <> total || Array.length im <> total then
     invalid_arg "Fft.fft_3d: array size mismatch";
   let idx x y z = x + (nx * (y + (ny * z))) in
-  let ns = Exec.n_slots exec in
   (* The forward and inverse transforms are distinct dataflow phases: the
      convolve stage sits between them, so sharing one phase name per sweep
      would put a cycle in the happens-before graph. *)
   let prefix = if sign < 0 then "gse.fft_fwd" else "gse.fft_inv" in
+  (* Each sweep's racing surface is its line-index space — strided element
+     ranges interleave across slots, line indices don't. A line transform
+     is a read-modify-write of the slot's own lines. *)
+  let lines axis ~total body =
+    let resource = "fft." ^ axis ^ "_lines" in
+    Exec.sweep ~phase:(prefix ^ "." ^ axis) ~reads:[ resource ]
+      ~writes:[ resource ] exec ~total body
+  in
   (* Transform along x (contiguous): one line per (y, z). *)
-  let x_tiles = Exec.tile_bounds ~total:(ny * nz) ~ntiles:ns in
-  Exec.parallel_run ~phase:(prefix ^ ".x") exec (fun s ->
+  lines "x" ~total:(ny * nz) (fun _ lo hi ->
       let bx_re = Array.make nx 0. and bx_im = Array.make nx 0. in
-      let lo, hi = x_tiles.(s) in
-      (* Each sweep's racing surface is its line-index space — strided
-         element ranges interleave across slots, line indices don't. The
-         read declaration mirrors the write: a line transform is a
-         read-modify-write of the slot's own lines. *)
-      Exec.declare_write ~slot:s ~resource:"fft.x_lines" ~total:(ny * nz)
-        ~lo ~hi exec;
-      Exec.declare_read ~slot:s ~resource:"fft.x_lines" ~total:(ny * nz)
-        ~lo ~hi exec;
       for l = lo to hi - 1 do
         let z = l / ny and y = l mod ny in
         let base = idx 0 y z in
@@ -93,14 +90,8 @@ let fft_3d ?(exec = Exec.serial) ~sign ~nx ~ny ~nz re im =
         Array.blit bx_im 0 im base nx
       done);
   (* Along y: one strided line per (x, z). *)
-  let y_tiles = Exec.tile_bounds ~total:(nx * nz) ~ntiles:ns in
-  Exec.parallel_run ~phase:(prefix ^ ".y") exec (fun s ->
+  lines "y" ~total:(nx * nz) (fun _ lo hi ->
       let by_re = Array.make ny 0. and by_im = Array.make ny 0. in
-      let lo, hi = y_tiles.(s) in
-      Exec.declare_write ~slot:s ~resource:"fft.y_lines" ~total:(nx * nz)
-        ~lo ~hi exec;
-      Exec.declare_read ~slot:s ~resource:"fft.y_lines" ~total:(nx * nz)
-        ~lo ~hi exec;
       for l = lo to hi - 1 do
         let z = l / nx and x = l mod nx in
         for y = 0 to ny - 1 do
@@ -116,14 +107,8 @@ let fft_3d ?(exec = Exec.serial) ~sign ~nx ~ny ~nz re im =
         done
       done);
   (* Along z: one strided line per (x, y). *)
-  let z_tiles = Exec.tile_bounds ~total:(nx * ny) ~ntiles:ns in
-  Exec.parallel_run ~phase:(prefix ^ ".z") exec (fun s ->
+  lines "z" ~total:(nx * ny) (fun _ lo hi ->
       let bz_re = Array.make nz 0. and bz_im = Array.make nz 0. in
-      let lo, hi = z_tiles.(s) in
-      Exec.declare_write ~slot:s ~resource:"fft.z_lines" ~total:(nx * ny)
-        ~lo ~hi exec;
-      Exec.declare_read ~slot:s ~resource:"fft.z_lines" ~total:(nx * ny)
-        ~lo ~hi exec;
       for l = lo to hi - 1 do
         let y = l / nx and x = l mod nx in
         for z = 0 to nz - 1 do

@@ -314,26 +314,18 @@ let spread ~exec t sts charges positions re =
   end
   else begin
     let grids = scratch_grids t ns in
-    let p_tiles = Exec.tile_bounds ~total:n ~ntiles:ns in
-    Exec.parallel_run ~phase:"gse.spread" exec (fun s ->
+    (* Each slot spreads a particle tile into its private scratch grid; the
+       racing surface is the particle partition. *)
+    Exec.sweep ~phase:"gse.spread" ~reads:[ "state.positions" ]
+      ~writes:[ "gse.spread" ] exec ~total:n (fun s lo hi ->
         let grid = grids.(s) in
         Array.fill grid 0 (Array.length grid) 0.;
-        let lo, hi = p_tiles.(s) in
-        (* Each slot spreads a particle tile into its private scratch grid;
-           the racing surface is the particle partition. *)
-        Exec.declare_write ~slot:s ~resource:"gse.spread" ~total:n ~lo ~hi
-          exec;
-        Exec.declare_read ~slot:s ~resource:"state.positions" ~lo ~hi exec;
         spread_range t sts.(s) grid charges positions lo hi);
-    let total = t.nx * t.ny * t.nz in
-    let g_tiles = Exec.tile_bounds ~total ~ntiles:ns in
-    Exec.parallel_run ~phase:"gse.combine" exec (fun s ->
-        let lo, hi = g_tiles.(s) in
-        Exec.declare_write ~slot:s ~resource:"gse.grid_combine" ~total ~lo
-          ~hi exec;
-        (* The tree combine reads every slot's partial grid, i.e. the whole
-           particle footprint the spread phase declared. *)
-        Exec.declare_read ~slot:s ~resource:"gse.spread" ~lo:0 ~hi:n exec;
+    (* The tree combine reads every slot's partial grid, i.e. the whole
+       particle footprint the spread phase declared. *)
+    Exec.sweep ~phase:"gse.combine" ~writes:[ "gse.grid_combine" ]
+      ~whole:[ ("gse.spread", n) ] exec ~total:(t.nx * t.ny * t.nz)
+      (fun _ lo hi ->
         let stack = Array.make (ns + 1) 0. in
         for g = lo to hi - 1 do
           tree_cell stack 0 grids g 0 ns;
@@ -370,14 +362,9 @@ let reciprocal ?(exec = Exec.serial) ?phases t charges positions
       (fun p d -> p.convolve_s <- p.convolve_s +. d)
       (fun () ->
         let e_slot = Array.make ns 0. and w_slot = Array.make ns 0. in
-        let k_tiles = Exec.tile_bounds ~total ~ntiles:ns in
-        Exec.parallel_run ~phase:"gse.convolve" exec (fun s ->
+        Exec.sweep ~phase:"gse.convolve" ~reads:[ "gse.convolve" ]
+          ~writes:[ "gse.convolve" ] exec ~total (fun s lo hi ->
             let energy = ref 0. and virial = ref 0. in
-            let lo, hi = k_tiles.(s) in
-            Exec.declare_write ~slot:s ~resource:"gse.convolve" ~total ~lo
-              ~hi exec;
-            Exec.declare_read ~slot:s ~resource:"gse.convolve" ~total ~lo
-              ~hi exec;
             for k = lo to hi - 1 do
               let s2 = (re.(k) *. re.(k)) +. (im.(k) *. im.(k)) in
               let e_k = t.ghat.(k) *. s2 in
@@ -405,13 +392,8 @@ let reciprocal ?(exec = Exec.serial) ?phases t charges positions
   timed phases
     (fun p d -> p.convolve_s <- p.convolve_s +. d)
     (fun () ->
-      let g_tiles = Exec.tile_bounds ~total ~ntiles:ns in
-      Exec.parallel_run ~phase:"gse.phi_scale" exec (fun s ->
-          let lo, hi = g_tiles.(s) in
-          Exec.declare_write ~slot:s ~resource:"gse.phi_scale" ~total ~lo
-            ~hi exec;
-          Exec.declare_read ~slot:s ~resource:"gse.phi_scale" ~total ~lo
-            ~hi exec;
+      Exec.sweep ~phase:"gse.phi_scale" ~reads:[ "gse.phi_scale" ]
+        ~writes:[ "gse.phi_scale" ] exec ~total (fun _ lo hi ->
           for k = lo to hi - 1 do
             re.(k) <- re.(k) *. phi_scale
           done));
@@ -426,20 +408,11 @@ let reciprocal ?(exec = Exec.serial) ?phases t charges positions
   timed phases
     (fun p d -> p.gather_s <- p.gather_s +. d)
     (fun () ->
-      let p_tiles = Exec.tile_bounds ~total:n ~ntiles:ns in
-      Exec.parallel_run ~phase:"gse.gather" exec (fun s ->
-          let lo, hi = p_tiles.(s) in
-          Exec.declare_write ~slot:s ~resource:"gse.gather" ~total:n ~lo ~hi
-            exec;
-          (* Accumulates into the slot's own force entries (same-slot
-             read-modify-write). *)
-          Exec.declare_read ~slot:s ~resource:"gse.gather" ~total:n ~lo ~hi
-            exec;
-          (* The support stencil strides the whole potential grid and the
-             slot reads its own particles' positions. *)
-          Exec.declare_read ~slot:s ~resource:"gse.grid" ~lo:0 ~hi:total
-            exec;
-          Exec.declare_read ~slot:s ~resource:"state.positions" ~lo ~hi
-            exec;
+      (* Each slot accumulates into its own particles' force entries
+         (same-slot read-modify-write) and reads their positions; the
+         support stencil strides the whole potential grid. *)
+      Exec.sweep ~phase:"gse.gather" ~reads:[ "gse.gather"; "state.positions" ]
+        ~writes:[ "gse.gather" ] ~whole:[ ("gse.grid", total) ] exec ~total:n
+        (fun s lo hi ->
           gather_range t sts.(s) re charges positions acc.forces ~scale lo hi));
   energy

@@ -7,8 +7,6 @@ let create box ~nodes:(px, py, pz) ~cutoff =
   if px <= 0 || py <= 0 || pz <= 0 then
     invalid_arg "Decomp.create: node dims must be positive";
   if cutoff <= 0. then invalid_arg "Decomp.create: cutoff must be positive";
-  if cutoff > Pbc.min_edge box /. 2. then
-    invalid_arg "Decomp.create: cutoff must be <= half the shortest box edge";
   { box; px; py; pz; cutoff }
 
 let dims t = (t.px, t.py, t.pz)
@@ -38,7 +36,7 @@ let pair_owner t a b =
   owner t (Pbc.wrap t.box (Vec3.add b (Vec3.scale 0.5 d)))
 
 (* Distance from coordinate [x] to the interval [lo, lo + len] on a ring of
-   period [l] (same helper as Mdsp_space.Decomp). *)
+   period [l]. *)
 let axis_dist lo len l x =
   let d1 = x -. (lo +. len) and d2 = lo -. x in
   if x >= lo && x <= lo +. len then 0.
@@ -110,29 +108,25 @@ let mem v (a : int array) =
 let pair_tiles = 64
 
 let analyze ?(exec = Exec.serial) t positions =
+  (* The midpoint rule needs every pair's minimum image to be unique. *)
+  if t.cutoff > Pbc.min_edge t.box /. 2. then
+    invalid_arg "Decomp.analyze: cutoff must be <= half the shortest box edge";
   let n = Array.length positions in
   let nn = node_count t in
   let wp = Array.map (Pbc.wrap t.box) positions in
   let slots = Exec.n_slots exec in
-  let atom_tiles = Exec.tile_bounds ~total:n ~ntiles:slots in
   (* Phase 1: home owners (pure per atom). *)
   let owner_of_atom = Array.make n 0 in
-  Exec.parallel_run ~phase:"decomp.owner" exec (fun s ->
-      let lo, hi = atom_tiles.(s) in
-      Exec.declare_write ~slot:s ~resource:"decomp.owner" ~total:n ~lo ~hi exec;
-      Exec.declare_read ~slot:s ~resource:"decomp.positions" ~lo ~hi exec;
+  Exec.sweep ~phase:"decomp.owner" ~reads:[ "decomp.positions" ]
+    ~writes:[ "decomp.owner" ] exec ~total:n (fun _ lo hi ->
       for i = lo to hi - 1 do
         owner_of_atom.(i) <- owner t wp.(i)
       done);
   (* Phase 2: resident sets (pure per atom). *)
   let atom_nodes = Array.make n [||] in
-  Exec.parallel_run ~phase:"decomp.resident" exec (fun s ->
-      let lo, hi = atom_tiles.(s) in
-      Exec.declare_write ~slot:s ~resource:"decomp.resident" ~total:n ~lo ~hi
-        exec;
-      Exec.declare_read ~slot:s ~resource:"decomp.positions" ~lo ~hi exec;
-      Exec.declare_read ~slot:s ~resource:"decomp.owner" ~total:n ~lo ~hi
-        exec;
+  Exec.sweep ~phase:"decomp.resident"
+    ~reads:[ "decomp.positions"; "decomp.owner" ]
+    ~writes:[ "decomp.resident" ] exec ~total:n (fun _ lo hi ->
       for i = lo to hi - 1 do
         atom_nodes.(i) <- resident_nodes t wp.(i) owner_of_atom.(i)
       done);
@@ -165,22 +159,15 @@ let analyze ?(exec = Exec.serial) t positions =
   in
   let units = Cell_list.tile_units cell in
   let unit_tiles = Exec.tile_bounds ~total:units ~ntiles:pair_tiles in
-  let tile_runs = Exec.tile_bounds ~total:pair_tiles ~ntiles:slots in
   let counts = Array.init slots (fun _ -> Array.make nn 0) in
   let viol = Array.make slots 0 in
   let r2 = t.cutoff *. t.cutoff in
-  Exec.parallel_run ~phase:"decomp.pairs" exec (fun s ->
-      let tlo, thi = tile_runs.(s) in
-      Exec.declare_write ~slot:s ~resource:"decomp.pairs" ~total:pair_tiles
-        ~lo:tlo ~hi:thi exec;
-      (* The pair scan walks the whole cell structure, both endpoints of
-         arbitrary pairs and every atom's resident set. *)
-      Exec.declare_read ~slot:s ~resource:"cell.bin" ~total:n ~lo:0 ~hi:n
-        exec;
-      Exec.declare_read ~slot:s ~resource:"decomp.positions" ~lo:0 ~hi:n
-        exec;
-      Exec.declare_read ~slot:s ~resource:"decomp.resident" ~total:n ~lo:0
-        ~hi:n exec;
+  (* The pair scan walks the whole cell structure, both endpoints of
+     arbitrary pairs and every atom's resident set. *)
+  Exec.sweep ~phase:"decomp.pairs" ~writes:[ "decomp.pairs" ]
+    ~whole:
+      [ ("cell.bin", n); ("decomp.positions", n); ("decomp.resident", n) ]
+    exec ~total:pair_tiles (fun s tlo thi ->
       let c = counts.(s) in
       for tile = tlo to thi - 1 do
         let ulo, uhi = unit_tiles.(tile) in
@@ -233,3 +220,86 @@ let brute_pairs t positions =
     done
   done;
   !c
+
+(* --- analytic import model (performance model and the A5 ablation) --- *)
+
+type policy = Full_shell | Half_shell | Midpoint
+
+let assign t positions =
+  let buckets = Array.make (node_count t) [] in
+  Array.iteri
+    (fun i p ->
+      let o = owner t p in
+      buckets.(o) <- i :: buckets.(o))
+    positions;
+  Array.map (fun l -> Array.of_list (List.rev l)) buckets
+
+let home_volume t = Pbc.volume t.box /. float_of_int (node_count t)
+
+(* Volume of the region within r of a box of dims (hx,hy,hz), minus the
+   box itself: faces + quarter-cylinder edges + eighth-sphere corners. *)
+let shell_volume (hx, hy, hz) r =
+  let faces = 2. *. r *. ((hx *. hy) +. (hy *. hz) +. (hx *. hz)) in
+  let edges_v = Float.pi *. r *. r *. (hx +. hy +. hz) in
+  let corners = 4. /. 3. *. Float.pi *. (r ** 3.) in
+  faces +. edges_v +. corners
+
+let import_volume t ~policy =
+  let e = edges t in
+  match policy with
+  | Full_shell -> shell_volume e t.cutoff
+  | Half_shell -> shell_volume e t.cutoff /. 2.
+  | Midpoint ->
+      (* Neutral-territory: a pair is computed where its midpoint lives,
+         so a node needs only the atoms within cutoff/2 of its home box —
+         a full shell of half the depth. *)
+      shell_volume e (t.cutoff /. 2.)
+
+let import_counts t ~policy positions =
+  let counts = Array.make (node_count t) 0 in
+  let hx, hy, hz = edges t in
+  let r =
+    match policy with
+    | Midpoint -> t.cutoff /. 2.
+    | Full_shell | Half_shell -> t.cutoff
+  in
+  (* For each particle, find all nodes whose home box it is within r of
+     (other than its owner); those nodes import it. Under Half_shell each
+     node imports only from its positive half-space neighborhood, halving
+     the count on average; we model that by counting ordered imports and
+     halving for Half_shell. Unlike [resident_nodes], the offsets are not
+     clamped, so a node reached twice around a short ring counts twice. *)
+  let reach_x = 1 + int_of_float (ceil (r /. hx)) in
+  let reach_y = 1 + int_of_float (ceil (r /. hy)) in
+  let reach_z = 1 + int_of_float (ceil (r /. hz)) in
+  (* Distance to home box [k] of edge [len] along one axis. *)
+  let dist k len l x = axis_dist (float_of_int k *. len) len l x in
+  Array.iter
+    (fun p ->
+      let own = owner t p in
+      let cx, cy, cz = coords t p in
+      let f = Pbc.wrap t.box p in
+      for dz = -reach_z to reach_z do
+        for dy = -reach_y to reach_y do
+          for dx = -reach_x to reach_x do
+            if not (dx = 0 && dy = 0 && dz = 0) then begin
+              let nx = wrap (cx + dx) t.px
+              and ny = wrap (cy + dy) t.py
+              and nz = wrap (cz + dz) t.pz in
+              let node = nx + (t.px * (ny + (t.py * nz))) in
+              if node <> own then begin
+                (* Distance from p to the neighbor's home box (min-image). *)
+                let ddx = dist nx hx t.box.Pbc.lx f.Vec3.x in
+                let ddy = dist ny hy t.box.Pbc.ly f.Vec3.y in
+                let ddz = dist nz hz t.box.Pbc.lz f.Vec3.z in
+                if (ddx *. ddx) +. (ddy *. ddy) +. (ddz *. ddz) <= r *. r then
+                  counts.(node) <- counts.(node) + 1
+              end
+            end
+          done
+        done
+      done)
+    positions;
+  match policy with
+  | Full_shell | Midpoint -> counts
+  | Half_shell -> Array.map (fun c -> (c + 1) / 2) counts

@@ -42,8 +42,7 @@ type t
 (** [create box ~nodes ~cutoff] prepares a decomposition of [box] over a
     [nodes = (nx, ny, nz)] torus with interaction cutoff [cutoff]
     (angstroms). Raises [Invalid_argument] if any dimension or the cutoff
-    is non-positive, or if [cutoff] exceeds half the shortest box edge
-    (the minimum-image regime the midpoint rule relies on). *)
+    is non-positive. *)
 val create : Pbc.t -> nodes:int * int * int -> cutoff:float -> t
 
 val dims : t -> int * int * int
@@ -91,7 +90,9 @@ type stats = {
     sets, per-node pair assignment, import traffic, and the exactly-once
     validation. Positions may be wrapped or not (wrapping is applied).
     See the determinism contract above; [exec] defaults to
-    {!Exec.serial}. *)
+    {!Exec.serial}. Raises [Invalid_argument] if the cutoff exceeds half
+    the shortest box edge (the minimum-image regime the midpoint rule
+    relies on). *)
 val analyze : ?exec:Exec.t -> t -> Vec3.t array -> stats
 
 (** Largest per-node pair count — the quantity the {!Mdsp_verify}
@@ -101,3 +102,38 @@ val max_pairs_per_node : stats -> int
 (** O(n{^ 2}) reference: interacting pair count by brute-force
     minimum-image distance test. For tests on small boxes. *)
 val brute_pairs : t -> Vec3.t array -> int
+
+(** {2 Analytic import model}
+
+    The counting and volume view of three import policies, for the
+    performance model and the A5 communication ablation:
+
+    - [Full_shell]: import everything within the cutoff of the home box
+      (each pair computed twice, no pair-result communication);
+    - [Half_shell]: import only the half-space shell (each pair computed
+      once; forces for imported particles are communicated back);
+    - [Midpoint]: neutral-territory — the region {!analyze} realizes atom
+      by atom, everything within [cutoff / 2] of the home box (a full
+      shell of half the depth, the smallest of the three when home boxes
+      are small against the cutoff; forces are returned like
+      [Half_shell]).
+
+    Half-shell-class methods are what Anton-class machines use. *)
+
+type policy = Full_shell | Half_shell | Midpoint
+
+(** [assign t positions] returns [home.(node)] = indices owned by each
+    node, ascending. *)
+val assign : t -> Vec3.t array -> int array array
+
+(** Volume of a single home box. *)
+val home_volume : t -> float
+
+(** Analytic import volume per node: the volume of the import region
+    around one home box under [policy]. *)
+val import_volume : t -> policy:policy -> float
+
+(** [import_counts t ~policy positions] returns, per node, the number of
+    remote particles the node must import under [policy] (Half_shell
+    halves the ordered count, rounding up). *)
+val import_counts : t -> policy:policy -> Vec3.t array -> int array

@@ -14,18 +14,15 @@ let reduction_depth ~nodes:(px, py, pz) =
 let compute ?(format = Fixed.force_format) ~nodes ts ~types ~charges ~cutoff
     box nlist positions =
   let n = Array.length positions in
-  let decomp =
-    Mdsp_space.Decomp.create box ~nodes ~cutoff
-      ~policy:Mdsp_space.Decomp.Half_shell
-  in
-  let n_nodes = Mdsp_space.Decomp.node_count decomp in
+  let decomp = Decomp.create box ~nodes ~cutoff in
+  let n_nodes = Decomp.node_count decomp in
   (* Assign each pair to the node owning its first atom (the simplified
      ownership rule; any deterministic rule preserves the property). *)
   let pairs = Mdsp_space.Neighbor_list.pairs nlist in
   let node_pairs = Array.make n_nodes [] in
   Array.iter
     (fun (i, j) ->
-      let node = Mdsp_space.Decomp.owner decomp positions.(i) in
+      let node = Decomp.owner decomp positions.(i) in
       node_pairs.(node) <- (i, j) :: node_pairs.(node))
     pairs;
   (* Per-node fixed-point accumulation; the energy in the widened

@@ -3,7 +3,7 @@
     Pure geometry: node naming and hop distances on an [nx * ny * nz]
     wrap-around grid. Ranks are linearized x-fastest
     ([rank = x + nx * (y + ny * z)]), matching the home-box owner
-    convention of {!Decomp} and {!Mdsp_space.Decomp}, so a decomposition
+    convention of {!Decomp}, so a decomposition
     owner index is directly a torus rank.
 
     All functions are total over valid ranks and allocation-free; results

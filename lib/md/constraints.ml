@@ -98,7 +98,8 @@ let shake_cluster t box ~prev positions ~masses cid =
         let d2 = d *. d in
         let rij = Pbc.min_image box positions.(i) positions.(j) in
         let diff = Vec3.norm2 rij -. d2 in
-        if abs_float diff > t.tol *. d2 then begin
+        (* Negated so that a NaN difference counts as unconverged. *)
+        if not (abs_float diff <= t.tol *. d2) then begin
           converged := false;
           (* Displace along the pre-step bond direction (classic SHAKE). *)
           let rij_prev = Pbc.min_image box prev.(i) prev.(j) in
@@ -140,7 +141,8 @@ let rattle_cluster t box positions velocities ~masses cid =
         let rv = Vec3.dot rij vij in
         let inv_mi = 1. /. masses.(i) and inv_mj = 1. /. masses.(j) in
         let d2 = d *. d in
-        if abs_float rv > t.tol *. d2 *. 10. then begin
+        (* Negated, as in [shake_cluster]: NaN counts as unconverged. *)
+        if not (abs_float rv <= t.tol *. d2 *. 10.) then begin
           converged := false;
           let k = rv /. (d2 *. (inv_mi +. inv_mj)) in
           velocities.(i) <-
@@ -170,23 +172,14 @@ let rattle_cluster t box positions velocities ~masses cid =
    labels — the atom-level disjointness inside a batch is the statically
    certified part. *)
 let sweep_batches ~exec ~phase t ~read_label ~rw_label body =
+  let reads = [ read_label; rw_label ] and writes = [ rw_label ] in
   Array.iter
     (fun batch ->
-      let nb = Array.length batch in
-      if Exec.n_slots exec = 1 && not (Exec.sanitizing exec) then
-        Array.iter body batch
-      else begin
-        let tiles = Exec.tile_bounds ~total:nb ~ntiles:(Exec.n_slots exec) in
-        Exec.parallel_run ~phase exec (fun s ->
-            let lo, hi = tiles.(s) in
-            Exec.declare_read ~slot:s ~resource:read_label ~lo ~hi exec;
-            Exec.declare_read ~slot:s ~resource:rw_label ~lo ~hi exec;
-            Exec.declare_write ~slot:s ~resource:rw_label ~total:nb ~lo ~hi
-              exec;
-            for k = lo to hi - 1 do
-              body batch.(k)
-            done)
-      end)
+      Exec.sweep ~phase ~reads ~writes exec ~total:(Array.length batch)
+        (fun _ lo hi ->
+          for k = lo to hi - 1 do
+            body batch.(k)
+          done))
     t.batches
 
 let shake ?(exec = Exec.serial) t box ~prev positions ~masses =

@@ -44,7 +44,8 @@ type unconverged = {
 }
 
 (** Raised when a cluster's iteration fails to converge within [max_iter].
-    Structured so the engine and CLI can report the offending cluster with
+    A cluster with a NaN coordinate (SHAKE) or velocity (RATTLE) never
+    converges, so it ends here too instead of integrating on. Structured so the engine and CLI can report the offending cluster with
     workload context instead of a bare message. *)
 exception Unconverged of unconverged
 
@@ -55,9 +56,9 @@ val unconverged_message : unconverged -> string
 (** [shake t box ~prev positions] adjusts [positions] so all constraints
     hold, applying displacements inversely weighted by mass along the
     constraint direction of the *previous* (pre-step) geometry [prev].
-    [exec] (default serial) tiles each batch over the pool — bitwise
-    identical to the serial sweep at any slot count, with declared
-    [cons.prev]/[cons.pos] read/write sets under phase
+    [exec] (default serial) tiles each batch over the pool with
+    {!Mdsp_util.Exec.sweep} — bitwise identical at any slot count, with
+    declared [cons.prev]/[cons.pos] read/write sets under phase
     ["constraints.shake"]. Raises {!Unconverged} if a cluster does not
     converge. *)
 val shake :

@@ -55,8 +55,6 @@ type t = {
   mutable hooks : (string * (t -> unit)) list;
   mutable mc_baro_accept : int;
   mutable mc_baro_try : int;
-  mutable serial_integrator : bool;
-  mutable serial_constraints : bool;
 }
 
 let now () = Unix.gettimeofday ()
@@ -89,8 +87,6 @@ let create ?(seed = 7) topo fc st cfg =
       hooks = [];
       mc_baro_accept = 0;
       mc_baro_try = 0;
-      serial_integrator = false;
-      serial_constraints = false;
     }
   in
   (match cfg.thermostat with
@@ -107,8 +103,6 @@ let create ?(seed = 7) topo fc st cfg =
 
 let state t = t.st
 let force_calc t = t.fc
-let set_serial_integrator t b = t.serial_integrator <- b
-let set_serial_constraints t b = t.serial_constraints <- b
 let timings t = Force_calc.timings t.fc
 let reset_timings t = Force_calc.reset_timings t.fc
 let config t = t.cfg
@@ -243,168 +237,97 @@ let berendsen_scale t dt tau =
   if temp <= 0. then 1.
   else sqrt (1. +. (dt /. tau *. ((t.cfg.temperature /. temp) -. 1.)))
 
-(* The thermostat and constraint sweeps run on whichever executor the
-   engine's force calc carries, unless [serial_constraints] forces the
-   serial reference loops — the switch the bitwise-identity tests flip. *)
-let constraints_exec t =
-  if t.serial_constraints then Exec.serial else Force_calc.exec t.fc
-
 (* Ornstein–Uhlenbeck velocity update (the O in BAOAB). The engine RNG
    yields one key per step; atom i draws its noise from child stream i of
    that key, so the sweep is a per-atom-independent map — order- and
-   tiling-invariant, hence bitwise identical serial vs. any slot count. *)
+   tiling-invariant, hence bitwise identical at any slot count. *)
 let langevin_o t gamma dt =
   let t0 = now () in
   let c1 = exp (-.gamma *. dt) in
   let kt = Units.kt t.cfg.temperature in
   let v = t.st.State.velocities and m = t.st.State.masses in
-  let n = State.n t.st in
   let key = Rng.split_key t.rng in
-  let body lo hi =
-    for i = lo to hi - 1 do
-      if not (Virtual_sites.is_site t.vsites i) then begin
-        let c2 = sqrt (kt /. m.(i) *. (1. -. (c1 *. c1))) in
-        v.(i) <-
-          Vec3.add (Vec3.scale c1 v.(i))
-            (Vec3.scale c2 (Rng.gaussian_vec (Rng.derive key i)))
-      end
-    done
-  in
-  let exec = constraints_exec t in
-  if Exec.n_slots exec = 1 && not (Exec.sanitizing exec) then body 0 n
-  else begin
-    let tiles = Exec.tile_bounds ~total:n ~ntiles:(Exec.n_slots exec) in
-    Exec.parallel_run ~phase:"thermo.langevin" exec (fun s ->
-        let lo, hi = tiles.(s) in
-        Exec.declare_read ~slot:s ~resource:"state.velocities" ~lo ~hi exec;
-        Exec.declare_write ~slot:s ~resource:"state.velocities" ~total:n ~lo
-          ~hi exec;
-        body lo hi)
-  end;
+  Exec.sweep ~phase:"thermo.langevin" ~reads:[ "state.velocities" ]
+    ~writes:[ "state.velocities" ] (Force_calc.exec t.fc) ~total:(State.n t.st)
+    (fun _ lo hi ->
+      for i = lo to hi - 1 do
+        if not (Virtual_sites.is_site t.vsites i) then begin
+          let c2 = sqrt (kt /. m.(i) *. (1. -. (c1 *. c1))) in
+          v.(i) <-
+            Vec3.add (Vec3.scale c1 v.(i))
+              (Vec3.scale c2 (Rng.gaussian_vec (Rng.derive key i)))
+        end
+      done);
   Force_calc.add_thermostat_s t.fc (now () -. t0)
 
-(* Velocity rescale (NH chain, Berendsen) as a tiled parallel sweep; the
-   scalar factor comes from a serial reduction beforehand, so the sweep
-   itself is a pure per-atom map. A factor of exactly 1 is the thermostat
-   saying "no-op"; skipping it is bitwise-neutral (v *. 1.0 = v). *)
+(* Velocity rescale (NH chain, Berendsen) as a per-atom sweep; the scalar
+   factor comes from a serial reduction beforehand, so the sweep itself is
+   a pure per-atom map. A factor of exactly 1 is the thermostat saying
+   "no-op"; skipping it is bitwise-neutral (v *. 1.0 = v). *)
 let thermo_scale t s =
   if s <> 1. then begin
     let t0 = now () in
     let v = t.st.State.velocities in
-    let n = State.n t.st in
-    let exec = constraints_exec t in
-    if Exec.n_slots exec = 1 && not (Exec.sanitizing exec) then
-      State.scale_velocities t.st s
-    else begin
-      let tiles = Exec.tile_bounds ~total:n ~ntiles:(Exec.n_slots exec) in
-      Exec.parallel_run ~phase:"thermo.scale" exec (fun sl ->
-          let lo, hi = tiles.(sl) in
-          Exec.declare_read ~slot:sl ~resource:"state.velocities" ~lo ~hi exec;
-          Exec.declare_write ~slot:sl ~resource:"state.velocities" ~total:n
-            ~lo ~hi exec;
-          for i = lo to hi - 1 do
-            v.(i) <- Vec3.scale s v.(i)
-          done)
-    end;
+    Exec.sweep ~phase:"thermo.scale" ~reads:[ "state.velocities" ]
+      ~writes:[ "state.velocities" ] (Force_calc.exec t.fc)
+      ~total:(State.n t.st) (fun _ lo hi ->
+        for i = lo to hi - 1 do
+          v.(i) <- Vec3.scale s v.(i)
+        done);
     Force_calc.add_thermostat_s t.fc (now () -. t0)
   end
 
 (* --- integrator pieces --- *)
 
 (* The kick and drift sweeps are per-atom independent (no reductions), so
-   the tiled parallel sweeps below are bitwise identical to the serial
-   loops at every slot count — the identity the [test_parallel] suite
-   certifies against the [serial_integrator] reference, which forces the
-   serial loops while the force phases keep their executor. Masses and the
+   their result does not depend on the slot count. Masses and the
    virtual-site table are immutable parameters and need no read
    declaration. *)
-let integrator_exec t =
-  if t.serial_integrator then Exec.serial else Force_calc.exec t.fc
-
 let kick ?(phase = "integrate.kick1") t (acc : Mdsp_ff.Bonded.accum) dt =
   let t0 = now () in
   let v = t.st.State.velocities and m = t.st.State.masses in
-  let n = State.n t.st in
-  let exec = integrator_exec t in
-  if Exec.n_slots exec = 1 && not (Exec.sanitizing exec) then
-    for i = 0 to n - 1 do
-      if not (Virtual_sites.is_site t.vsites i) then
-        v.(i) <- Vec3.axpy (dt /. m.(i)) acc.forces.(i) v.(i)
-    done
-  else begin
-    let forces = acc.Mdsp_ff.Bonded.forces in
-    let tiles = Exec.tile_bounds ~total:n ~ntiles:(Exec.n_slots exec) in
-    Exec.parallel_run ~phase exec (fun s ->
-        let lo, hi = tiles.(s) in
-        Exec.declare_read ~slot:s ~resource:"state.forces" ~lo ~hi exec;
-        Exec.declare_read ~slot:s ~resource:"state.velocities" ~lo ~hi exec;
-        Exec.declare_write ~slot:s ~resource:"state.velocities" ~total:n ~lo
-          ~hi exec;
-        for i = lo to hi - 1 do
-          if not (Virtual_sites.is_site t.vsites i) then
-            v.(i) <- Vec3.axpy (dt /. m.(i)) forces.(i) v.(i)
-        done)
-  end;
+  let forces = acc.Mdsp_ff.Bonded.forces in
+  Exec.sweep ~phase ~reads:[ "state.forces"; "state.velocities" ]
+    ~writes:[ "state.velocities" ] (Force_calc.exec t.fc) ~total:(State.n t.st)
+    (fun _ lo hi ->
+      for i = lo to hi - 1 do
+        if not (Virtual_sites.is_site t.vsites i) then
+          v.(i) <- Vec3.axpy (dt /. m.(i)) forces.(i) v.(i)
+      done);
   Force_calc.add_integrate_s t.fc (now () -. t0)
 
-(* Drift positions by dt, apply SHAKE, and fold the constraint displacement
-   back into velocities. Only the position sweep (with its prev-position
-   save) is a parallel phase; SHAKE, the velocity fold and virtual-site
-   placement stay on the calling domain after the barrier. *)
+(* Drift positions by dt (saving the pre-step positions), apply SHAKE, and
+   fold the constraint displacement back into velocities: three pool
+   phases. Virtual-site placement stays on the calling domain. *)
 let drift t dt =
   let t0 = now () in
   let x = t.st.State.positions and v = t.st.State.velocities in
+  let prev = t.prev_positions in
   let n = State.n t.st in
-  let exec = integrator_exec t in
-  if Exec.n_slots exec = 1 && not (Exec.sanitizing exec) then begin
-    Array.blit x 0 t.prev_positions 0 n;
-    for i = 0 to n - 1 do
-      if not (Virtual_sites.is_site t.vsites i) then
-        x.(i) <- Vec3.axpy dt v.(i) x.(i)
-    done
-  end
-  else begin
-    let prev = t.prev_positions in
-    let tiles = Exec.tile_bounds ~total:n ~ntiles:(Exec.n_slots exec) in
-    Exec.parallel_run ~phase:"integrate.drift" exec (fun s ->
-        let lo, hi = tiles.(s) in
-        Exec.declare_read ~slot:s ~resource:"state.positions" ~lo ~hi exec;
-        Exec.declare_read ~slot:s ~resource:"state.velocities" ~lo ~hi exec;
-        Exec.declare_write ~slot:s ~resource:"state.positions" ~total:n ~lo
-          ~hi exec;
-        Exec.declare_write ~slot:s ~resource:"integrate.prev" ~total:n ~lo
-          ~hi exec;
-        Array.blit x lo prev lo (hi - lo);
-        for i = lo to hi - 1 do
-          if not (Virtual_sites.is_site t.vsites i) then
-            x.(i) <- Vec3.axpy dt v.(i) x.(i)
-        done)
-  end;
+  let exec = Force_calc.exec t.fc in
+  Exec.sweep ~phase:"integrate.drift"
+    ~reads:[ "state.positions"; "state.velocities" ]
+    ~writes:[ "state.positions"; "integrate.prev" ] exec ~total:n
+    (fun _ lo hi ->
+      Array.blit x lo prev lo (hi - lo);
+      for i = lo to hi - 1 do
+        if not (Virtual_sites.is_site t.vsites i) then
+          x.(i) <- Vec3.axpy dt v.(i) x.(i)
+      done);
   Force_calc.add_integrate_s t.fc (now () -. t0);
   if Constraints.count t.cons > 0 then begin
     let t1 = now () in
-    let cexec = constraints_exec t in
-    Constraints.shake ~exec:cexec t.cons t.st.State.box
-      ~prev:t.prev_positions x ~masses:t.st.State.masses;
+    Constraints.shake ~exec t.cons t.st.State.box ~prev x
+      ~masses:t.st.State.masses;
     (* Fold the constraint displacement back into velocities: a per-atom
        map over positions and saved pre-step positions. *)
-    let fold lo hi =
-      for i = lo to hi - 1 do
-        if not (Virtual_sites.is_site t.vsites i) then
-          v.(i) <- Vec3.scale (1. /. dt) (Vec3.sub x.(i) t.prev_positions.(i))
-      done
-    in
-    if Exec.n_slots cexec = 1 && not (Exec.sanitizing cexec) then fold 0 n
-    else begin
-      let tiles = Exec.tile_bounds ~total:n ~ntiles:(Exec.n_slots cexec) in
-      Exec.parallel_run ~phase:"constraints.fold" cexec (fun s ->
-          let lo, hi = tiles.(s) in
-          Exec.declare_read ~slot:s ~resource:"state.positions" ~lo ~hi cexec;
-          Exec.declare_read ~slot:s ~resource:"integrate.prev" ~lo ~hi cexec;
-          Exec.declare_write ~slot:s ~resource:"state.velocities" ~total:n
-            ~lo ~hi cexec;
-          fold lo hi)
-    end;
+    Exec.sweep ~phase:"constraints.fold"
+      ~reads:[ "state.positions"; "integrate.prev" ]
+      ~writes:[ "state.velocities" ] exec ~total:n (fun _ lo hi ->
+        for i = lo to hi - 1 do
+          if not (Virtual_sites.is_site t.vsites i) then
+            v.(i) <- Vec3.scale (1. /. dt) (Vec3.sub x.(i) prev.(i))
+        done);
     Force_calc.add_constraints_s t.fc (now () -. t1)
   end;
   if Virtual_sites.count t.vsites > 0 then
@@ -413,7 +336,7 @@ let drift t dt =
 let rattle t =
   if Constraints.count t.cons > 0 then begin
     let t0 = now () in
-    Constraints.rattle ~exec:(constraints_exec t) t.cons t.st.State.box
+    Constraints.rattle ~exec:(Force_calc.exec t.fc) t.cons t.st.State.box
       t.st.State.positions t.st.State.velocities ~masses:t.st.State.masses;
     Force_calc.add_constraints_s t.fc (now () -. t0)
   end

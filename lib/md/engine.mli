@@ -49,28 +49,6 @@ val create :
 val state : t -> State.t
 val force_calc : t -> Force_calc.t
 
-(** [set_serial_integrator t true] forces the integrator position/velocity
-    sweeps back onto the serial loops while every force phase keeps the
-    calculator's executor — the reference the parallel-integrator identity
-    test compares against. The sweeps are per-atom independent, so the
-    tiled parallel sweeps ([integrate.kick1], [integrate.kick2],
-    [integrate.drift]) are bitwise identical to the serial loops at every
-    slot count. Default false. *)
-val set_serial_integrator : t -> bool -> unit
-
-(** [set_serial_constraints t true] is the same reference switch for the
-    constraint and thermostat sweeps: SHAKE/RATTLE batch sweeps
-    ([constraints.shake], [constraints.rattle]), the constraint velocity
-    fold ([constraints.fold]), the Langevin O-step ([thermo.langevin]) and
-    the velocity rescales ([thermo.scale]) run on the calling domain while
-    force phases keep the calculator's executor. Same-batch constraint
-    clusters are atom-disjoint (the [Mdsp_verify.Schedule] certificate) and
-    each cluster converges independently, and the stochastic O-step draws
-    from per-atom derived streams, so the parallel sweeps are bitwise
-    identical to these serial references at every slot count. Default
-    false. *)
-val set_serial_constraints : t -> bool -> unit
-
 val config : t -> config
 val rng : t -> Rng.t
 
@@ -109,7 +87,14 @@ val set_temperature : t -> float -> unit
     overlaps. *)
 val minimize : ?max_step:float -> t -> steps:int -> unit
 
-(** Advance one step. *)
+(** Advance one step. The kick, drift, constraint ([constraints.shake],
+    [constraints.rattle], [constraints.fold]) and thermostat
+    ([thermo.langevin], [thermo.scale]) sweeps run on the force
+    calculator's executor as {!Mdsp_util.Exec.sweep} phases. None of them
+    reduces across atoms: same-batch constraint clusters are atom-disjoint
+    (the [Mdsp_verify.Schedule] certificate) and the O-step draws from
+    per-atom derived streams. So under forces that do not depend on the
+    slot count, the trajectory is bitwise identical at every slot count. *)
 val step : t -> unit
 
 (** Advance [n] steps. *)

@@ -487,8 +487,8 @@ let pair_inline t box ~with14 =
   tm.pair_words <- tm.pair_words +. (w1 -. w0);
   p
 
-(* Load positions into the flat store and reset its accumulators. With a
-   multi-slot executor this is the declared ["soa.load"] phase. *)
+(* Load positions into the flat store and reset its accumulators: the
+   ["soa.load"] phase. *)
 let load t box positions =
   let store = t.flat.store in
   store.Soa.box <- box;
@@ -499,8 +499,7 @@ let load t box positions =
    Plain overwrite: the kernels accumulated in the boxed order, so this
    reproduces the boxed oracle's accumulator bits at the phase boundary.
    The longrange / bias phases then keep adding into [acc] — this is the
-   gather/spread synchronization point (the declared ["soa.store"] phase
-   on a multi-slot executor). *)
+   gather/spread synchronization point (the ["soa.store"] phase). *)
 let flush t acc =
   Soa.sync_store ~exec:t.exec t.flat.store acc;
   acc.Mdsp_ff.Bonded.virial <- t.flat.sc.K.virial

@@ -43,126 +43,59 @@ let create ?(box = Pbc.cubic 1.) n =
 
 let n t = t.n
 
-let load_positions t (positions : Vec3.t array) =
-  if Array.length positions <> t.n then
-    invalid_arg "Soa.load_positions: length mismatch";
-  for i = 0 to t.n - 1 do
-    let p = positions.(i) in
-    t.x.{i} <- p.Vec3.x;
-    t.y.{i} <- p.Vec3.y;
-    t.z.{i} <- p.Vec3.z
-  done
-
-let load_velocities t (velocities : Vec3.t array) =
-  if Array.length velocities <> t.n then
-    invalid_arg "Soa.load_velocities: length mismatch";
-  for i = 0 to t.n - 1 do
-    let v = velocities.(i) in
-    t.vx.{i} <- v.Vec3.x;
-    t.vy.{i} <- v.Vec3.y;
-    t.vz.{i} <- v.Vec3.z
-  done
-
 let clear_forces t =
   Bigarray.Array1.fill t.fx 0.;
   Bigarray.Array1.fill t.fy 0.;
   Bigarray.Array1.fill t.fz 0.
 
-(* Overwrite (not add): the SoA kernels accumulate the bonded + 1-4 + pair
-   force sums in the flat arrays in exactly the boxed accumulation order, so
-   writing them into a freshly reset accumulator reproduces the boxed
+(* The four syncs are per-atom sweeps of plain float moves, so their
+   result does not depend on the slot count. [sync_store] overwrites
+   (does not add): the SoA kernels accumulate the bonded + 1-4 + pair
+   force sums in the flat arrays in exactly the boxed accumulation order,
+   so writing them into a freshly reset accumulator reproduces the boxed
    accumulator state bit for bit at the phase boundary. *)
-let scatter_forces t (acc : Mdsp_ff.Bonded.accum) =
-  if Array.length acc.Mdsp_ff.Bonded.forces <> t.n then
-    invalid_arg "Soa.scatter_forces: length mismatch";
-  let forces = acc.Mdsp_ff.Bonded.forces in
-  for i = 0 to t.n - 1 do
-    forces.(i) <- Vec3.make t.fx.{i} t.fy.{i} t.fz.{i}
-  done
-
-(* The sync phases run tiled on the pool when it has width (or when a
-   sanitizing executor is recording the dataflow trace); every copy is a
-   plain float move, so the parallel sync is bitwise identical to the
-   serial one at any slot count. *)
-let parallel_sync exec =
-  Exec.n_slots exec > 1 || Exec.sanitizing exec
-
 let sync_load ?(exec = Exec.serial) t (positions : Vec3.t array) =
   if Array.length positions <> t.n then
     invalid_arg "Soa.sync_load: length mismatch";
-  if not (parallel_sync exec) then begin
-    load_positions t positions;
-    clear_forces t
-  end
-  else begin
-    let n = t.n in
-    let tiles = Exec.tile_bounds ~total:n ~ntiles:(Exec.n_slots exec) in
-    Exec.parallel_run ~phase:"soa.load" exec (fun s ->
-        let lo, hi = tiles.(s) in
-        Exec.declare_read ~slot:s ~resource:"state.positions" ~lo ~hi exec;
-        Exec.declare_write ~slot:s ~resource:"soa.positions" ~total:n ~lo
-          ~hi exec;
-        Exec.declare_write ~slot:s ~resource:"soa.forces" ~total:n ~lo ~hi
-          exec;
-        for i = lo to hi - 1 do
-          let p = positions.(i) in
-          t.x.{i} <- p.Vec3.x;
-          t.y.{i} <- p.Vec3.y;
-          t.z.{i} <- p.Vec3.z;
-          t.fx.{i} <- 0.;
-          t.fy.{i} <- 0.;
-          t.fz.{i} <- 0.
-        done)
-  end
+  Exec.sweep ~phase:"soa.load" ~reads:[ "state.positions" ]
+    ~writes:[ "soa.positions"; "soa.forces" ] exec ~total:t.n (fun _ lo hi ->
+      for i = lo to hi - 1 do
+        let p = positions.(i) in
+        t.x.{i} <- p.Vec3.x;
+        t.y.{i} <- p.Vec3.y;
+        t.z.{i} <- p.Vec3.z;
+        t.fx.{i} <- 0.;
+        t.fy.{i} <- 0.;
+        t.fz.{i} <- 0.
+      done)
 
 let sync_store ?(exec = Exec.serial) t (acc : Mdsp_ff.Bonded.accum) =
   if Array.length acc.Mdsp_ff.Bonded.forces <> t.n then
     invalid_arg "Soa.sync_store: length mismatch";
-  if not (parallel_sync exec) then scatter_forces t acc
-  else begin
-    let n = t.n in
-    let forces = acc.Mdsp_ff.Bonded.forces in
-    let tiles = Exec.tile_bounds ~total:n ~ntiles:(Exec.n_slots exec) in
-    Exec.parallel_run ~phase:"soa.store" exec (fun s ->
-        let lo, hi = tiles.(s) in
-        Exec.declare_read ~slot:s ~resource:"soa.forces" ~total:n ~lo ~hi
-          exec;
-        Exec.declare_write ~slot:s ~resource:"state.forces" ~total:n ~lo ~hi
-          exec;
-        for i = lo to hi - 1 do
-          forces.(i) <- Vec3.make t.fx.{i} t.fy.{i} t.fz.{i}
-        done)
-  end
+  let forces = acc.Mdsp_ff.Bonded.forces in
+  Exec.sweep ~phase:"soa.store" ~reads:[ "soa.forces" ]
+    ~writes:[ "state.forces" ] exec ~total:t.n (fun _ lo hi ->
+      for i = lo to hi - 1 do
+        forces.(i) <- Vec3.make t.fx.{i} t.fy.{i} t.fz.{i}
+      done)
 
 let of_state ?(exec = Exec.serial) (st : State.t) =
   let m = State.n st in
   let t = create ~box:st.State.box m in
-  if not (parallel_sync exec) then begin
-    load_positions t st.State.positions;
-    load_velocities t st.State.velocities
-  end
-  else begin
-    let positions = st.State.positions and velocities = st.State.velocities in
-    let tiles = Exec.tile_bounds ~total:m ~ntiles:(Exec.n_slots exec) in
-    Exec.parallel_run ~phase:"soa.load" exec (fun s ->
-        let lo, hi = tiles.(s) in
-        Exec.declare_read ~slot:s ~resource:"state.positions" ~lo ~hi exec;
-        Exec.declare_read ~slot:s ~resource:"state.velocities" ~lo ~hi exec;
-        Exec.declare_write ~slot:s ~resource:"soa.positions" ~total:m ~lo
-          ~hi exec;
-        Exec.declare_write ~slot:s ~resource:"soa.velocities" ~total:m ~lo
-          ~hi exec;
-        for i = lo to hi - 1 do
-          let p = positions.(i) in
-          t.x.{i} <- p.Vec3.x;
-          t.y.{i} <- p.Vec3.y;
-          t.z.{i} <- p.Vec3.z;
-          let v = velocities.(i) in
-          t.vx.{i} <- v.Vec3.x;
-          t.vy.{i} <- v.Vec3.y;
-          t.vz.{i} <- v.Vec3.z
-        done)
-  end;
+  let positions = st.State.positions and velocities = st.State.velocities in
+  Exec.sweep ~phase:"soa.load" ~reads:[ "state.positions"; "state.velocities" ]
+    ~writes:[ "soa.positions"; "soa.velocities" ] exec ~total:m
+    (fun _ lo hi ->
+      for i = lo to hi - 1 do
+        let p = positions.(i) in
+        t.x.{i} <- p.Vec3.x;
+        t.y.{i} <- p.Vec3.y;
+        t.z.{i} <- p.Vec3.z;
+        let v = velocities.(i) in
+        t.vx.{i} <- v.Vec3.x;
+        t.vy.{i} <- v.Vec3.y;
+        t.vz.{i} <- v.Vec3.z
+      done);
   Array.blit st.State.masses 0 t.masses 0 m;
   t.time <- st.State.time;
   t
@@ -170,21 +103,11 @@ let of_state ?(exec = Exec.serial) (st : State.t) =
 let to_state ?(exec = Exec.serial) t =
   let positions = Array.init t.n (fun i -> Vec3.make t.x.{i} t.y.{i} t.z.{i}) in
   let st = State.create ~positions ~masses:t.masses ~box:t.box in
-  if not (parallel_sync exec) then
-    for i = 0 to t.n - 1 do
-      st.State.velocities.(i) <- Vec3.make t.vx.{i} t.vy.{i} t.vz.{i}
-    done
-  else begin
-    let velocities = st.State.velocities in
-    let tiles = Exec.tile_bounds ~total:t.n ~ntiles:(Exec.n_slots exec) in
-    Exec.parallel_run ~phase:"soa.store" exec (fun s ->
-        let lo, hi = tiles.(s) in
-        Exec.declare_read ~slot:s ~resource:"soa.velocities" ~lo ~hi exec;
-        Exec.declare_write ~slot:s ~resource:"state.velocities" ~total:t.n
-          ~lo ~hi exec;
-        for i = lo to hi - 1 do
-          velocities.(i) <- Vec3.make t.vx.{i} t.vy.{i} t.vz.{i}
-        done)
-  end;
+  let velocities = st.State.velocities in
+  Exec.sweep ~phase:"soa.store" ~reads:[ "soa.velocities" ]
+    ~writes:[ "state.velocities" ] exec ~total:t.n (fun _ lo hi ->
+      for i = lo to hi - 1 do
+        velocities.(i) <- Vec3.make t.vx.{i} t.vy.{i} t.vz.{i}
+      done);
   st.State.time <- t.time;
   st

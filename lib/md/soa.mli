@@ -5,7 +5,7 @@
     [(float, float64_elt, c_layout) Bigarray.Array1.t] columns, which the
     tiled pair/bonded kernels ({!Soa_kernels}) walk without allocating.
     Synchronization between the two domains is explicit — load at a phase
-    entry, scatter at a phase exit — and {!of_state}/{!to_state} round-trip
+    entry, store at a phase exit — and {!of_state}/{!to_state} round-trip
     exactly (every copy is a plain float move, no arithmetic). *)
 
 open Mdsp_util
@@ -38,41 +38,31 @@ val make_fa : int -> fa
 
 val n : t -> int
 
-(** Copy boxed positions into the flat columns (exact float moves). *)
-val load_positions : t -> Vec3.t array -> unit
-
-val load_velocities : t -> Vec3.t array -> unit
-
 (** Zero the force columns. *)
 val clear_forces : t -> unit
 
-(** Overwrite the accumulator's forces with the flat force columns. The
-    kernels accumulate in the boxed order, so scattering into a freshly
-    reset accumulator reproduces the boxed accumulator bit for bit. *)
-val scatter_forces : t -> Mdsp_ff.Bonded.accum -> unit
-
 (** [sync_load ?exec t positions] copies boxed positions into the flat
-    columns and zeroes the force columns — the phase-entry sync. With a
-    multi-slot (or sanitizing) executor it runs as the declared parallel
-    phase ["soa.load"] (reads ["state.positions"], writes
-    ["soa.positions"] and ["soa.forces"], tiled over atoms); every copy is
-    a plain float move, so the parallel sync is bitwise identical to the
-    serial one. *)
+    columns and zeroes the force columns — the phase-entry sync. It runs
+    as the {!Exec.sweep} phase ["soa.load"] (reads ["state.positions"],
+    writes ["soa.positions"] and ["soa.forces"], tiled over atoms); every
+    copy is a plain float move, so the result is the same at any slot
+    count. *)
 val sync_load : ?exec:Exec.t -> t -> Vec3.t array -> unit
 
-(** [sync_store ?exec t acc] is {!scatter_forces} as the declared parallel
-    phase ["soa.store"] (reads ["soa.forces"], writes ["state.forces"]) —
-    the phase-exit sync. *)
+(** [sync_store ?exec t acc] overwrites the accumulator's forces with the
+    flat force columns — the phase-exit sync, phase ["soa.store"] (reads
+    ["soa.forces"], writes ["state.forces"]). The kernels accumulate in the
+    boxed order, so storing into a freshly reset accumulator reproduces
+    the boxed accumulator bit for bit. *)
 val sync_store : ?exec:Exec.t -> t -> Mdsp_ff.Bonded.accum -> unit
 
 (** Exact flat snapshot of a state (positions, velocities, masses, box,
-    time). With a multi-slot (or sanitizing) [exec] the position/velocity
-    copy runs as phase ["soa.load"] (also reading/writing the velocity
-    resources). *)
+    time). The position/velocity copy runs as phase ["soa.load"] (also
+    reading/writing the velocity resources). *)
 val of_state : ?exec:Exec.t -> State.t -> t
 
 (** Inverse of {!of_state}: [to_state (of_state st)] equals [st]
-    bit for bit (forces are scratch and not part of the state). With a
-    multi-slot (or sanitizing) [exec] the velocity copy runs as phase
-    ["soa.store"] (resource ["state.velocities"]). *)
+    bit for bit (forces are scratch and not part of the state). The
+    velocity copy runs as phase ["soa.store"] (resource
+    ["state.velocities"]). *)
 val to_state : ?exec:Exec.t -> t -> State.t

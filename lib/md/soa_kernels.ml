@@ -626,30 +626,12 @@ let reduce_slots ~exec ?(reads = []) ~(into : Soa.t)
     ~(slot_fz : Soa.fa array) ~(slot_virial : float array) (sc : scratch) =
   let nslots = Array.length slot_fx in
   let ifx = into.Soa.fx and ify = into.Soa.fy and ifz = into.Soa.fz in
-  let n = into.Soa.n in
-  if nslots = 1 && not (Exec.sanitizing exec) then begin
-    let sx = slot_fx.(0) and sy = slot_fy.(0) and sz = slot_fz.(0) in
-    for i = 0 to n - 1 do
-      ifx.{i} <- ifx.{i} +. sx.{i};
-      ify.{i} <- ify.{i} +. sy.{i};
-      ifz.{i} <- ifz.{i} +. sz.{i}
-    done;
-    sc.virial <- sc.virial +. slot_virial.(0)
-  end
-  else if nslots >= 1 then begin
-    let bounds = Exec.tile_bounds ~total:n ~ntiles:(Exec.n_slots exec) in
-    Exec.parallel_run ~phase:"soa.reduce" exec (fun s ->
-        let lo, hi = bounds.(s) in
-        (* Writes the shared flat force columns (a read-modify-write of the
-           slot's own atom tile) after reading every slot's partials. *)
-        Exec.declare_write ~slot:s ~resource:"soa.reduce" ~total:n ~lo ~hi
-          exec;
-        Exec.declare_read ~slot:s ~resource:"soa.reduce" ~total:n ~lo ~hi
-          exec;
-        List.iter
-          (fun (resource, total) ->
-            Exec.declare_read ~slot:s ~resource ~lo:0 ~hi:total exec)
-          reads;
+  if nslots >= 1 then begin
+    (* Writes the shared flat force columns (a read-modify-write of the
+       slot's own atom tile) after reading every slot's partials. *)
+    Exec.sweep ~phase:"soa.reduce" ~reads:[ "soa.reduce" ]
+      ~writes:[ "soa.reduce" ] ~whole:reads exec ~total:into.Soa.n
+      (fun _ lo hi ->
         for i = lo to hi - 1 do
           ifx.{i} <- ifx.{i} +. tree_col slot_fx i 0 nslots;
           ify.{i} <- ify.{i} +. tree_col slot_fy i 0 nslots;

@@ -39,17 +39,11 @@ let build ?(exec = Exec.serial) ?(positions_resource = "state.positions")
   let ncells = nx * ny * nz in
   let cell_of = Array.make n 0 in
   (* Bin phase: pure per-atom work, tiled over the pool. The write-set is
-     the atom slice of [cell_of], declared so the race sanitizer covers the
-     rebuild like any other parallel phase. *)
-  let ns = Exec.n_slots exec in
-  let tiles = Exec.tile_bounds ~total:n ~ntiles:ns in
-  Exec.parallel_run ~phase:"cell.bin" exec (fun s ->
-      let lo, hi = tiles.(s) in
-      Exec.declare_write ~slot:s ~resource:"cell.bin" ~total:n ~lo ~hi exec;
-      (* Binning reads exactly its own atom tile; [positions_resource]
-         names whose positions these are (engine state vs decomposition
-         working copy) for the dataflow graph. *)
-      Exec.declare_read ~slot:s ~resource:positions_resource ~lo ~hi exec;
+     the atom slice of [cell_of]; binning reads exactly its own atom tile,
+     and [positions_resource] names whose positions these are (engine
+     state vs decomposition working copy) for the dataflow graph. *)
+  Exec.sweep ~phase:"cell.bin" ~reads:[ positions_resource ]
+    ~writes:[ "cell.bin" ] exec ~total:n (fun _ lo hi ->
       for i = lo to hi - 1 do
         let p = positions.(i) in
         let cx = bin_axis ~l:box.lx ~ncell:nx p.Vec3.x in

@@ -52,20 +52,12 @@ let do_build t positions =
   let bufs =
     Array.init ntiles (fun _ -> { bi = [||]; bj = [||]; cnt = 0 })
   in
-  let ns = Exec.n_slots exec in
-  let slot_tiles = Exec.tile_bounds ~total:ntiles ~ntiles:ns in
   let n = Array.length positions in
-  Exec.parallel_run ~phase:"nbuild" exec (fun s ->
-      let tlo, thi = slot_tiles.(s) in
-      (* Each slot owns a contiguous run of tile buffers. The pair scan
-         walks the whole CSR cell structure and, through it, arbitrary
-         positions. *)
-      Exec.declare_write ~slot:s ~resource:"nlist.tiles" ~total:ntiles
-        ~lo:tlo ~hi:thi exec;
-      Exec.declare_read ~slot:s ~resource:"cell.bin" ~total:n ~lo:0 ~hi:n
-        exec;
-      Exec.declare_read ~slot:s ~resource:"state.positions" ~lo:0 ~hi:n
-        exec;
+  (* Each slot owns a contiguous run of tile buffers. The pair scan walks
+     the whole CSR cell structure and, through it, arbitrary positions. *)
+  Exec.sweep ~phase:"nbuild" ~writes:[ "nlist.tiles" ]
+    ~whole:[ ("cell.bin", n); ("state.positions", n) ]
+    exec ~total:ntiles (fun _ tlo thi ->
       for tile = tlo to thi - 1 do
         let b = bufs.(tile) in
         let lo, hi = tile_ranges.(tile) in

@@ -421,6 +421,26 @@ let tile_bounds ~total ~ntiles =
   Array.init ntiles (fun k ->
       (total * k / ntiles, total * (k + 1) / ntiles))
 
+(* Declarations are guarded on the sanitizer so an uninstrumented sweep
+   pays nothing for them; [parallel_run] without a pool is [body 0 0 total]
+   between a no-op reset and a no-op validate. *)
+let sweep ~phase ?(reads = []) ?(writes = []) ?(whole = []) t ~total body =
+  let tiles = tile_bounds ~total ~ntiles:(n_slots t) in
+  parallel_run ~phase t (fun s ->
+      let lo, hi = tiles.(s) in
+      if sanitizing t then begin
+        List.iter
+          (fun resource -> declare_read ~slot:s ~resource ~lo ~hi t)
+          reads;
+        List.iter
+          (fun resource -> declare_write ~slot:s ~resource ~total ~lo ~hi t)
+          writes;
+        List.iter
+          (fun (resource, n) -> declare_read ~slot:s ~resource ~lo:0 ~hi:n t)
+          whole
+      end;
+      body s lo hi)
+
 let reduce_tree f a =
   let n = Array.length a in
   if n = 0 then invalid_arg "Exec.reduce_tree: empty array";

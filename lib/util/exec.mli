@@ -71,10 +71,19 @@ exception Race of string
     ranges (not of the data), so it is cheap enough for tests and
     verification runs but off by default in production.
 
-    Phases that bypass the pool at one slot for speed must still take the
-    declaring path when [sanitizing] is true, so the sanitized sweep and
+    Phases run through {!parallel_run} — per-index phases through
+    {!sweep} — at every slot count: without a pool that is the body on the
+    calling domain between a no-op reset and a no-op validate, so one code
+    path serves serial and pooled runs alike, and the sanitized sweep and
     the {!set_observer} dataflow trace see every phase at every slot
-    count. *)
+    count. The exceptions are the reductions whose pooled form needs
+    per-slot scratch and a tree combine: the inline bonded/1-4/pair window
+    of [Mdsp_md.Force_calc], [Mdsp_ff.Bonded.all],
+    [Mdsp_ff.Pair_interactions.compute] and [compute_pairs14], and
+    [Mdsp_longrange.Gse]'s charge spread run inline at one slot. The slot
+    count selects that shortcut only when the executor is not
+    [sanitizing], so a sanitizing executor still runs their declaring
+    branch. *)
 val create : ?sanitize:bool -> backend -> t
 
 (** True if the executor was created with [sanitize:true]. *)
@@ -142,6 +151,31 @@ val n_slots : t -> int
     observer and the dataflow phase graph; every production phase passes
     its registered name. *)
 val parallel_run : ?phase:string -> t -> (int -> unit) -> unit
+
+(** [sweep ~phase ?reads ?writes ?whole t ~total body] is the per-index
+    phase: it cuts [0, total) with {!tile_bounds} into one tile per slot
+    and runs [body s lo hi] on slot [s] with that slot's tile [(lo, hi)]
+    through {!parallel_run} (so at one slot without a pool it is
+    [body 0 0 total] on the calling domain). Before the body, slot [s]
+    declares, in this order: a read of [lo, hi) for each resource in
+    [reads]; a write of [lo, hi) with extent [total] for each resource in
+    [writes]; and a read of [0, n) for each [(resource, n)] in [whole]
+    (the parts of other index spaces every slot reads, e.g. positions
+    reached through pair indices). The declared footprint is therefore
+    the iterated tile by construction. The body must touch only what
+    those declarations cover; it may keep per-slot results in an array
+    indexed by [s]. [sweep] keeps no state of its own in [t], so the
+    shared {!serial} executor serves sweeps on several domains at once
+    (replica engines do). *)
+val sweep :
+  phase:string ->
+  ?reads:string list ->
+  ?writes:string list ->
+  ?whole:(string * int) list ->
+  t ->
+  total:int ->
+  (int -> int -> int -> unit) ->
+  unit
 
 (** [map_slots t f] runs [f s] on every slot (like {!parallel_run}, with the
     same barrier) and returns the results as a slot-indexed array — the

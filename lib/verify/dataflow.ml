@@ -150,13 +150,8 @@ let seed_race_window ~exec () =
   let n = 64 in
   let a = Array.make n 0. in
   fun () ->
-    let ns = Exec.n_slots exec in
-    let tiles = Exec.tile_bounds ~total:n ~ntiles:ns in
-    Exec.parallel_run ~phase:"seed.race" exec (fun s ->
-        let lo, hi = tiles.(s) in
-        Exec.declare_write ~slot:s ~resource:"seed.race" ~total:n ~lo ~hi
-          exec;
-        Exec.declare_read ~slot:s ~resource:"seed.race" ~lo:0 ~hi:n exec;
+    Exec.sweep ~phase:"seed.race" ~writes:[ "seed.race" ]
+      ~whole:[ ("seed.race", n) ] exec ~total:n (fun _ lo hi ->
         for i = lo to hi - 1 do
           a.(i) <- a.(i) +. 1.
         done)
@@ -172,12 +167,8 @@ let seed_cycle_window ~exec () =
   let n = 64 in
   let x = Array.make n 0. and y = Array.make n 0. in
   let half name ~writes ~reads src dst =
-    let ns = Exec.n_slots exec in
-    let tiles = Exec.tile_bounds ~total:n ~ntiles:ns in
-    Exec.parallel_run ~phase:name exec (fun s ->
-        let lo, hi = tiles.(s) in
-        Exec.declare_read ~slot:s ~resource:reads ~lo ~hi exec;
-        Exec.declare_write ~slot:s ~resource:writes ~total:n ~lo ~hi exec;
+    Exec.sweep ~phase:name ~reads:[ reads ] ~writes:[ writes ] exec ~total:n
+      (fun _ lo hi ->
         for i = lo to hi - 1 do
           dst.(i) <- src.(i) +. 1.
         done)

@@ -59,9 +59,10 @@ fi
 # through the sanitizer, derive the static happens-before graph, and
 # require full coverage of the expected phase set, acyclicity and an
 # identical graph shape at every slot count. The DOT render must be
-# byte-identical at 1 and 4 slots (the graph is slot-count invariant and
-# the emitter is deterministic), and the deliberately racy seeded phase
-# must fail (the conflict-matrix self-test).
+# byte-identical at 1, 2 and 4 slots (the graph is slot-count invariant
+# and the emitter is deterministic; 2 is the host's width and the
+# benchmark pool's), and the deliberately racy seeded phase must fail
+# (the conflict-matrix self-test).
 dune exec bin/mdsp.exe -- check --phases --slots 1 \
   --dot /tmp/mdsp-phases-1.dot --json /tmp/mdsp-phases.json >/dev/null
 test -s /tmp/mdsp-phases.json
@@ -69,8 +70,11 @@ grep -q '"phases\.ok": 1' /tmp/mdsp-phases.json
 grep -q '"phases\.acyclic": 1' /tmp/mdsp-phases.json
 grep -q '"phases\.invariant": 1' /tmp/mdsp-phases.json
 grep -q '"phases\.coverage": 1' /tmp/mdsp-phases.json
+dune exec bin/mdsp.exe -- check --phases --slots 2 \
+  --dot /tmp/mdsp-phases-2.dot >/dev/null
 dune exec bin/mdsp.exe -- check --phases --slots 4 \
   --dot /tmp/mdsp-phases-4.dot >/dev/null
+cmp /tmp/mdsp-phases-1.dot /tmp/mdsp-phases-2.dot
 cmp /tmp/mdsp-phases-1.dot /tmp/mdsp-phases-4.dot
 # The batched constraint sweeps and thermostat sweeps are pool phases now;
 # the rendered graph must carry them and their ordering edges.

@@ -1,5 +1,6 @@
 (* Tests for Mdsp_machine: interpolation-table format, HTIS functional model
-   (accuracy + bit-level determinism), configuration, performance model. *)
+   (accuracy + bit-level determinism), configuration, performance model,
+   and the multi-node decomposition with its analytic import model. *)
 
 open Mdsp_util
 open Mdsp_machine
@@ -437,6 +438,48 @@ let test_decomp_determinism_slots () =
             (tag ^ ": total pairs") r1.Decomp.n_pairs r.Decomp.n_pairs)
         rest
 
+(* --- Decomp: analytic import model --- *)
+
+let test_decomp_assign_partitions () =
+  let box, positions = random_positions ~seed:41 ~n:100 ~box_l:16. ~min_dist:0.6 in
+  let d = Decomp.create box ~nodes:(2, 2, 2) ~cutoff:3. in
+  Alcotest.(check int) "node count" 8 (Decomp.node_count d);
+  let home = Decomp.assign d positions in
+  let total = Array.fold_left (fun a h -> a + Array.length h) 0 home in
+  Alcotest.(check int) "every atom assigned once" 100 total;
+  (* Owner consistency. *)
+  Array.iteri
+    (fun node atoms ->
+      Array.iter
+        (fun i ->
+          Alcotest.(check int) "owner matches bucket" node
+            (Decomp.owner d positions.(i)))
+        atoms)
+    home
+
+let test_decomp_import_volume_halved () =
+  let box = Pbc.cubic 40. in
+  let d = Decomp.create box ~nodes:(4, 4, 4) ~cutoff:4. in
+  check_close ~rel:1e-9 "half-shell imports half the volume"
+    (Decomp.import_volume d ~policy:Decomp.Full_shell /. 2.)
+    (Decomp.import_volume d ~policy:Decomp.Half_shell)
+
+let test_decomp_import_counts_scale_with_cutoff () =
+  let box, positions = random_positions ~seed:42 ~n:400 ~box_l:24. ~min_dist:0.5 in
+  let counts r =
+    let d = Decomp.create box ~nodes:(2, 2, 2) ~cutoff:r in
+    Array.fold_left ( + ) 0
+      (Decomp.import_counts d ~policy:Decomp.Full_shell positions)
+  in
+  let c_small = counts 2. and c_large = counts 5. in
+  check_true "larger cutoff imports more" (c_large > c_small);
+  check_true "some imports happen" (c_small > 0)
+
+let test_decomp_home_volume () =
+  let box = Pbc.cubic 30. in
+  let d = Decomp.create box ~nodes:(3, 5, 2) ~cutoff:3. in
+  check_close ~rel:1e-12 "home volume" (27000. /. 30.) (Decomp.home_volume d)
+
 let () =
   Alcotest.run "mdsp_machine"
     [
@@ -491,6 +534,16 @@ let () =
             test_perf_breakdown_components_sum;
           Alcotest.test_case "machine vs cluster" `Quick
             test_machine_beats_cluster_by_orders_of_magnitude;
+        ] );
+      ( "decomp",
+        [
+          Alcotest.test_case "assignment partitions atoms" `Quick
+            test_decomp_assign_partitions;
+          Alcotest.test_case "half-shell volume" `Quick
+            test_decomp_import_volume_halved;
+          Alcotest.test_case "imports scale with cutoff" `Quick
+            test_decomp_import_counts_scale_with_cutoff;
+          Alcotest.test_case "home volume" `Quick test_decomp_home_volume;
         ] );
       ( "multi_node",
         [

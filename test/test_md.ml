@@ -107,6 +107,44 @@ let test_rattle_removes_radial_velocity () =
 let test_constraints_none () =
   Alcotest.(check int) "no constraints" 0 (Constraints.count Constraints.none)
 
+(* A NaN coordinate or velocity must not pass for a converged cluster: the
+   solver has to end in the structured failure that names the cluster
+   instead of returning and letting the NaN integrate on. *)
+let nan_water_case () =
+  let sys = Mdsp_workload.Workloads.water_box ~n_side:2 () in
+  let topo = sys.Mdsp_workload.Workloads.topo in
+  ( Constraints.create topo,
+    sys.Mdsp_workload.Workloads.box,
+    Array.copy sys.Mdsp_workload.Workloads.positions,
+    Mdsp_ff.Topology.masses topo )
+
+let expect_nan_unconverged solver run =
+  match run () with
+  | () -> Alcotest.failf "%s returned normally on a NaN input" solver
+  | exception Constraints.Unconverged u ->
+      Alcotest.(check string) "solver named" solver u.Constraints.uc_solver;
+      Alcotest.(check int) "cluster of atom 0" 0 u.Constraints.uc_cluster;
+      u
+
+let test_shake_nan_unconverged () =
+  let cons, box, pos, masses = nan_water_case () in
+  let prev = Array.copy pos in
+  pos.(0) <- Vec3.make Float.nan pos.(0).Vec3.y pos.(0).Vec3.z;
+  let u =
+    expect_nan_unconverged "SHAKE" (fun () ->
+        Constraints.shake cons box ~prev pos ~masses)
+  in
+  check_true "violation is not finite"
+    (not (Float.is_finite u.Constraints.uc_max_violation))
+
+let test_rattle_nan_unconverged () =
+  let cons, box, pos, masses = nan_water_case () in
+  let vel = Array.make (Array.length pos) Vec3.zero in
+  vel.(0) <- Vec3.make Float.nan 0. 0.;
+  ignore
+    (expect_nan_unconverged "RATTLE" (fun () ->
+         Constraints.rattle cons box pos vel ~masses))
+
 let test_shake_unconverged_structured () =
   (* Three constraints violating the triangle inequality (1 + 1 < 3) can
      never all hold, so SHAKE must give up with the structured payload —
@@ -768,7 +806,7 @@ let test_soa_scatter_overwrites () =
   let acc = Mdsp_ff.Bonded.make_accum 16 in
   (* Pre-existing accumulator content must be replaced, not added to. *)
   acc.Mdsp_ff.Bonded.forces.(3) <- Vec3.make 100. 100. 100.;
-  Soa.scatter_forces soa acc;
+  Soa.sync_store soa acc;
   Array.iteri
     (fun i f ->
       check_true "scatter overwrites"
@@ -780,11 +818,15 @@ let test_soa_scatter_overwrites () =
 let test_soa_load_clear () =
   let st = random_state ~seed:13 ~n:33 in
   let soa = Soa.create ~box:st.State.box 33 in
-  Soa.load_positions soa st.State.positions;
-  Soa.load_velocities soa st.State.velocities;
   soa.Soa.fx.{7} <- 3.25;
+  Soa.sync_load soa st.State.positions;
+  check_true "sync_load clears forces" (soa.Soa.fx.{7} = 0.);
+  check_true "position column exact"
+    (soa.Soa.y.{5} = st.State.positions.(5).Vec3.y);
+  let soa = Soa.of_state st in
+  soa.Soa.fz.{7} <- 3.25;
   Soa.clear_forces soa;
-  check_true "forces cleared" (soa.Soa.fx.{7} = 0.);
+  check_true "forces cleared" (soa.Soa.fz.{7} = 0.);
   check_true "velocity column exact"
     (soa.Soa.vy.{5} = st.State.velocities.(5).Vec3.y)
 
@@ -817,6 +859,10 @@ let () =
           Alcotest.test_case "none" `Quick test_constraints_none;
           Alcotest.test_case "unconverged SHAKE names its cluster" `Quick
             test_shake_unconverged_structured;
+          Alcotest.test_case "SHAKE rejects a NaN position" `Quick
+            test_shake_nan_unconverged;
+          Alcotest.test_case "RATTLE rejects a NaN velocity" `Quick
+            test_rattle_nan_unconverged;
         ] );
       ( "integration",
         [

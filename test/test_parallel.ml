@@ -239,161 +239,110 @@ let test_parallel_determinism_trajectory () =
   Array.iteri (fun i p -> if p <> pos2.(i) then identical := false) pos1;
   check_true "trajectory positions bit-identical" !identical
 
-let test_integrator_sweeps_bitwise () =
-  (* The kick/drift sweeps are per-atom independent, so running them tiled
-     over the pool must reproduce the serial sweeps bit-for-bit at every
-     slot count — same pool for the forces, only the integrator differs.
-     Constraints, thermostat and rebuilds all stay in the loop. *)
-  let run ~slots ~serial_integrator =
-    let sys = Mdsp_workload.Workloads.water_box ~n_side:3 () in
-    let exec =
-      if slots = 1 then Exec.serial
-      else Exec.create (Exec.Domains { n = slots })
-    in
-    let cfg =
-      {
-        E.default_config with
-        dt_fs = 1.0;
-        temperature = 300.;
-        thermostat = E.Langevin { gamma_fs = 0.02 };
-      }
-    in
-    let eng = Mdsp_workload.Workloads.make_engine ~config:cfg ~seed:11 ~exec sys in
-    E.set_serial_integrator eng serial_integrator;
-    E.run eng 20;
-    let st = E.state eng in
-    let pos = Array.copy st.Mdsp_md.State.positions in
-    let vel = Array.copy st.Mdsp_md.State.velocities in
-    if slots > 1 then Exec.shutdown exec;
-    (pos, vel)
-  in
-  List.iter
-    (fun slots ->
-      let pos_p, vel_p = run ~slots ~serial_integrator:false in
-      let pos_s, vel_s = run ~slots ~serial_integrator:true in
-      check_true
-        (Printf.sprintf "positions bitwise at %d slots" slots)
-        (pos_p = pos_s);
-      check_true
-        (Printf.sprintf "velocities bitwise at %d slots" slots)
-        (vel_p = vel_s))
-    [ 1; 2; 4 ]
+(* Slot-invariant trajectories. A zero pair evaluator and a tether bias
+   evaluated on the calling domain make the forces independent of the slot
+   count: the pool's per-slot pair partials are exact zeros, and there are
+   no bonded terms to tree-reduce. What is left to differ between the
+   serial executor and a pool is the step's own sweeps — kick, drift, the
+   SHAKE/RATTLE batches, the constraint fold, the Langevin O-step, the
+   velocity rescales and the SoA syncs — so positions, velocities and the
+   total energy must match the serial run bit for bit. *)
+let tether_bias x0 =
+  {
+    FC.bias_name = "tether";
+    bias_compute =
+      (fun _box positions acc ->
+        let forces = acc.Mdsp_ff.Bonded.forces in
+        let e = ref 0. in
+        Array.iteri
+          (fun i p ->
+            let d = Vec3.sub p x0.(i) in
+            e := !e +. (0.5 *. Vec3.norm2 d);
+            forces.(i) <- Vec3.sub forces.(i) d)
+          positions;
+        !e);
+  }
 
-let test_constraint_sweeps_bitwise () =
-  (* The batched SHAKE/RATTLE cluster sweeps, the constraint velocity fold
-     and the Langevin O-step all run over the pool; the coloring
-     certificate (Mdsp_verify.Schedule) says same-batch clusters are
-     atom-disjoint and the O-step uses per-atom derived streams, so the
-     tiled sweeps must reproduce the serial solver bit-for-bit at every
-     slot count — same pool for the forces, only the constraint/thermostat
-     executor differs. *)
-  let run ~slots ~serial =
-    let sys = Mdsp_workload.Workloads.water_box ~n_side:3 () in
-    let exec =
-      if slots = 1 then Exec.serial
-      else Exec.create (Exec.Domains { n = slots })
-    in
-    let cfg =
-      {
-        E.default_config with
-        dt_fs = 1.0;
-        temperature = 300.;
-        thermostat = E.Langevin { gamma_fs = 0.02 };
-      }
-    in
-    let eng = Mdsp_workload.Workloads.make_engine ~config:cfg ~seed:11 ~exec sys in
-    E.set_serial_constraints eng serial;
-    E.run eng 20;
-    let st = E.state eng in
-    let pos = Array.copy st.Mdsp_md.State.positions in
-    let vel = Array.copy st.Mdsp_md.State.velocities in
-    if slots > 1 then Exec.shutdown exec;
-    (pos, vel)
-  in
-  List.iter
-    (fun slots ->
-      let pos_p, vel_p = run ~slots ~serial:false in
-      let pos_s, vel_s = run ~slots ~serial:true in
-      check_true
-        (Printf.sprintf "positions bitwise at %d slots" slots)
-        (pos_p = pos_s);
-      check_true
-        (Printf.sprintf "velocities bitwise at %d slots" slots)
-        (vel_p = vel_s))
-    [ 1; 2; 4 ]
+let slot_invariant_run sys ~thermostat ~dt_fs ~temperature ~seed ~steps exec =
+  let cfg = { E.default_config with dt_fs; temperature; thermostat } in
+  let eng = Mdsp_workload.Workloads.make_engine ~config:cfg ~seed ~exec sys in
+  let fc = E.force_calc eng in
+  let cutoff = (FC.evaluator fc).Mdsp_ff.Pair_interactions.cutoff in
+  FC.set_evaluator fc
+    (Mdsp_ff.Pair_interactions.of_eval ~cutoff (fun _ _ _ -> (0., 0.)));
+  FC.add_bias fc
+    (tether_bias (Array.copy sys.Mdsp_workload.Workloads.positions));
+  E.refresh_forces eng;
+  E.run eng steps;
+  let st = E.state eng in
+  ( Array.copy st.Mdsp_md.State.positions,
+    Array.copy st.Mdsp_md.State.velocities,
+    E.total_energy eng )
 
-let test_water6k_constraint_sweeps_bitwise () =
+let bits_equal a b =
+  let same x y = Int64.bits_of_float x = Int64.bits_of_float y in
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun (p : Vec3.t) (q : Vec3.t) ->
+         same p.Vec3.x q.Vec3.x && same p.Vec3.y q.Vec3.y
+         && same p.Vec3.z q.Vec3.z)
+       a b
+
+let check_slot_invariant label run =
+  let pos0, vel0, e0 = run Exec.serial in
+  List.iter
+    (fun n ->
+      let exec = Exec.create (Exec.Domains { n }) in
+      let pos, vel, e =
+        Fun.protect ~finally:(fun () -> Exec.shutdown exec) (fun () ->
+            run exec)
+      in
+      let what q = Printf.sprintf "%s: %s bitwise at %d slots" label q n in
+      check_true (what "positions") (bits_equal pos pos0);
+      check_true (what "velocities") (bits_equal vel vel0);
+      check_true (what "total energy")
+        (Int64.bits_of_float e = Int64.bits_of_float e0))
+    [ 2; 4 ]
+
+let water27 = lazy (Mdsp_workload.Workloads.water_box ~n_side:3 ())
+
+let test_water27_langevin_slot_invariant () =
+  check_slot_invariant "water27 Langevin"
+    (slot_invariant_run (Lazy.force water27)
+       ~thermostat:(E.Langevin { gamma_fs = 0.02 })
+       ~dt_fs:1.0 ~temperature:300. ~seed:11 ~steps:20)
+
+let test_water27_rescale_slot_invariant () =
+  (* Both rescaling thermostats drive the [thermo.scale] sweep. *)
+  List.iter
+    (fun (label, thermostat) ->
+      check_slot_invariant label
+        (slot_invariant_run (Lazy.force water27) ~thermostat ~dt_fs:1.0
+           ~temperature:300. ~seed:11 ~steps:20))
+    [
+      ("water27 Berendsen", E.Berendsen { tau_fs = 100. });
+      ("water27 Nose-Hoover", E.Nose_hoover { tau_fs = 100. });
+    ]
+
+let test_water6k_slot_invariant () =
   (* The registry workload the schedule gate certifies: 2197 rigid waters
-     fused into one batch, Berendsen rescale at the end of the step. Two
-     steps suffice — a cross-slot disagreement in the very first SHAKE
-     batch is already a bitwise diff. *)
-  let run ~slots ~serial =
-    let sys = Mdsp_workload.Workloads.water_box ~n_side:13 () in
-    let exec =
-      if slots = 1 then Exec.serial
-      else Exec.create (Exec.Domains { n = slots })
-    in
-    let cfg =
-      {
-        E.default_config with
-        dt_fs = 1.0;
-        temperature = 300.;
-        thermostat = E.Berendsen { tau_fs = 100. };
-      }
-    in
-    let eng = Mdsp_workload.Workloads.make_engine ~config:cfg ~seed:3 ~exec sys in
-    E.set_serial_constraints eng serial;
-    E.run eng 2;
-    let st = E.state eng in
-    let pos = Array.copy st.Mdsp_md.State.positions in
-    let vel = Array.copy st.Mdsp_md.State.velocities in
-    if slots > 1 then Exec.shutdown exec;
-    (pos, vel)
-  in
-  List.iter
-    (fun slots ->
-      let pos_p, vel_p = run ~slots ~serial:false in
-      let pos_s, vel_s = run ~slots ~serial:true in
-      check_true
-        (Printf.sprintf "water6k positions bitwise at %d slots" slots)
-        (pos_p = pos_s);
-      check_true
-        (Printf.sprintf "water6k velocities bitwise at %d slots" slots)
-        (vel_p = vel_s))
-    [ 1; 4 ]
+     in one batch, Berendsen rescale at the end of the step. Two steps
+     suffice — a cross-slot disagreement in the very first SHAKE batch is
+     already a bitwise diff. *)
+  check_slot_invariant "water6k Berendsen"
+    (slot_invariant_run
+       (Mdsp_workload.Workloads.water_box ~n_side:13 ())
+       ~thermostat:(E.Berendsen { tau_fs = 100. })
+       ~dt_fs:1.0 ~temperature:300. ~seed:3 ~steps:2)
 
-let test_chain10k_thermostat_bitwise () =
-  (* chain10k carries no constraints at all, so flipping the switch
-     isolates the thermostat sweeps: the per-atom derived Langevin
-     streams must make the O-step independent of the tiling. *)
-  let run ~slots ~serial =
-    let sys = Mdsp_workload.Workloads.bead_chain ~n_beads:256 ~n_total:10_000 () in
-    let exec =
-      if slots = 1 then Exec.serial
-      else Exec.create (Exec.Domains { n = slots })
-    in
-    let cfg =
-      {
-        E.default_config with
-        dt_fs = 2.0;
-        temperature = 120.;
-        thermostat = E.Langevin { gamma_fs = 0.02 };
-      }
-    in
-    let eng = Mdsp_workload.Workloads.make_engine ~config:cfg ~seed:21 ~exec sys in
-    E.set_serial_constraints eng serial;
-    E.run eng 3;
-    let st = E.state eng in
-    let vel = Array.copy st.Mdsp_md.State.velocities in
-    if slots > 1 then Exec.shutdown exec;
-    vel
-  in
-  List.iter
-    (fun slots ->
-      check_true
-        (Printf.sprintf "chain10k velocities bitwise at %d slots" slots)
-        (run ~slots ~serial:false = run ~slots ~serial:true))
-    [ 1; 4 ]
+let test_lj4000_langevin_slot_invariant () =
+  (* No constraints at all, so only the integrator, O-step and SoA sweeps
+     run — over 4000 atoms, enough to cut real tiles at 4 slots. *)
+  check_slot_invariant "lj4000 Langevin"
+    (slot_invariant_run
+       (Mdsp_workload.Workloads.lj_fluid ~n:4000 ())
+       ~thermostat:(E.Langevin { gamma_fs = 0.02 })
+       ~dt_fs:2.0 ~temperature:120. ~seed:21 ~steps:3)
 
 let test_engine_backends_consistent () =
   (* Short run: backends may differ only by rounding, which cannot grow far
@@ -1027,14 +976,14 @@ let () =
             test_parallel_determinism_single_eval;
           Alcotest.test_case "25-step trajectory bit-identical" `Quick
             test_parallel_determinism_trajectory;
-          Alcotest.test_case "integrator sweeps bitwise vs serial at 1/2/4"
-            `Quick test_integrator_sweeps_bitwise;
-          Alcotest.test_case "constraint sweeps bitwise vs serial at 1/2/4"
-            `Quick test_constraint_sweeps_bitwise;
-          Alcotest.test_case "water6k constraint sweeps bitwise" `Quick
-            test_water6k_constraint_sweeps_bitwise;
-          Alcotest.test_case "chain10k thermostat sweeps bitwise" `Quick
-            test_chain10k_thermostat_bitwise;
+          Alcotest.test_case "water27 Langevin slot-invariant" `Quick
+            test_water27_langevin_slot_invariant;
+          Alcotest.test_case "water27 Berendsen/NH slot-invariant" `Quick
+            test_water27_rescale_slot_invariant;
+          Alcotest.test_case "water6k Berendsen slot-invariant" `Quick
+            test_water6k_slot_invariant;
+          Alcotest.test_case "lj4000 Langevin slot-invariant" `Quick
+            test_lj4000_langevin_slot_invariant;
           Alcotest.test_case "backends consistent over a short run" `Quick
             test_engine_backends_consistent;
         ] );

@@ -1,5 +1,4 @@
-(* Tests for Mdsp_space: cell lists, exclusions, neighbor lists, and the
-   spatial decomposition used by the machine model. *)
+(* Tests for Mdsp_space: cell lists, exclusions and neighbor lists. *)
 
 open Mdsp_util
 open Mdsp_space
@@ -330,52 +329,6 @@ let test_neighbor_list_build_seconds () =
   check_true "rebuild time accumulates"
     (Neighbor_list.build_seconds nl >= t0)
 
-(* --- Decomp --- *)
-
-let test_decomp_assign_partitions () =
-  let box, positions = random_positions ~seed:41 ~n:100 ~box_l:16. ~min_dist:0.6 in
-  let d = Decomp.create box ~nodes:(2, 2, 2) ~cutoff:3. ~policy:Decomp.Half_shell in
-  Alcotest.(check int) "node count" 8 (Decomp.node_count d);
-  let home = Decomp.assign d positions in
-  let total = Array.fold_left (fun a h -> a + Array.length h) 0 home in
-  Alcotest.(check int) "every atom assigned once" 100 total;
-  (* Owner consistency. *)
-  Array.iteri
-    (fun node atoms ->
-      Array.iter
-        (fun i ->
-          Alcotest.(check int) "owner matches bucket" node
-            (Decomp.owner d positions.(i)))
-        atoms)
-    home
-
-let test_decomp_import_volume_halved () =
-  let box = Pbc.cubic 40. in
-  let full =
-    Decomp.create box ~nodes:(4, 4, 4) ~cutoff:4. ~policy:Decomp.Full_shell
-  in
-  let half =
-    Decomp.create box ~nodes:(4, 4, 4) ~cutoff:4. ~policy:Decomp.Half_shell
-  in
-  check_close ~rel:1e-9 "half-shell imports half the volume"
-    (Decomp.import_volume full /. 2.)
-    (Decomp.import_volume half)
-
-let test_decomp_import_counts_scale_with_cutoff () =
-  let box, positions = random_positions ~seed:42 ~n:400 ~box_l:24. ~min_dist:0.5 in
-  let counts r =
-    let d = Decomp.create box ~nodes:(2, 2, 2) ~cutoff:r ~policy:Decomp.Full_shell in
-    Array.fold_left ( + ) 0 (Decomp.import_counts d positions)
-  in
-  let c_small = counts 2. and c_large = counts 5. in
-  check_true "larger cutoff imports more" (c_large > c_small);
-  check_true "some imports happen" (c_small > 0)
-
-let test_decomp_home_volume () =
-  let box = Pbc.cubic 30. in
-  let d = Decomp.create box ~nodes:(3, 5, 2) ~cutoff:3. ~policy:Decomp.Half_shell in
-  check_close ~rel:1e-12 "home volume" (27000. /. 30.) (Decomp.home_volume d)
-
 let () =
   Alcotest.run "mdsp_space"
     [
@@ -424,15 +377,5 @@ let () =
           Alcotest.test_case "build time accounting" `Quick
             test_neighbor_list_build_seconds;
           prop_neighbor_list_skin_sweep;
-        ] );
-      ( "decomp",
-        [
-          Alcotest.test_case "assignment partitions atoms" `Quick
-            test_decomp_assign_partitions;
-          Alcotest.test_case "half-shell volume" `Quick
-            test_decomp_import_volume_halved;
-          Alcotest.test_case "imports scale with cutoff" `Quick
-            test_decomp_import_counts_scale_with_cutoff;
-          Alcotest.test_case "home volume" `Quick test_decomp_home_volume;
         ] );
     ]

@@ -489,6 +489,94 @@ let test_table_text_mismatch () =
     (Invalid_argument "Table_text.row: cell count mismatch") (fun () ->
       Table_text.row t [ "x"; "y" ])
 
+(* --- Exec.sweep --- *)
+
+(* Sanitizing executors of 1 to 5 slots, built once and shared by every
+   case (a pool per case would spawn domains per case). *)
+let sweep_execs =
+  lazy
+    (Array.init 5 (fun k ->
+         Exec.create ~sanitize:true (Exec.Domains { n = k + 1 })))
+
+(* [reads] and [writes] overlap in "b" and "c" (a slot read-modifies its
+   own tile); the [whole] resources are never written, so reading all of
+   them on every slot is race-free at any width. *)
+let sweep_case_gen =
+  let open QCheck.Gen in
+  (* A random-length prefix of a shuffle: any subset, in any order. *)
+  let pick names =
+    shuffle_l names >>= fun l ->
+    int_bound (List.length l) >|= fun k -> List.filteri (fun i _ -> i < k) l
+  in
+  let whole =
+    pick [ "g1"; "g2" ] >>= fun names ->
+    flatten_l (List.map (fun r -> int_bound 400 >|= fun n -> (r, n)) names)
+  in
+  quad (int_range 1 5)
+    (oneof [ int_bound 6; int_bound 300 ])
+    (pair (pick [ "a"; "b"; "c" ]) (pick [ "b"; "c"; "d" ]))
+    whole
+
+let sweep_case_print (slots, total, (reads, writes), whole) =
+  Printf.sprintf "slots=%d total=%d reads=[%s] writes=[%s] whole=[%s]" slots
+    total (String.concat ";" reads) (String.concat ";" writes)
+    (String.concat ";"
+       (List.map (fun (r, n) -> Printf.sprintf "%s:%d" r n) whole))
+
+let prop_sweep =
+  qtest "sweep: tiles, exactly-once visits, declared footprint" ~count:300
+    (QCheck.make ~print:sweep_case_print sweep_case_gen)
+    (fun (slots, total, (reads, writes), whole) ->
+      let exec = (Lazy.force sweep_execs).(slots - 1) in
+      let visits = Array.make total 0 in
+      let seen = Array.make slots None in
+      let records = ref [] in
+      Exec.set_observer exec (Some (fun r -> records := r :: !records));
+      (* The barrier validates the declarations: a [Race] fails the case. *)
+      Fun.protect
+        ~finally:(fun () -> Exec.set_observer exec None)
+        (fun () ->
+          Exec.sweep ~phase:"test.sweep" ~reads ~writes ~whole exec ~total
+            (fun s lo hi ->
+              seen.(s) <- Some (lo, hi);
+              for i = lo to hi - 1 do
+                visits.(i) <- visits.(i) + 1
+              done));
+      let tiles = Exec.tile_bounds ~total ~ntiles:slots in
+      let access s resource (lo, hi) acc_total =
+        {
+          Exec.acc_slot = s;
+          acc_resource = resource;
+          acc_lo = lo;
+          acc_hi = hi;
+          acc_total;
+        }
+      in
+      let per_slot f = List.concat (List.init slots f) in
+      let expected_reads =
+        per_slot (fun s ->
+            List.map (fun r -> access s r tiles.(s) None) reads
+            @ List.map (fun (r, n) -> access s r (0, n) None) whole)
+      in
+      let expected_writes =
+        per_slot (fun s ->
+            List.map (fun r -> access s r tiles.(s) (Some total)) writes)
+      in
+      let expected_records =
+        if expected_reads = [] && expected_writes = [] then []
+        else
+          [
+            {
+              Exec.br_phase = Some "test.sweep";
+              br_reads = expected_reads;
+              br_writes = expected_writes;
+            };
+          ]
+      in
+      Array.for_all (fun c -> c = 1) visits
+      && Array.for_all2 (fun got tile -> got = Some tile) seen tiles
+      && !records = expected_records)
+
 let () =
   Alcotest.run "mdsp_util"
     [
@@ -584,4 +672,5 @@ let () =
           Alcotest.test_case "render" `Quick test_table_text_render;
           Alcotest.test_case "mismatch" `Quick test_table_text_mismatch;
         ] );
+      ("exec", [ prop_sweep ]);
     ]
