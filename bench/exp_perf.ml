@@ -167,14 +167,17 @@ let e6 () =
      is small (FEP pays for its extra table pass).\n"
 
 (* E21: the live E7 — run the actual force pipeline on the Serial and
-   Domains execution backends, measure wall time per resource phase, and
-   set the measured breakdown next to the analytic machine model. *)
+   Domains execution backends, read the executor's phase clock, and set the
+   measured breakdown next to the analytic machine model. Every figure is
+   per step: the phase seconds of a run divided by the steps it ran. *)
 let e21 () =
   section "E21"
-    "Execution backends: measured per-resource step times (live Fig. 4)";
+    "Execution backends: measured per-phase step times (live Fig. 4)";
   let module X = Mdsp_util.Exec in
   let module FC = Mdsp_md.Force_calc in
+  let module K = Mdsp_md.Soa_kernels in
   let n = 4000 and steps = 10 and ndomains = 4 in
+  let pool_backend = X.Domains { n = ndomains } in
   let sys = Mdsp_workload.Workloads.lj_fluid ~n () in
   let cfg =
     {
@@ -184,33 +187,62 @@ let e21 () =
       thermostat = Mdsp_md.Engine.Langevin { gamma_fs = 0.02 };
     }
   in
-  let measure exec =
+  (* [steps] steps from a warm neighbor list on a fresh executor: its phase
+     clock over those steps, the minor words per step, and the engine. *)
+  let measure ?gse_grid ~config ~steps sys backend =
+    let exec = X.create backend in
     let eng =
-      Mdsp_workload.Workloads.make_engine ~config:cfg ~seed:42 ~exec sys
+      Mdsp_workload.Workloads.make_engine ~config ~seed:42 ~exec ?gse_grid sys
     in
     Mdsp_md.Engine.run eng 2;
-    (* measure from a warm neighbor list *)
-    Mdsp_md.Engine.reset_timings eng;
+    X.reset_phase_times exec;
     let w0 = Gc.minor_words () in
     Mdsp_md.Engine.run eng steps;
     let w1 = Gc.minor_words () in
-    let pairs =
-      Mdsp_space.Neighbor_list.length
-        (FC.nlist (Mdsp_md.Engine.force_calc eng))
-    in
-    (Mdsp_md.Engine.timings eng, pairs, (w1 -. w0) /. float_of_int steps, eng)
+    let phases = X.phase_times exec in
+    X.shutdown exec;
+    (phases, (w1 -. w0) /. float_of_int steps, eng)
   in
-  let tm_serial, npairs, words_flat, eng = measure X.serial in
-  let pool = X.create (X.Domains { n = ndomains }) in
-  let tm_par, _, _, _ = measure pool in
-  X.shutdown pool;
+  (* Per-step seconds of the phases whose names [sel] accepts. *)
+  let per_step ~steps phases sel =
+    List.fold_left
+      (fun acc (name, s) -> if sel name then acc +. s else acc)
+      0. phases
+    /. float_of_int steps
+  in
+  let family ~steps phases prefix =
+    per_step ~steps phases (String.starts_with ~prefix)
+  in
+  (* Per-step seconds of one Perf.resource_rows row (0 when unmeasured):
+     Perf holds the phase-to-resource mapping. *)
+  let resource rows name =
+    match List.find (fun r -> r.Perf.resource = name) rows with
+    | { Perf.measured_s = Some v; _ } -> v
+    | _ -> 0.
+  in
+  let model_of (sys : Mdsp_workload.Workloads.system) ?fft_grid dt_fs =
+    Perf.step_time (Config.anton_like ())
+      (Perf.of_system ~dt_fs ?fft_grid sys.Mdsp_workload.Workloads.topo
+         sys.Mdsp_workload.Workloads.box)
+  in
+  let speedup a b = if b > 0. then Printf.sprintf "%.2fx" (a /. b) else "-" in
+  let ph_serial, words_flat, eng = measure ~config:cfg ~steps sys X.Serial in
+  let ph_par, _, _ = measure ~config:cfg ~steps sys pool_backend in
+  let npairs =
+    Mdsp_space.Neighbor_list.length (FC.nlist (Mdsp_md.Engine.force_calc eng))
+  in
+  let b_lj = model_of sys 2.0 in
+  let rows_s = Perf.resource_rows b_lj ~steps ph_serial in
+  let rows_p = Perf.resource_rows b_lj ~steps ph_par in
+  let pair_s = resource rows_s "pair pipelines"
+  and pair_p = resource rows_p "pair pipelines" in
   (* The boxed oracle kernels (1-4 terms, then the neighbor-list pairs) on
      the serial engine's final list and positions: what the pair phase
      would cost with boxed accumulators. *)
+  let fc = Mdsp_md.Engine.force_calc eng in
+  let st = Mdsp_md.Engine.state eng in
+  let box = st.Mdsp_md.State.box and x = st.Mdsp_md.State.positions in
   let boxed_pair_s, words_boxed =
-    let fc = Mdsp_md.Engine.force_calc eng in
-    let st = Mdsp_md.Engine.state eng in
-    let box = st.Mdsp_md.State.box and x = st.Mdsp_md.State.positions in
     let ev = FC.evaluator fc in
     let acc = Mdsp_ff.Bonded.make_accum (Array.length x) in
     let pair () =
@@ -229,7 +261,27 @@ let e21 () =
     let k = float_of_int steps in
     ((t1 -. t0) /. k, (w1 -. w0) /. k)
   in
-  let ps = FC.timings_per_call tm_serial and pp = FC.timings_per_call tm_par in
+  (* The flat 1-4 + pair kernels on a warm store over the same list,
+     Gc-metered: the analytic loops must allocate nothing. *)
+  let soa_pair_words =
+    let kernel = K.pair_kernel (FC.topology fc) (FC.evaluator fc) in
+    let p14 = K.kernel_pairs14 kernel in
+    let store = Mdsp_md.Soa.create ~box (Array.length x) in
+    Mdsp_md.Soa.sync_load store x;
+    let sc = K.make_scratch () in
+    let is, js = Mdsp_space.Neighbor_list.raw_pairs (FC.nlist fc) in
+    let pass () =
+      K.pairs14_range p14 box store 0 (K.pairs14_count p14) sc;
+      K.kernel_range kernel box store ~is ~js 0 npairs sc
+    in
+    pass ();
+    let w0 = Gc.minor_words () in
+    for _ = 1 to steps do
+      pass ()
+    done;
+    let w1 = Gc.minor_words () in
+    (w1 -. w0) /. float_of_int steps
+  in
   let t =
     T.create
       ~title:
@@ -244,30 +296,31 @@ let e21 () =
           ("speedup", T.Right);
         ]
   in
-  let open FC in
-  let phase name a b =
-    T.row t
-      [
-        name;
-        T.cell_f ~prec:1 (a *. 1e6);
-        T.cell_f ~prec:1 (b *. 1e6);
-        (if b > 0. then Printf.sprintf "%.2fx" (a /. b) else "-");
-      ]
-  in
-  phase "pair (pipelines)" ps.pair_s pp.pair_s;
-  phase "bonded (flex)" ps.bonded_s pp.bonded_s;
-  phase "long-range" ps.longrange_s pp.longrange_s;
-  phase "neighbor rebuild" ps.neighbor_s pp.neighbor_s;
-  phase "  nbuild (tiled)" ps.nbuild_s pp.nbuild_s;
-  phase "integrate (kick/drift)" ps.integrate_s pp.integrate_s;
-  phase "thermostat (Langevin O)" ps.thermostat_s pp.thermostat_s;
-  phase "total" (timings_total ps) (timings_total pp);
+  List.iter
+    (fun name ->
+      let a = per_step ~steps ph_serial (String.equal name)
+      and b = per_step ~steps ph_par (String.equal name) in
+      T.row t
+        [
+          name;
+          T.cell_f ~prec:1 (a *. 1e6);
+          T.cell_f ~prec:1 (b *. 1e6);
+          speedup a b;
+        ])
+    (List.sort_uniq String.compare (List.map fst (ph_serial @ ph_par)));
+  let step_s = resource rows_s "step" and step_p = resource rows_p "step" in
+  T.row t
+    [
+      "total";
+      T.cell_f ~prec:1 (step_s *. 1e6);
+      T.cell_f ~prec:1 (step_p *. 1e6);
+      speedup step_s step_p;
+    ];
   T.print t;
   (* The engine's flat pair phase against the boxed oracle kernels timed
      on the same list and positions: bitwise-identical results
      (test_parallel proves it), so the delta is pure
-     data-layout/allocation effect. The serial flat pair window is
-     Gc-metered and must not allocate. *)
+     data-layout/allocation effect. *)
   let t_soa =
     T.create
       ~title:"flat (SoA) pair phase vs boxed oracle kernels, same list"
@@ -284,17 +337,15 @@ let e21 () =
     [
       "pair (pipelines)";
       T.cell_f ~prec:1 (boxed_pair_s *. 1e6);
-      T.cell_f ~prec:1 (ps.pair_s *. 1e6);
-      (if ps.pair_s > 0. then Printf.sprintf "%.2fx" (boxed_pair_s /. ps.pair_s)
-       else "-");
-      T.cell_f ~prec:1 (pp.pair_s *. 1e6);
+      T.cell_f ~prec:1 (pair_s *. 1e6);
+      speedup boxed_pair_s pair_s;
+      T.cell_f ~prec:1 (pair_p *. 1e6);
     ];
   T.print t_soa;
-  let soa_pair_words = ps.pair_words in
   note
     "allocation: %.0f minor words per boxed oracle pair evaluation vs %.0f\n\
-     per flat engine step (pair window: %.0f words/step — the flat loops\n\
-     allocate nothing once warm).\n"
+     per flat engine step (flat 1-4 + pair kernels: %.0f words per pass —\n\
+     the analytic loops allocate nothing once warm).\n"
     words_boxed words_flat soa_pair_words;
   (* The sweeps the constraint-coloring certificate lets the pool run: a
      rigid water box drives SHAKE/RATTLE over the fused 3-atom clusters
@@ -303,10 +354,9 @@ let e21 () =
      between the two columns' trajectories is test_parallel's job; this
      table prices the sweeps. *)
   let cons_steps = 10 in
-  let measure_cons exec =
-    let sys = Mdsp_workload.Workloads.water_box ~n_side:8 () in
-    let eng =
-      Mdsp_workload.Workloads.make_engine
+  let measure_cons backend =
+    let ph, _, _ =
+      measure
         ~config:
           {
             Mdsp_md.Engine.default_config with
@@ -314,19 +364,16 @@ let e21 () =
             temperature = 300.;
             thermostat = Mdsp_md.Engine.Berendsen { tau_fs = 100. };
           }
-        ~seed:42 ~exec sys
+        ~steps:cons_steps
+        (Mdsp_workload.Workloads.water_box ~n_side:8 ())
+        backend
     in
-    Mdsp_md.Engine.run eng 2;
-    Mdsp_md.Engine.reset_timings eng;
-    Mdsp_md.Engine.run eng cons_steps;
-    Mdsp_md.Engine.timings eng
+    ( family ~steps:cons_steps ph "constraints.",
+      family ~steps:cons_steps ph "thermo.",
+      family ~steps:cons_steps ph "integrate." )
   in
-  let tm_cons_serial = measure_cons X.serial in
-  let pool = X.create (X.Domains { n = ndomains }) in
-  let tm_cons_par = measure_cons pool in
-  X.shutdown pool;
-  let cs = FC.timings_per_call tm_cons_serial in
-  let cp = FC.timings_per_call tm_cons_par in
+  let cons_s, thermo_cs, integ_cs = measure_cons X.Serial in
+  let cons_p, thermo_cp, integ_cp = measure_cons pool_backend in
   let t_cons =
     T.create
       ~title:
@@ -345,24 +392,23 @@ let e21 () =
         name;
         T.cell_f ~prec:1 (a *. 1e6);
         T.cell_f ~prec:1 (b *. 1e6);
-        (if b > 0. then Printf.sprintf "%.2fx" (a /. b) else "-");
+        speedup a b;
       ]
   in
-  cons_phase "constraints (SHAKE/RATTLE)" cs.constraints_s cp.constraints_s;
-  cons_phase "thermostat (rescale)" cs.thermostat_s cp.thermostat_s;
-  cons_phase "integrate (kick/drift)" cs.integrate_s cp.integrate_s;
+  cons_phase "constraints.* (SHAKE/RATTLE/fold)" cons_s cons_p;
+  cons_phase "thermo.* (rescale)" thermo_cs thermo_cp;
+  cons_phase "integrate.* (kick/drift)" integ_cs integ_cp;
   T.print t_cons;
-  record "e21.constraints_serial_us" (cs.constraints_s *. 1e6);
+  record "e21.constraints_serial_us" (cons_s *. 1e6);
   record
     (Printf.sprintf "e21.constraints_domains%d_us" ndomains)
-    (cp.constraints_s *. 1e6);
-  record "e21.constraints_speedup"
-    (cs.constraints_s /. Float.max 1e-12 cp.constraints_s);
-  record "e21.thermostat_serial_us" (cs.thermostat_s *. 1e6);
+    (cons_p *. 1e6);
+  record "e21.constraints_speedup" (cons_s /. Float.max 1e-12 cons_p);
+  record "e21.thermostat_serial_us" (thermo_cs *. 1e6);
   record
     (Printf.sprintf "e21.thermostat_domains%d_us" ndomains)
-    (cp.thermostat_s *. 1e6);
-  let pair_speedup = ps.pair_s /. Float.max 1e-12 pp.pair_s in
+    (thermo_cp *. 1e6);
+  let pair_speedup = pair_s /. Float.max 1e-12 pair_p in
   let cores = X.recommended_domains () in
   if cores < ndomains then
     note
@@ -371,26 +417,26 @@ let e21 () =
        and deterministic reduction are validated by test_parallel; rerun on\n\
        a multicore host for the scaling figure.\n"
       cores ndomains;
+  let integ_s = family ~steps ph_serial "integrate."
+  and integ_p = family ~steps ph_par "integrate." in
   record "e21.host_cores" (float_of_int cores);
   record "e21.npairs" (float_of_int npairs);
-  record "e21.pair_serial_us" (ps.pair_s *. 1e6);
-  record (Printf.sprintf "e21.pair_domains%d_us" ndomains) (pp.pair_s *. 1e6);
+  record "e21.pair_serial_us" (pair_s *. 1e6);
+  record (Printf.sprintf "e21.pair_domains%d_us" ndomains) (pair_p *. 1e6);
   record "e21.pair_speedup" pair_speedup;
-  record "e21.step_serial_us" (timings_total ps *. 1e6);
-  record (Printf.sprintf "e21.step_domains%d_us" ndomains)
-    (timings_total pp *. 1e6);
-  record "e21.nbuild_serial_us" (ps.nbuild_s *. 1e6);
-  record "e21.integrate_serial_us" (ps.integrate_s *. 1e6);
+  record "e21.step_serial_us" (step_s *. 1e6);
+  record (Printf.sprintf "e21.step_domains%d_us" ndomains) (step_p *. 1e6);
+  record "e21.nbuild_serial_us" (resource rows_s "  nbuild" *. 1e6);
+  record "e21.integrate_serial_us" (integ_s *. 1e6);
   record
     (Printf.sprintf "e21.integrate_domains%d_us" ndomains)
-    (pp.integrate_s *. 1e6);
-  record "e21.integrate_speedup"
-    (ps.integrate_s /. Float.max 1e-12 pp.integrate_s);
-  record "e21.pair_soa_serial_us" (ps.pair_s *. 1e6);
+    (integ_p *. 1e6);
+  record "e21.integrate_speedup" (integ_s /. Float.max 1e-12 integ_p);
+  record "e21.pair_soa_serial_us" (pair_s *. 1e6);
   record
     (Printf.sprintf "e21.pair_soa_domains%d_us" ndomains)
-    (pp.pair_s *. 1e6);
-  record "e21.soa_pair_speedup" (boxed_pair_s /. Float.max 1e-12 ps.pair_s);
+    (pair_p *. 1e6);
+  record "e21.soa_pair_speedup" (boxed_pair_s /. Float.max 1e-12 pair_s);
   record "e21.soa_pair_minor_words_per_step" soa_pair_words;
   record "e21.step_minor_words_boxed" words_boxed;
   record "e21.step_minor_words_soa" words_flat;
@@ -399,10 +445,10 @@ let e21 () =
      serial vs domains, broken into spread/fft/convolve/gather. *)
   let gse_grid = (16, 16, 16) in
   let gse_steps = 6 in
-  let measure_gse exec =
-    let sys = Mdsp_workload.Workloads.water_box ~n_side:4 () in
-    let eng =
-      Mdsp_workload.Workloads.make_engine
+  let gse_sys = Mdsp_workload.Workloads.water_box ~n_side:4 () in
+  let measure_gse backend =
+    let ph, _, _ =
+      measure ~gse_grid
         ~config:
           {
             Mdsp_md.Engine.default_config with
@@ -410,19 +456,15 @@ let e21 () =
             temperature = 300.;
             thermostat = Mdsp_md.Engine.Langevin { gamma_fs = 0.02 };
           }
-        ~seed:42 ~exec ~gse_grid sys
+        ~steps:gse_steps gse_sys backend
     in
-    Mdsp_md.Engine.run eng 2;
-    Mdsp_md.Engine.reset_timings eng;
-    Mdsp_md.Engine.run eng gse_steps;
-    (Mdsp_md.Engine.timings eng, sys)
+    ph
   in
-  let tm_gse_serial, gse_sys = measure_gse X.serial in
-  let pool = X.create (X.Domains { n = ndomains }) in
-  let tm_gse_par, _ = measure_gse pool in
-  X.shutdown pool;
-  let gs = FC.timings_per_call tm_gse_serial in
-  let gp = FC.timings_per_call tm_gse_par in
+  let gse_serial = measure_gse X.Serial in
+  let gse_par = measure_gse pool_backend in
+  let b_gse = model_of gse_sys ~fft_grid:gse_grid 1.0 in
+  let gs = Perf.resource_rows b_gse ~steps:gse_steps gse_serial in
+  let gp = Perf.resource_rows b_gse ~steps:gse_steps gse_par in
   let gx, gy, gz = gse_grid in
   let t_gse =
     T.create
@@ -438,36 +480,31 @@ let e21 () =
           ("speedup", T.Right);
         ]
   in
-  let gse_phase ?key name a b =
-    T.row t_gse
-      [
-        name;
-        T.cell_f ~prec:1 (a *. 1e6);
-        T.cell_f ~prec:1 (b *. 1e6);
-        (if b > 0. then Printf.sprintf "%.2fx" (a /. b) else "-");
-      ];
-    match key with
-    | None -> ()
-    | Some key ->
-        record (Printf.sprintf "e21.lr_%s_serial_us" key) (a *. 1e6);
-        record
-          (Printf.sprintf "e21.lr_%s_domains%d_us" key ndomains)
-          (b *. 1e6)
-  in
-  gse_phase ~key:"spread" "spread" gs.lr_spread_s gp.lr_spread_s;
-  gse_phase ~key:"fft" "fft" gs.lr_fft_s gp.lr_fft_s;
-  gse_phase ~key:"convolve" "convolve" gs.lr_convolve_s gp.lr_convolve_s;
-  gse_phase ~key:"gather" "gather" gs.lr_gather_s gp.lr_gather_s;
-  gse_phase ~key:"total" "long-range total" gs.longrange_s gp.longrange_s;
+  List.iter
+    (fun (key, label, row) ->
+      let a = resource gs row and b = resource gp row in
+      T.row t_gse
+        [
+          label;
+          T.cell_f ~prec:1 (a *. 1e6);
+          T.cell_f ~prec:1 (b *. 1e6);
+          speedup a b;
+        ];
+      record (Printf.sprintf "e21.lr_%s_serial_us" key) (a *. 1e6);
+      record
+        (Printf.sprintf "e21.lr_%s_domains%d_us" key ndomains)
+        (b *. 1e6))
+    [
+      ("spread", "spread", "  spread");
+      ("fft", "fft", "  fft");
+      ("convolve", "convolve", "  convolve");
+      ("gather", "gather", "  gather");
+      ("total", "long-range total", "long-range");
+    ];
   T.print t_gse;
   (* The analytic machine model for the grid workload, next to what we
      actually measured on the host backend — sub-phase rows included on
      both sides. *)
-  let w =
-    Perf.of_system ~dt_fs:1.0 ~fft_grid:gse_grid
-      gse_sys.Mdsp_workload.Workloads.topo gse_sys.Mdsp_workload.Workloads.box
-  in
-  let b = Perf.step_time (Config.anton_like ()) w in
   let t2 =
     T.create ~title:"analytic 512-node model vs host measurement (per step)"
       ~columns:
@@ -483,7 +520,7 @@ let e21 () =
           | Some m -> T.cell_f ~prec:1 (m *. 1e6)
           | None -> "-");
         ])
-    (Perf.resource_rows b tm_gse_par);
+    gp;
   T.print t2;
   note "%s"
     (Printf.sprintf

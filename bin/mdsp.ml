@@ -76,7 +76,10 @@ let timings_arg =
   Arg.(
     value & flag
     & info [ "timings" ]
-        ~doc:"Print the per-resource step-time breakdown after the run.")
+        ~doc:
+          "Print the measured wall time per step of every executor phase \
+           after the run (project: per machine resource, next to the \
+           model).")
 
 let gse_arg =
   Arg.(
@@ -120,38 +123,29 @@ let or_die f =
       Printf.eprintf "mdsp: %s\n" msg;
       exit 1
 
-let print_timings eng =
-  let tm = E.timings eng in
-  let per = Mdsp_md.Force_calc.timings_per_call tm in
-  let open Mdsp_md.Force_calc in
-  Printf.printf "per-step force-pipeline breakdown (%d evaluations):\n"
-    tm.calls;
-  Printf.printf "  pair (pipelines)    %10.3f us\n" (per.pair_s *. 1e6);
-  Printf.printf "  bonded (flex)       %10.3f us\n" (per.bonded_s *. 1e6);
-  Printf.printf "  bias (flex)         %10.3f us\n" (per.bias_s *. 1e6);
-  Printf.printf "  long-range          %10.3f us\n" (per.longrange_s *. 1e6);
-  if per.lr_spread_s > 0. || per.lr_fft_s > 0. then begin
-    Printf.printf "    spread            %10.3f us\n" (per.lr_spread_s *. 1e6);
-    Printf.printf "    fft               %10.3f us\n" (per.lr_fft_s *. 1e6);
-    Printf.printf "    convolve          %10.3f us\n"
-      (per.lr_convolve_s *. 1e6);
-    Printf.printf "    gather            %10.3f us\n" (per.lr_gather_s *. 1e6)
-  end;
-  Printf.printf "  neighbor rebuild    %10.3f us\n" (per.neighbor_s *. 1e6);
-  if per.nbuild_s > 0. then
-    Printf.printf "    nbuild            %10.3f us\n" (per.nbuild_s *. 1e6);
-  Printf.printf "  integrate           %10.3f us\n" (per.integrate_s *. 1e6);
-  if per.constraints_s > 0. then
-    Printf.printf "  constraints         %10.3f us\n"
-      (per.constraints_s *. 1e6);
-  if per.thermostat_s > 0. then
-    Printf.printf "  thermostat          %10.3f us\n"
-      (per.thermostat_s *. 1e6);
-  Printf.printf "  total               %10.3f us\n"
-    (timings_total per *. 1e6);
-  (* The Gc meter only wraps the one-slot pair window. *)
-  if Mdsp_util.Exec.n_slots (exec (E.force_calc eng)) = 1 then
-    Printf.printf "  pair alloc          %10.1f words/step\n" per.pair_words
+(* One row per charged phase name, per step of the run, then the phases'
+   total next to the run's wall time: the gap is the serial remainder that
+   no phase covers. *)
+let print_timings exec ~steps ~wall_s =
+  let phases = Mdsp_util.Exec.phase_times exec in
+  let us s = s /. float_of_int (max 1 steps) *. 1e6 in
+  Printf.printf "per-step phase times over %d steps:\n" steps;
+  List.iter
+    (fun (name, s) -> Printf.printf "  %-20s %12.3f us\n" name (us s))
+    phases;
+  let total = List.fold_left (fun acc (_, s) -> acc +. s) 0. phases in
+  Printf.printf "  %-20s %12.3f us   (run wall time %.3f us)\n" "phases total"
+    (us total) (us wall_s)
+
+(* [--domains]: 1 = serial, 0 = one slot per recommended core. Always a
+   created executor, so its phase clock serves [--timings]. *)
+let exec_of_domains domains =
+  let module X = Mdsp_util.Exec in
+  X.create
+    (match domains with
+    | 1 -> X.Serial
+    | 0 -> X.Domains { n = X.recommended_domains () }
+    | n -> X.Domains { n })
 
 let run_cmd =
   let doc = "Run molecular dynamics on a workload and report observables." in
@@ -159,13 +153,7 @@ let run_cmd =
       xyz xyz_stride checkpoint restart =
    or_die @@ fun () ->
     let sys = build_system preset in
-    let exec =
-      let module X = Mdsp_util.Exec in
-      match domains with
-      | 1 -> X.serial
-      | 0 -> X.create (X.Domains { n = X.recommended_domains () })
-      | n -> X.create (X.Domains { n })
-    in
+    let exec = exec_of_domains domains in
     let gse_grid = if gse > 0 then Some (gse, gse, gse) else None in
     let thermostat =
       match thermostat with
@@ -245,6 +233,8 @@ let run_cmd =
         (E.pressure_atm eng)
     in
     report ();
+    Mdsp_util.Exec.reset_phase_times exec;
+    let t0 = Unix.gettimeofday () in
     let chunk = max 1 (steps / 10) in
     let remaining = ref steps in
     (try
@@ -260,8 +250,9 @@ let run_cmd =
        Printf.eprintf "mdsp: preset %s: %s\n" preset
          (Mdsp_md.Constraints.unconverged_message u);
        exit 1);
+    let wall_s = Unix.gettimeofday () -. t0 in
     Option.iter Mdsp_md.Trajectory.close_xyz traj;
-    if timings then print_timings eng;
+    if timings then print_timings exec ~steps ~wall_s;
     (match checkpoint with
     | None -> ()
     | Some path ->
@@ -579,13 +570,7 @@ let project_cmd =
   in
   let run preset nodes gse domains timings steps =
     let sys = build_system preset in
-    let exec =
-      let module X = Mdsp_util.Exec in
-      match domains with
-      | 1 -> X.serial
-      | 0 -> X.create (X.Domains { n = X.recommended_domains () })
-      | n -> X.create (X.Domains { n })
-    in
+    let exec = exec_of_domains domains in
     let cutoff = Float.min 9.0 (Mdsp_util.Pbc.min_edge sys.WL.box /. 2.) in
     let d = M.Decomp.create sys.WL.box ~nodes ~cutoff in
     let stats = M.Decomp.analyze ~exec d sys.WL.positions in
@@ -639,12 +624,12 @@ let project_cmd =
       (M.Perf.ns_per_day_decomposed cfg w ~comm);
     if timings then begin
       let eng = WL.make_engine ?gse_grid:grid ~exec sys in
+      Mdsp_util.Exec.reset_phase_times exec;
       E.run eng steps;
-      let tm = E.timings eng in
       Printf.printf
-        "model vs measured (per step, %d evaluations, torus phases have no \
+        "model vs measured (per step over %d steps, torus phases have no \
          host analogue):\n"
-        tm.Mdsp_md.Force_calc.calls;
+        steps;
       List.iter
         (fun (r : M.Perf.resource_row) ->
           Printf.printf "  %-18s %10.3f us  %s\n" r.M.Perf.resource
@@ -652,7 +637,7 @@ let project_cmd =
             (match r.M.Perf.measured_s with
             | Some v -> Printf.sprintf "%10.3f us" (v *. 1e6)
             | None -> "        --"))
-        (M.Perf.resource_rows ~comm b tm)
+        (M.Perf.resource_rows ~comm b ~steps (Mdsp_util.Exec.phase_times exec))
     end
   in
   Cmd.v (Cmd.info "project" ~doc)

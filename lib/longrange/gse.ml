@@ -302,16 +302,17 @@ let stencils t ns =
   t.stencils
 
 (* 1. Spread charges. Serial: accumulate directly into [re] in particle
-   order. Parallel: each slot spreads its contiguous particle tile into a
-   private scratch grid, then the grids are combined point-wise with the
-   fixed-shape tree, itself tiled over the pool. *)
+   order, charged to the clock as the pool phase it replaces. Parallel:
+   each slot spreads its contiguous particle tile into a private scratch
+   grid, then the grids are combined point-wise with the fixed-shape tree,
+   itself tiled over the pool. *)
 let spread ~exec t sts charges positions re =
   let n = Array.length positions in
   let ns = Exec.n_slots exec in
-  if ns = 1 && not (Exec.sanitizing exec) then begin
-    Array.fill re 0 (Array.length re) 0.;
-    spread_range t sts.(0) re charges positions 0 n
-  end
+  if ns = 1 && not (Exec.sanitizing exec) then
+    Exec.timed ~phase:"gse.spread" exec (fun () ->
+        Array.fill re 0 (Array.length re) 0.;
+        spread_range t sts.(0) re charges positions 0 n)
   else begin
     let grids = scratch_grids t ns in
     (* Each slot spreads a particle tile into its private scratch grid; the

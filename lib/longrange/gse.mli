@@ -97,8 +97,11 @@ val with_box : t -> Pbc.t -> t
     {!Ewald.excluded_correction}, which depend only on [beta]).
 
     [exec] (default {!Mdsp_util.Exec.serial}) runs every stage — spread,
-    FFT, convolve, gather — on the pool as described above; [phases]
-    accumulates per-stage wall time when provided. The grid, per-slot
+    FFT, convolve, gather — on the pool as described above, and its phase
+    clock times each stage by phase name ([gse.spread], [gse.combine],
+    [gse.fft_fwd.*], [gse.convolve], [gse.fft_inv.*], [gse.phi_scale],
+    [gse.gather]); [phases] additionally accumulates per-stage wall time
+    when provided. The grid, per-slot
     scratch grids and stencils are cached inside [t] and reused across
     calls. Positions may lie anywhere; each is wrapped into [t]'s box. *)
 val reciprocal :

@@ -225,12 +225,9 @@ let ns_per_day_decomposed cfg w ~comm =
 
 (* --- model vs measurement ---
 
-   The live force pipeline records wall time per phase
-   (Mdsp_md.Force_calc.timings); each phase maps onto the machine resource
-   that would execute it: neighbor-list pairs + 1-4 terms -> pair
-   pipelines, bonded terms + biases -> programmable cores, the k-space /
-   grid phase -> long-range, neighbor rebuilds -> the import/communication
-   machinery. *)
+   The executor's phase clock (Mdsp_util.Exec.phase_times) records wall
+   time per registered phase name; this is the one place that decides which
+   machine resource would execute each phase. *)
 
 type resource_row = {
   resource : string;
@@ -238,9 +235,20 @@ type resource_row = {
   measured_s : float option;  (** measured per-step seconds, when mapped *)
 }
 
-let resource_rows ?comm b (tm : Mdsp_md.Force_calc.timings) =
-  let per = Mdsp_md.Force_calc.timings_per_call tm in
-  let m v = if tm.Mdsp_md.Force_calc.calls = 0 then None else Some v in
+let resource_rows ?comm b ~steps phases =
+  (* Per-step seconds of the charged phases [sel] accepts; [None] when it
+     accepts none, so a misspelt name shows up as an unmeasured row. *)
+  let measured sel =
+    match List.filter (fun (name, _) -> sel name) phases with
+    | [] -> None
+    | _ when steps <= 0 -> None
+    | l ->
+        Some
+          (List.fold_left (fun acc (_, s) -> acc +. s) 0. l
+          /. float_of_int steps)
+  in
+  let named names = measured (fun name -> List.mem name names) in
+  let prefixed prefix = measured (String.starts_with ~prefix) in
   (* Torus-phase sub-rows of the network row, present when a priced
      Comm_model.step is supplied. Wire times have no host analogue, so
      [measured_s] stays [None]. *)
@@ -257,43 +265,21 @@ let resource_rows ?comm b (tm : Mdsp_md.Force_calc.timings) =
             })
           (Comm_model.phases c)
   in
+  let row resource model_s measured_s = { resource; model_s; measured_s } in
   [
-    { resource = "pair pipelines"; model_s = b.htis_s; measured_s = m per.pair_s };
-    {
-      resource = "flex cores";
-      model_s = b.flex_s;
-      measured_s = m (per.bonded_s +. per.bias_s);
-    };
-    { resource = "long-range"; model_s = b.fft_s; measured_s = m per.longrange_s };
+    row "pair pipelines" b.htis_s (named [ "pair"; "pair14" ]);
+    row "flex cores" b.flex_s (named [ "bonded"; "bias" ]);
+    row "long-range" b.fft_s (prefixed "gse.");
     (* GSE grid-pipeline sub-phases: a breakdown of the long-range row
        (model and measurement both), indented in table output. *)
-    {
-      resource = "  spread";
-      model_s = b.lr_spread_s;
-      measured_s = m per.lr_spread_s;
-    };
-    { resource = "  fft"; model_s = b.lr_fft_s; measured_s = m per.lr_fft_s };
-    {
-      resource = "  convolve";
-      model_s = b.lr_convolve_s;
-      measured_s = m per.lr_convolve_s;
-    };
-    {
-      resource = "  gather";
-      model_s = b.lr_gather_s;
-      measured_s = m per.lr_gather_s;
-    };
-    { resource = "network"; model_s = b.comm_s; measured_s = m per.neighbor_s };
-    (* Neighbor-list sub-phase: the tiled cell-list + pair-list build slice
-       of the network row (import/export walks dominate the remainder). *)
-    { resource = "  nbuild"; model_s = b.comm_s; measured_s = m per.nbuild_s };
+    row "  spread" b.lr_spread_s (named [ "gse.spread"; "gse.combine" ]);
+    row "  fft" b.lr_fft_s (prefixed "gse.fft_");
+    row "  convolve" b.lr_convolve_s (named [ "gse.convolve"; "gse.phi_scale" ]);
+    row "  gather" b.lr_gather_s (named [ "gse.gather" ]);
+    row "network" b.comm_s (named [ "cell.bin"; "nbuild" ]);
+    (* The tiled pair-list build slice of the network row (import/export
+       walks dominate the remainder). *)
+    row "  nbuild" b.comm_s (named [ "nbuild" ]);
   ]
   @ comm_rows
-  @ [
-      { resource = "sync"; model_s = b.sync_s; measured_s = None };
-      {
-        resource = "step";
-        model_s = b.step_s;
-        measured_s = m (Mdsp_md.Force_calc.timings_total per);
-      };
-    ]
+  @ [ row "sync" b.sync_s None; row "step" b.step_s (measured (fun _ -> true)) ]

@@ -69,22 +69,32 @@ val pair_count : workload -> float
 
 (** One line of the model-vs-measurement comparison: the analytic per-step
     time {!step_time} assigns to a machine resource next to the measured
-    per-step wall time of the execution-backend phase that plays the same
-    role on the host ({!Mdsp_md.Force_calc.timings}). *)
+    per-step wall time of the host phases that play the same role. *)
 type resource_row = {
   resource : string;
   model_s : float;  (** analytic per-step seconds from {!step_time} *)
   measured_s : float option;  (** measured per-step seconds, when mapped *)
 }
 
-(** [resource_rows breakdown timings] pairs each modeled resource with the
-    measured phase: pair pipelines <- pair + 1-4 phase, flex cores <-
-    bonded + bias, long-range <- k-space/grid, network <- neighbor
-    rebuilds. The long-range row is followed by four indented sub-rows
-    (spread / fft / convolve / gather) breaking down both the modeled and
-    the measured grid pipeline ({!Mdsp_md.Force_calc.timings} [lr_*]
-    fields). [sync] has no host analogue; [measured_s] is [None] there and
-    everywhere when [timings.calls = 0].
+(** [resource_rows ?comm breakdown ~steps phases] pairs each modeled
+    resource with the host phases that would run on it. [phases] is an
+    executor's phase clock ({!Mdsp_util.Exec.phase_times}) over a run of
+    [steps] steps; each measured value is the sum of the row's phases
+    divided by [steps]. This is the one place that maps phase names to
+    machine resources:
+
+    - pair pipelines <- [pair] + [pair14];
+    - flex cores <- [bonded] + [bias] (the serial bias and transform
+      pass, where the paper's method biases run);
+    - long-range <- every [gse.*] phase, with indented sub-rows spread
+      ([gse.spread] + [gse.combine]), fft ([gse.fft_*]), convolve
+      ([gse.convolve] + [gse.phi_scale]) and gather ([gse.gather]);
+    - network <- [cell.bin] + [nbuild], with an indented [nbuild] sub-row;
+    - step <- every charged phase.
+
+    A row none of whose phases was charged has [measured_s = None]; so
+    does every row when [phases] is empty or [steps <= 0]. [sync] has no
+    host analogue and is always [None].
 
     [?comm] appends the priced torus phases (import / force return /
     grid transpose, from {!Comm_model.phases}) as indented sub-rows of
@@ -92,4 +102,7 @@ type resource_row = {
     [measured_s] is [None]. *)
 val resource_rows :
   ?comm:Comm_model.step ->
-  breakdown -> Mdsp_md.Force_calc.timings -> resource_row list
+  breakdown ->
+  steps:int ->
+  (string * float) list ->
+  resource_row list

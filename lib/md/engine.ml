@@ -57,8 +57,6 @@ type t = {
   mutable mc_baro_try : int;
 }
 
-let now () = Unix.gettimeofday ()
-
 let make_nhc ~dof ~temperature ~tau =
   let kt = Units.kt temperature in
   let q1 = float_of_int dof *. kt *. tau *. tau in
@@ -103,8 +101,6 @@ let create ?(seed = 7) topo fc st cfg =
 
 let state t = t.st
 let force_calc t = t.fc
-let timings t = Force_calc.timings t.fc
-let reset_timings t = Force_calc.reset_timings t.fc
 let config t = t.cfg
 let rng t = t.rng
 let steps_done t = t.nsteps
@@ -242,7 +238,6 @@ let berendsen_scale t dt tau =
    that key, so the sweep is a per-atom-independent map — order- and
    tiling-invariant, hence bitwise identical at any slot count. *)
 let langevin_o t gamma dt =
-  let t0 = now () in
   let c1 = exp (-.gamma *. dt) in
   let kt = Units.kt t.cfg.temperature in
   let v = t.st.State.velocities and m = t.st.State.masses in
@@ -257,8 +252,7 @@ let langevin_o t gamma dt =
             Vec3.add (Vec3.scale c1 v.(i))
               (Vec3.scale c2 (Rng.gaussian_vec (Rng.derive key i)))
         end
-      done);
-  Force_calc.add_thermostat_s t.fc (now () -. t0)
+      done)
 
 (* Velocity rescale (NH chain, Berendsen) as a per-atom sweep; the scalar
    factor comes from a serial reduction beforehand, so the sweep itself is
@@ -266,15 +260,13 @@ let langevin_o t gamma dt =
    "no-op"; skipping it is bitwise-neutral (v *. 1.0 = v). *)
 let thermo_scale t s =
   if s <> 1. then begin
-    let t0 = now () in
     let v = t.st.State.velocities in
     Exec.sweep ~phase:"thermo.scale" ~reads:[ "state.velocities" ]
       ~writes:[ "state.velocities" ] (Force_calc.exec t.fc)
       ~total:(State.n t.st) (fun _ lo hi ->
         for i = lo to hi - 1 do
           v.(i) <- Vec3.scale s v.(i)
-        done);
-    Force_calc.add_thermostat_s t.fc (now () -. t0)
+        done)
   end
 
 (* --- integrator pieces --- *)
@@ -284,7 +276,6 @@ let thermo_scale t s =
    virtual-site table are immutable parameters and need no read
    declaration. *)
 let kick ?(phase = "integrate.kick1") t (acc : Mdsp_ff.Bonded.accum) dt =
-  let t0 = now () in
   let v = t.st.State.velocities and m = t.st.State.masses in
   let forces = acc.Mdsp_ff.Bonded.forces in
   Exec.sweep ~phase ~reads:[ "state.forces"; "state.velocities" ]
@@ -293,14 +284,12 @@ let kick ?(phase = "integrate.kick1") t (acc : Mdsp_ff.Bonded.accum) dt =
       for i = lo to hi - 1 do
         if not (Virtual_sites.is_site t.vsites i) then
           v.(i) <- Vec3.axpy (dt /. m.(i)) forces.(i) v.(i)
-      done);
-  Force_calc.add_integrate_s t.fc (now () -. t0)
+      done)
 
 (* Drift positions by dt (saving the pre-step positions), apply SHAKE, and
    fold the constraint displacement back into velocities: three pool
    phases. Virtual-site placement stays on the calling domain. *)
 let drift t dt =
-  let t0 = now () in
   let x = t.st.State.positions and v = t.st.State.velocities in
   let prev = t.prev_positions in
   let n = State.n t.st in
@@ -314,9 +303,7 @@ let drift t dt =
         if not (Virtual_sites.is_site t.vsites i) then
           x.(i) <- Vec3.axpy dt v.(i) x.(i)
       done);
-  Force_calc.add_integrate_s t.fc (now () -. t0);
   if Constraints.count t.cons > 0 then begin
-    let t1 = now () in
     Constraints.shake ~exec t.cons t.st.State.box ~prev x
       ~masses:t.st.State.masses;
     (* Fold the constraint displacement back into velocities: a per-atom
@@ -327,19 +314,15 @@ let drift t dt =
         for i = lo to hi - 1 do
           if not (Virtual_sites.is_site t.vsites i) then
             v.(i) <- Vec3.scale (1. /. dt) (Vec3.sub x.(i) prev.(i))
-        done);
-    Force_calc.add_constraints_s t.fc (now () -. t1)
+        done)
   end;
   if Virtual_sites.count t.vsites > 0 then
     Virtual_sites.place t.vsites t.st.State.box x
 
 let rattle t =
-  if Constraints.count t.cons > 0 then begin
-    let t0 = now () in
+  if Constraints.count t.cons > 0 then
     Constraints.rattle ~exec:(Force_calc.exec t.fc) t.cons t.st.State.box
-      t.st.State.positions t.st.State.velocities ~masses:t.st.State.masses;
-    Force_calc.add_constraints_s t.fc (now () -. t0)
-  end
+      t.st.State.positions t.st.State.velocities ~masses:t.st.State.masses
 
 (* --- barostats --- *)
 

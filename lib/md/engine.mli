@@ -58,15 +58,6 @@ val steps_done : t -> int
 (** Energies from the most recent force evaluation. *)
 val energies : t -> Force_calc.energies
 
-(** Cumulative per-resource wall-time breakdown aggregated over every force
-    evaluation the engine has driven (see {!Force_calc.timings}), including
-    the GSE long-range sub-phases (spread / fft / convolve / gather) when a
-    grid solver is installed; divide by {!steps_done} or use
-    {!Force_calc.timings_per_call} for per-step figures. *)
-val timings : t -> Force_calc.timings
-
-val reset_timings : t -> unit
-
 val potential_energy : t -> float
 val kinetic_energy : t -> float
 val total_energy : t -> float

@@ -30,72 +30,6 @@ let zero_energies =
     bias = 0.;
   }
 
-type timings = {
-  mutable pair_s : float;
-  mutable bonded_s : float;
-  mutable longrange_s : float;
-  mutable lr_spread_s : float;
-  mutable lr_fft_s : float;
-  mutable lr_convolve_s : float;
-  mutable lr_gather_s : float;
-  mutable bias_s : float;
-  mutable neighbor_s : float;
-  mutable nbuild_s : float;
-  mutable integrate_s : float;
-  mutable constraints_s : float;
-  mutable thermostat_s : float;
-  mutable pair_words : float;
-  mutable calls : int;
-}
-
-let zero_timings () =
-  {
-    pair_s = 0.;
-    bonded_s = 0.;
-    longrange_s = 0.;
-    lr_spread_s = 0.;
-    lr_fft_s = 0.;
-    lr_convolve_s = 0.;
-    lr_gather_s = 0.;
-    bias_s = 0.;
-    neighbor_s = 0.;
-    nbuild_s = 0.;
-    integrate_s = 0.;
-    constraints_s = 0.;
-    thermostat_s = 0.;
-    pair_words = 0.;
-    calls = 0;
-  }
-
-let timings_total tm =
-  tm.pair_s +. tm.bonded_s +. tm.longrange_s +. tm.bias_s +. tm.neighbor_s
-  +. tm.integrate_s +. tm.constraints_s +. tm.thermostat_s
-
-let timings_per_call tm =
-  if tm.calls = 0 then zero_timings ()
-  else begin
-    let c = float_of_int tm.calls in
-    {
-      pair_s = tm.pair_s /. c;
-      bonded_s = tm.bonded_s /. c;
-      longrange_s = tm.longrange_s /. c;
-      lr_spread_s = tm.lr_spread_s /. c;
-      lr_fft_s = tm.lr_fft_s /. c;
-      lr_convolve_s = tm.lr_convolve_s /. c;
-      lr_gather_s = tm.lr_gather_s /. c;
-      bias_s = tm.bias_s /. c;
-      neighbor_s = tm.neighbor_s /. c;
-      nbuild_s = tm.nbuild_s /. c;
-      integrate_s = tm.integrate_s /. c;
-      constraints_s = tm.constraints_s /. c;
-      thermostat_s = tm.thermostat_s /. c;
-      pair_words = tm.pair_words /. c;
-      calls = tm.calls;
-    }
-  end
-
-let now () = Unix.gettimeofday ()
-
 type bias = {
   bias_name : string;
   bias_compute : Pbc.t -> Vec3.t array -> Mdsp_ff.Bonded.accum -> float;
@@ -177,7 +111,6 @@ type t = {
      never goes stale even under a barostat. *)
   mutable gse_ewald : Mdsp_longrange.Ewald.t option;
   flat : flat;
-  tm : timings;
 }
 
 let create ?(exec = Exec.serial) topo ~evaluator ~longrange ~nlist =
@@ -193,7 +126,6 @@ let create ?(exec = Exec.serial) topo ~evaluator ~longrange ~nlist =
     exec;
     gse_ewald = None;
     flat = make_flat ~exec (Mdsp_ff.Topology.n_atoms topo);
-    tm = zero_timings ();
   }
 
 let topology t = t.topo
@@ -221,31 +153,6 @@ let remove_bias t name =
 
 let biases t = List.rev_map (fun b -> b.bias_name) t.biases_rev
 let set_transform t tr = t.transform <- tr
-
-let timings t = { t.tm with calls = t.tm.calls }
-
-let reset_timings t =
-  t.tm.pair_s <- 0.;
-  t.tm.bonded_s <- 0.;
-  t.tm.longrange_s <- 0.;
-  t.tm.lr_spread_s <- 0.;
-  t.tm.lr_fft_s <- 0.;
-  t.tm.lr_convolve_s <- 0.;
-  t.tm.lr_gather_s <- 0.;
-  t.tm.bias_s <- 0.;
-  t.tm.neighbor_s <- 0.;
-  t.tm.nbuild_s <- 0.;
-  t.tm.integrate_s <- 0.;
-  t.tm.constraints_s <- 0.;
-  t.tm.thermostat_s <- 0.;
-  t.tm.pair_words <- 0.;
-  t.tm.calls <- 0
-
-(* The integrator sweeps live in Engine, outside any [compute] call, so the
-   engine charges their wall time here explicitly. *)
-let add_integrate_s t d = t.tm.integrate_s <- t.tm.integrate_s +. d
-let add_constraints_s t d = t.tm.constraints_s <- t.tm.constraints_s +. d
-let add_thermostat_s t d = t.tm.thermostat_s <- t.tm.thermostat_s +. d
 
 let compute_biases t box positions acc =
   List.fold_left
@@ -292,16 +199,9 @@ let compute_longrange t box positions acc =
       in
       (recip, corr)
   | Lr_gse gse ->
-      let ph = Mdsp_longrange.Gse.zero_phases () in
       let recip =
-        Mdsp_longrange.Gse.reciprocal ~exec:t.exec ~phases:ph gse t.charges
-          positions acc
+        Mdsp_longrange.Gse.reciprocal ~exec:t.exec gse t.charges positions acc
       in
-      let tm = t.tm in
-      tm.lr_spread_s <- tm.lr_spread_s +. ph.Mdsp_longrange.Gse.spread_s;
-      tm.lr_fft_s <- tm.lr_fft_s +. ph.Mdsp_longrange.Gse.fft_s;
-      tm.lr_convolve_s <- tm.lr_convolve_s +. ph.Mdsp_longrange.Gse.convolve_s;
-      tm.lr_gather_s <- tm.lr_gather_s +. ph.Mdsp_longrange.Gse.gather_s;
       let ew = gse_correction_handle t gse box in
       let corr =
         Mdsp_longrange.Ewald.self_energy ew t.charges
@@ -310,30 +210,11 @@ let compute_longrange t box positions acc =
       in
       (recip, corr)
 
-(* Timed phase helper: runs [f ()], charges the elapsed wall time to the
-   field selected by [add]. *)
-let timed add f =
-  let t0 = now () in
-  let r = f () in
-  add (now () -. t0);
-  r
-
-(* Neighbor refresh, charged to [neighbor_s]; the slice actually spent
-   inside the tiled list build (the [nbuild] sub-phase) is the delta of the
-   list's own cumulative build clock. *)
-let rebuild_timed t box positions =
-  let tm = t.tm in
-  let nb0 = Mdsp_space.Neighbor_list.build_seconds t.nlist in
-  ignore
-    (timed (fun d -> tm.neighbor_s <- tm.neighbor_s +. d) (fun () ->
-         Mdsp_space.Neighbor_list.maybe_rebuild ~box t.nlist positions));
-  tm.nbuild_s <-
-    tm.nbuild_s +. (Mdsp_space.Neighbor_list.build_seconds t.nlist -. nb0)
-
 (* --- the flat force phases ----------------------------------------- *)
 
 (* One slot and no sanitizer: the phases run inline on the calling domain
-   instead of as declared pool phases. *)
+   instead of as declared pool phases, charged to the executor's clock
+   under the pool phase's name. *)
 let inline t = Exec.n_slots t.exec = 1 && not (Exec.sanitizing t.exec)
 
 (* A declared pool phase on the flat store: [body s store sc] runs on slot
@@ -383,7 +264,9 @@ let bonded t box =
   let nd = Array.length topo.Mdsp_ff.Topology.dihedrals in
   let ni = Array.length topo.Mdsp_ff.Topology.impropers in
   if inline t || Mdsp_ff.Bonded.term_count topo = 0 then
-    bonded_terms box topo ctx.store ctx.sc (0, nb) (0, na) (0, nd) (0, ni)
+    Exec.timed ~phase:"bonded" t.exec (fun () ->
+        bonded_terms box topo ctx.store ctx.sc (0, nb) (0, na) (0, nd)
+          (0, ni))
   else begin
     let ns = Exec.n_slots t.exec in
     let terms =
@@ -427,11 +310,11 @@ let pairs14 t box =
   let p14 = K.kernel_pairs14 t.kernel in
   let np = K.pairs14_count p14 in
   if not (K.pairs14_active p14) then 0.
-  else if inline t then begin
-    ctx.sc.K.energy <- 0.;
-    K.pairs14_range p14 box ctx.store 0 np ctx.sc;
-    ctx.sc.K.energy
-  end
+  else if inline t then
+    Exec.timed ~phase:"pair14" t.exec (fun () ->
+        ctx.sc.K.energy <- 0.;
+        K.pairs14_range p14 box ctx.store 0 np ctx.sc;
+        ctx.sc.K.energy)
   else begin
     let tiles = Exec.tile_bounds ~total:np ~ntiles:(Exec.n_slots t.exec) in
     let natoms = Soa.n ctx.store in
@@ -445,47 +328,34 @@ let pairs14 t box =
         K.pairs14_range p14 box sst lo hi ssc)
   end
 
-(* Parallel pair phase, mirror of Pair_interactions.compute (ns > 1). *)
-let pair_par t box =
-  let ns = Exec.n_slots t.exec in
+(* Neighbor-list pairs, mirror of Pair_interactions.compute: inline at one
+   slot, otherwise one tile of the list per slot. *)
+let pair t box =
   let is, js = Mdsp_space.Neighbor_list.raw_pairs t.nlist in
-  let tiles = Mdsp_space.Neighbor_list.tiles t.nlist ~ntiles:ns in
-  let total = snd tiles.(ns - 1) in
-  let natoms = Soa.n t.flat.store in
-  slot_phase t ~phase:"pair" ~reads:[ ("pair.tiles", total) ]
-    (fun s sst ssc ->
-      let lo, hi = tiles.(s) in
-      Exec.declare_write ~slot:s ~resource:"pair.tiles" ~total ~lo ~hi t.exec;
-      Exec.declare_read ~slot:s ~resource:"nlist.pairs" ~total ~lo ~hi t.exec;
-      Exec.declare_read ~slot:s ~resource:"soa.positions" ~lo:0 ~hi:natoms
-        t.exec;
-      K.kernel_range t.kernel box sst ~is ~js lo hi ssc)
-
-(* Inline 1-4 + pair kernels with the minor-heap probe around them: the
-   window contains only unit-returning kernel calls and float-record field
-   traffic, so an analytic LJ pair loop measures exactly zero words (a
-   generic loop measures what its evaluator allocates). Everything else
-   that allocates (raw array fetch, result boxing, the timing fields) sits
-   outside the [w0, w1] window. *)
-let pair_inline t box ~with14 =
-  let tm = t.tm in
-  let store = t.flat.store in
-  let sc = t.flat.sc in
-  let p14 = K.kernel_pairs14 t.kernel in
-  let is, js = Mdsp_space.Neighbor_list.raw_pairs t.nlist in
-  let npairs = Mdsp_space.Neighbor_list.length t.nlist in
-  let active14 = with14 && K.pairs14_active p14 in
-  let np14 = K.pairs14_count p14 in
-  let w0 = Gc.minor_words () in
-  sc.K.energy <- 0.;
-  if active14 then K.pairs14_range p14 box store 0 np14 sc;
-  let pair14 = sc.K.energy in
-  sc.K.energy <- 0.;
-  K.kernel_range t.kernel box store ~is ~js 0 npairs sc;
-  let w1 = Gc.minor_words () in
-  let p = pair14 +. sc.K.energy in
-  tm.pair_words <- tm.pair_words +. (w1 -. w0);
-  p
+  if inline t then
+    Exec.timed ~phase:"pair" t.exec (fun () ->
+        let sc = t.flat.sc in
+        sc.K.energy <- 0.;
+        K.kernel_range t.kernel box t.flat.store ~is ~js 0
+          (Mdsp_space.Neighbor_list.length t.nlist)
+          sc;
+        sc.K.energy)
+  else begin
+    let ns = Exec.n_slots t.exec in
+    let tiles = Mdsp_space.Neighbor_list.tiles t.nlist ~ntiles:ns in
+    let total = snd tiles.(ns - 1) in
+    let natoms = Soa.n t.flat.store in
+    slot_phase t ~phase:"pair" ~reads:[ ("pair.tiles", total) ]
+      (fun s sst ssc ->
+        let lo, hi = tiles.(s) in
+        Exec.declare_write ~slot:s ~resource:"pair.tiles" ~total ~lo ~hi
+          t.exec;
+        Exec.declare_read ~slot:s ~resource:"nlist.pairs" ~total ~lo ~hi
+          t.exec;
+        Exec.declare_read ~slot:s ~resource:"soa.positions" ~lo:0 ~hi:natoms
+          t.exec;
+        K.kernel_range t.kernel box sst ~is ~js lo hi ssc)
+  end
 
 (* Load positions into the flat store and reset its accumulators: the
    ["soa.load"] phase. *)
@@ -506,77 +376,41 @@ let flush t acc =
 
 let compute t box positions acc =
   Mdsp_ff.Bonded.reset acc;
-  let tm = t.tm in
-  rebuild_timed t box positions;
-  let bond, angle, dihedral =
-    timed (fun d -> tm.bonded_s <- tm.bonded_s +. d) (fun () ->
-        load t box positions;
-        bonded t box)
-  in
-  let pair =
-    timed (fun d -> tm.pair_s <- tm.pair_s +. d) (fun () ->
-        let p =
-          if inline t then pair_inline t box ~with14:true
-          else
-            let pair14 = pairs14 t box in
-            pair14 +. pair_par t box
-        in
-        flush t acc;
-        p)
-  in
-  let recip, correction =
-    timed (fun d -> tm.longrange_s <- tm.longrange_s +. d) (fun () ->
-        compute_longrange t box positions acc)
-  in
-  let e =
-    timed (fun d -> tm.bias_s <- tm.bias_s +. d) (fun () ->
-        let bias = compute_biases t box positions acc in
-        let e = { bond; angle; dihedral; pair; recip; correction; bias } in
-        match t.transform with
-        | None -> e
-        | Some tr ->
-            let boost = tr.tr_apply box positions acc (total e) in
-            { e with bias = e.bias +. boost })
-  in
-  tm.calls <- tm.calls + 1;
-  e
+  ignore (Mdsp_space.Neighbor_list.maybe_rebuild ~box t.nlist positions);
+  load t box positions;
+  let bond, angle, dihedral = bonded t box in
+  let pair14 = pairs14 t box in
+  let pair = pair14 +. pair t box in
+  flush t acc;
+  let recip, correction = compute_longrange t box positions acc in
+  (* The serial bias and transform pass — the programmable-core work of
+     the paper's methods. *)
+  Exec.timed ~phase:"bias" t.exec (fun () ->
+      let bias = compute_biases t box positions acc in
+      let e = { bond; angle; dihedral; pair; recip; correction; bias } in
+      match t.transform with
+      | None -> e
+      | Some tr ->
+          let boost = tr.tr_apply box positions acc (total e) in
+          { e with bias = e.bias +. boost })
 
 let compute_class t cls box positions acc =
   Mdsp_ff.Bonded.reset acc;
-  let tm = t.tm in
   match cls with
   | `Fast ->
-      let bond, angle, dihedral =
-        timed (fun d -> tm.bonded_s <- tm.bonded_s +. d) (fun () ->
-            load t box positions;
-            bonded t box)
-      in
-      let pair14 =
-        timed (fun d -> tm.pair_s <- tm.pair_s +. d) (fun () ->
-            let p = pairs14 t box in
-            flush t acc;
-            p)
-      in
+      load t box positions;
+      let bond, angle, dihedral = bonded t box in
+      let pair14 = pairs14 t box in
+      flush t acc;
       let bias =
-        timed (fun d -> tm.bias_s <- tm.bias_s +. d) (fun () ->
+        Exec.timed ~phase:"bias" t.exec (fun () ->
             compute_biases t box positions acc)
       in
       { zero_energies with bond; angle; dihedral; pair = pair14; bias }
   | `Slow ->
-      rebuild_timed t box positions;
-      let pair =
-        timed (fun d -> tm.pair_s <- tm.pair_s +. d) (fun () ->
-            load t box positions;
-            let p =
-              if inline t then pair_inline t box ~with14:false
-              else pair_par t box
-            in
-            flush t acc;
-            p)
-      in
-      let recip, correction =
-        timed (fun d -> tm.longrange_s <- tm.longrange_s +. d) (fun () ->
-            compute_longrange t box positions acc)
-      in
-      tm.calls <- tm.calls + 1;
+      ignore (Mdsp_space.Neighbor_list.maybe_rebuild ~box t.nlist positions);
+      load t box positions;
+      let pair = pair t box in
+      flush t acc;
+      let recip, correction = compute_longrange t box positions acc in
       { zero_energies with pair; recip; correction }

@@ -27,63 +27,6 @@ type energies = {
 val total : energies -> float
 val zero_energies : energies
 
-(** Cumulative wall-clock seconds spent in each force-pipeline phase — the
-    live analogue of the machine model's per-resource breakdown
-    ({!Mdsp_machine.Perf.breakdown}): [pair_s] is what the hardwired pair
-    pipelines would run (neighbor-list pairs + 1-4 terms), [bonded_s] and
-    [bias_s] the programmable-core work, [longrange_s] the grid/k-space
-    phase, [neighbor_s] the neighbor-list rebuilds. [calls] counts full
-    force evaluations ({!compute} and [`Slow] class passes).
-
-    The [lr_*] fields split [longrange_s] into the GSE grid-pipeline
-    sub-phases (charge spreading, FFT passes, k-space convolution, force
-    gathering — see {!Mdsp_longrange.Gse.phases}); they are a breakdown,
-    not additional buckets, so {!timings_total} does not add them again.
-    Their sum is slightly below [longrange_s], whose remainder is the
-    Ewald self/excluded correction work. All four stay zero when the
-    long-range solver is [Lr_none] or direct [Lr_ewald].
-
-    [nbuild_s] is the slice of [neighbor_s] actually spent inside the tiled
-    cell-list + pair-list build (a sub-phase, not an additional bucket, so
-    {!timings_total} does not add it). [integrate_s] is the integrator's
-    position/velocity sweeps (the [integrate.*] phases), charged by the
-    engine via {!add_integrate_s}; [constraints_s] (SHAKE/RATTLE batch
-    sweeps plus the constraint velocity fold) and [thermostat_s] (Langevin
-    O-step, velocity rescales) are charged the same way via
-    {!add_constraints_s}/{!add_thermostat_s} — the buckets that are not
-    force work.
-    [pair_words] is not a time at all:
-    it is the cumulative minor-heap allocation (in words, from
-    [Gc.minor_words]) of the 1-4 and pair loops on one slot — with an
-    analytic evaluator the LJ pair loop is allocation-free and this stays
-    exactly 0, which [bench e21] asserts; a table or FEP evaluator counts
-    the result tuples its [eval] allocates. It stays 0 on a pool. *)
-type timings = {
-  mutable pair_s : float;
-  mutable bonded_s : float;
-  mutable longrange_s : float;
-  mutable lr_spread_s : float;
-  mutable lr_fft_s : float;
-  mutable lr_convolve_s : float;
-  mutable lr_gather_s : float;
-  mutable bias_s : float;
-  mutable neighbor_s : float;
-  mutable nbuild_s : float;
-  mutable integrate_s : float;
-  mutable constraints_s : float;
-  mutable thermostat_s : float;
-  mutable pair_words : float;
-  mutable calls : int;
-}
-
-val zero_timings : unit -> timings
-
-(** Sum of all phase times. *)
-val timings_total : timings -> float
-
-(** Per-evaluation averages (divides each phase by [calls]). *)
-val timings_per_call : timings -> timings
-
 (** A bias sees the box and positions and adds forces into the accumulator,
     returning its energy. *)
 type bias = {
@@ -107,6 +50,10 @@ type t
     calculator. [exec] (default {!Mdsp_util.Exec.serial}) selects the
     execution backend for the pair and bonded phases; the flat particle
     store and the per-slot scratch are sized here and reused across steps.
+    Every phase runs under its registered name on [exec], whose phase
+    clock ({!Mdsp_util.Exec.phase_times}) times it; at one slot the inline
+    bonded, 1-4 and pair loops charge [bonded], [pair14] and [pair], and
+    the serial bias and transform pass charges [bias].
 
     The bonded, 1-4 and short-range pair phases run the {!Soa_kernels}
     loops over a {!Soa} store; the pair loop is the one
@@ -142,25 +89,6 @@ val exec : t -> Exec.t
     lets front ends report the configuration without matching on
     {!longrange}. *)
 val longrange_kind : t -> [ `None | `Ewald | `Gse of int * int * int ]
-
-(** Snapshot of the cumulative phase timings since creation or the last
-    {!reset_timings}. *)
-val timings : t -> timings
-
-val reset_timings : t -> unit
-
-(** [add_integrate_s t d] charges [d] seconds of integrator-sweep wall time
-    to [integrate_s]. Called by the engine: the sweeps run outside any
-    {!compute} call, so they cannot be timed from inside it. *)
-val add_integrate_s : t -> float -> unit
-
-(** Same contract for the SHAKE/RATTLE batch sweeps and the constraint
-    velocity fold ([constraints_s]). *)
-val add_constraints_s : t -> float -> unit
-
-(** Same contract for the thermostat sweeps — Langevin O-step and velocity
-    rescales ([thermostat_s]). *)
-val add_thermostat_s : t -> float -> unit
 
 (** The installed pair evaluator. *)
 val evaluator : t -> Mdsp_ff.Pair_interactions.evaluator

@@ -134,6 +134,37 @@ let pair_params_of_topology (topo : Topology.t) ~cutoff
 (* Same constant expression as Nonbonded.two_over_sqrt_pi (not exported). *)
 let two_over_sqrt_pi = 2. /. sqrt Float.pi
 
+(* Specfun.erfc, expression for expression. A call across the module
+   boundary boxes its argument and result whenever cross-module inlining is
+   off (dune's dev profile builds with -opaque), about four words per
+   in-range pair; this same-module copy inlines, so the Ewald loop stays
+   allocation-free in every profile. *)
+let[@inline] erfc x =
+  let z = abs_float x in
+  let t = 1. /. (1. +. (0.5 *. z)) in
+  let poly =
+    -1.26551223
+    +. t
+       *. (1.00002368
+          +. t
+             *. (0.37409196
+                +. t
+                   *. (0.09678418
+                      +. t
+                         *. (-0.18628806
+                            +. t
+                               *. (0.27886807
+                                  +. t
+                                     *. (-1.13520398
+                                        +. t
+                                           *. (1.48851587
+                                              +. t
+                                                 *. (-0.82215223
+                                                    +. (t *. 0.17087277)))))))))
+  in
+  let ans = t *. exp ((-.z *. z) +. poly) in
+  if x >= 0. then ans else 2. -. ans
+
 (* ------------------------------------------------------------------ *)
 (* Pair kernels: one specialized allocation-free loop per elec kind.   *)
 (* ------------------------------------------------------------------ *)
@@ -305,7 +336,7 @@ let pair_range_ewald pp ~beta (box : Pbc.t) (s : Soa.t) ~(is : int array)
       let f_lj = eps24.(tij) *. ((2. *. sr12) -. sr6) /. r2 in
       let qq = cq.(i) *. q.(j) in
       let r = sqrt r2 in
-      let erfc_br = Specfun.erfc (beta *. r) in
+      let erfc_br = erfc (beta *. r) in
       let gauss = two_over_sqrt_pi *. beta *. exp (-.beta *. beta *. r2) in
       let e_c = if qq = 0. then 0. else qq *. erfc_br /. r in
       let f_c =

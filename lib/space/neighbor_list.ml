@@ -11,7 +11,6 @@ type t = {
   mutable js : int array;
   mutable npairs : int;
   mutable rebuilds : int;
-  mutable build_s : float; (* cumulative wall time spent in do_build *)
 }
 
 (* The pair generation is cut into a fixed number of tiles — contiguous
@@ -40,7 +39,6 @@ let buf_push b i j =
   b.cnt <- b.cnt + 1
 
 let do_build t positions =
-  let t0 = Unix.gettimeofday () in
   let r = t.cutoff +. t.skin in
   let r2 = r *. r in
   let exec = t.exec in
@@ -96,8 +94,7 @@ let do_build t positions =
     bufs;
   t.npairs <- total;
   t.ref_positions <- Array.copy positions;
-  t.rebuilds <- t.rebuilds + 1;
-  t.build_s <- t.build_s +. (Unix.gettimeofday () -. t0)
+  t.rebuilds <- t.rebuilds + 1
 
 let create ?exclusions ?(exec = Exec.serial) ~cutoff ~skin box positions =
   if cutoff <= 0. then invalid_arg "Neighbor_list.create: cutoff";
@@ -114,7 +111,6 @@ let create ?exclusions ?(exec = Exec.serial) ~cutoff ~skin box positions =
       js = [||];
       npairs = 0;
       rebuilds = -1;
-      build_s = 0.;
     }
   in
   do_build t positions;
@@ -171,7 +167,6 @@ let maybe_rebuild ?box t positions =
   else false
 
 let rebuild_count t = t.rebuilds
-let build_seconds t = t.build_s
 let ref_positions t = Array.copy t.ref_positions
 let cutoff t = t.cutoff
 let skin t = t.skin

@@ -12,7 +12,8 @@
     so the stored pair list is a pure function of the positions — bitwise
     identical across serial and any pool size — while the work runs as a
     sanitized parallel [Exec] phase (resources ["cell.bin"] and
-    ["nlist.tiles"]). *)
+    ["nlist.tiles"]). The executor's phase clock times a rebuild as its
+    [cell.bin] and [nbuild] phases. *)
 
 open Mdsp_util
 
@@ -64,10 +65,6 @@ val maybe_rebuild : ?box:Pbc.t -> t -> Vec3.t array -> bool
 
 (** Total rebuild count (for the ablation bench). *)
 val rebuild_count : t -> int
-
-(** Cumulative wall-clock seconds spent inside rebuilds since creation —
-    the [nbuild] sub-phase surfaced by [Force_calc.timings]. *)
-val build_seconds : t -> float
 
 (** Copy of the positions the list was last built from. Checkpoints record
     these so a restart can {!rebuild} from the same reference and reproduce

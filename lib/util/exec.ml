@@ -46,9 +46,19 @@ type sanitizer = {
   mutable observer : (barrier_record -> unit) option;
 }
 
-type t = { bk : backend; pool : pool option; san : sanitizer option }
+(* Cumulative wall seconds per phase name, one cell per distinct name.
+   Charged only from the domain that runs the executor's phases, so it
+   needs no lock. *)
+type cell = { mutable secs : float }
 
-let serial = { bk = Serial; pool = None; san = None }
+type t = {
+  bk : backend;
+  pool : pool option;
+  san : sanitizer option;
+  clock : (string, cell) Hashtbl.t option;
+}
+
+let serial = { bk = Serial; pool = None; san = None; clock = None }
 
 let backend t = t.bk
 let n_slots t = match t.bk with Serial -> 1 | Domains { n } -> max 1 n
@@ -337,10 +347,11 @@ let create ?(sanitize = false) bk =
     if sanitize then Some { decls = Array.make n []; observer = None }
     else None
   in
+  let clock = Some (Hashtbl.create 64) in
   match bk with
-  | Serial -> if sanitize then { serial with san = san 1 } else serial
+  | Serial -> { bk = Serial; pool = None; san = san 1; clock }
   | Domains { n } when n <= 1 ->
-      { bk = Domains { n = 1 }; pool = None; san = san 1 }
+      { bk = Domains { n = 1 }; pool = None; san = san 1; clock }
   | Domains { n } ->
       let pool =
         {
@@ -359,13 +370,34 @@ let create ?(sanitize = false) bk =
       pool.workers <-
         List.init (n - 1) (fun i ->
             Domain.spawn (fun () -> worker_loop pool (i + 1)));
-      let t = { bk = Domains { n }; pool = Some pool; san = san n } in
+      let t = { bk = Domains { n }; pool = Some pool; san = san n; clock } in
       (* Workers otherwise block forever on [work] and keep the runtime from
          exiting cleanly. *)
       at_exit (fun () -> shutdown t);
       t
 
-let parallel_run ?phase t f =
+let timed ~phase t f =
+  match t.clock with
+  | None -> f ()
+  | Some clock ->
+      let t0 = Unix.gettimeofday () in
+      let r = f () in
+      let d = Unix.gettimeofday () -. t0 in
+      (match Hashtbl.find clock phase with
+      | c -> c.secs <- c.secs +. d
+      | exception Not_found -> Hashtbl.add clock phase { secs = d });
+      r
+
+let phase_times t =
+  match t.clock with
+  | None -> []
+  | Some clock ->
+      Hashtbl.fold (fun name c acc -> (name, c.secs) :: acc) clock []
+      |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+let reset_phase_times t = Option.iter Hashtbl.reset t.clock
+
+let barrier ?phase t f =
   reset_write_sets t;
   match t.pool with
   | None ->
@@ -397,6 +429,12 @@ let parallel_run ?phase t f =
       (* Only a barrier that every slot completed can be audited; a failed
          job leaves the declarations incomplete and has already raised. *)
       validate_write_sets ?phase t
+
+(* An unlabelled barrier is not charged. *)
+let parallel_run ?phase t f =
+  match phase with
+  | None -> barrier t f
+  | Some name -> timed ~phase:name t (fun () -> barrier ~phase:name t f)
 
 let map_slots ?(phase = "exec.map_slots") t f =
   let n = n_slots t in

@@ -41,7 +41,8 @@ type backend =
 type t
 
 (** The shared serial executor (no pool, no spawned domains, no
-    sanitizer). *)
+    sanitizer, no phase clock). It keeps no state at all, so replica and
+    job engines built on it may run on several domains at once. *)
 val serial : t
 
 (** Raised by the access-set sanitizer (see {!create}, {!declare_write} and
@@ -56,7 +57,9 @@ exception Race of string
 
 (** [create ?sanitize backend] builds an executor. For [Domains { n }] with
     [n >= 2] this spawns [n - 1] worker domains that persist until
-    {!shutdown} (or program exit, via an [at_exit] hook).
+    {!shutdown} (or program exit, via an [at_exit] hook). Every created
+    executor, [Serial] included, carries its own phase clock
+    ({!phase_times}).
 
     With [sanitize:true] (default false) the executor runs in instrumented
     mode: slot bodies passed to {!parallel_run} register the index ranges
@@ -83,7 +86,8 @@ exception Race of string
     [Mdsp_longrange.Gse]'s charge spread run inline at one slot. The slot
     count selects that shortcut only when the executor is not
     [sanitizing], so a sanitizing executor still runs their declaring
-    branch. *)
+    branch. The engine's shortcuts ([Force_calc]'s loops and the GSE
+    spread) charge their pool phase's name through {!timed}. *)
 val create : ?sanitize:bool -> backend -> t
 
 (** True if the executor was created with [sanitize:true]. *)
@@ -145,12 +149,47 @@ val n_slots : t -> int
 
 (** [parallel_run ?phase t f] runs [f s] for every slot [s] in
     [0 .. n_slots - 1], slot 0 on the calling domain, and returns when all
-    slots finish. Slots must write to disjoint state. Exceptions raised by
+    slots finish. Slots must write to disjoint state, and an executor made
+    by {!create} must have its phases run from one domain at a time: its
+    phase clock is charged by that domain without a lock (see below).
+    Exceptions raised by
     any slot are re-raised on the caller after the barrier. Serial
     executors just call [f 0]. [phase] names the barrier for the sanitizer
-    observer and the dataflow phase graph; every production phase passes
-    its registered name. *)
+    observer, the dataflow phase graph and the phase clock ({!timed});
+    every production phase passes its registered name. *)
 val parallel_run : ?phase:string -> t -> (int -> unit) -> unit
+
+(** {2 Phase clock}
+
+    An executor made by {!create} accumulates wall seconds per phase name;
+    {!serial} keeps no clock and charges nothing.
+
+    - A {!parallel_run} with [~phase] — and so every {!sweep} and
+      {!map_slots} — charges the caller's wall time from job start to the
+      end of the barrier (its barrier-to-barrier time) to that name. A
+      barrier without [~phase] is not charged.
+    - {!timed} charges a region that runs on the calling domain without a
+      barrier, through the same path. The one-slot shortcuts that bypass
+      the pool charge under their pool phase's name, so a name means the
+      same work at every slot count.
+    - Storage is one cell per distinct name, so the clock stays bounded
+      however long the executor runs.
+    - The clock is charged without a lock: like the sanitizer buffers, it
+      is written only by the domain that runs the executor's phases (the
+      one calling {!parallel_run}, never a slot body). Engines that run on
+      several domains at once must each have their own executor, or share
+      {!serial}. *)
+
+(** [timed ~phase t f] runs [f ()] on the calling domain and charges its
+    wall time to [phase]. On {!serial} it is just [f ()]. *)
+val timed : phase:string -> t -> (unit -> 'a) -> 'a
+
+(** Cumulative wall seconds per charged phase name since {!create} or the
+    last {!reset_phase_times}, sorted by name. [[]] on {!serial}. *)
+val phase_times : t -> (string * float) list
+
+(** Clear the phase clock. *)
+val reset_phase_times : t -> unit
 
 (** [sweep ~phase ?reads ?writes ?whole t ~total body] is the per-index
     phase: it cuts [0, total) with {!tile_bounds} into one tile per slot

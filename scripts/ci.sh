@@ -23,8 +23,8 @@ grep -q 'e21\.constraints_domains4_us' /tmp/mdsp-timings.json
 grep -q 'e21\.thermostat_serial_us' /tmp/mdsp-timings.json
 
 # The flat pair phase must not be slower than the boxed oracle kernels,
-# and the Gc-metered serial flat pair window must allocate exactly zero
-# minor words per step.
+# and the Gc-metered flat 1-4 + pair kernels must allocate exactly zero
+# minor words per pass.
 awk -F': ' '
   /"e21\.soa_pair_speedup"/ {
     v = $2; gsub(/,/, "", v); found = 1
@@ -33,6 +33,16 @@ awk -F': ' '
   END { if (!found) { print "ci: e21.soa_pair_speedup missing"; exit 1 } }
 ' /tmp/mdsp-timings.json
 grep -Eq '"e21\.soa_pair_minor_words_per_step": 0(,|$)' /tmp/mdsp-timings.json
+
+# Phase-clock smoke: `mdsp run --timings` prints one row per charged
+# phase name from the executor's clock; a pooled GSE water run must show
+# the grid, constraint, thermostat and integrator phases.
+dune exec bin/mdsp.exe -- run -p water4 --gse 16 --domains 2 -n 4 \
+  --timings > /tmp/mdsp-run-timings.out
+grep -q '^  gse\.spread ' /tmp/mdsp-run-timings.out
+grep -q '^  constraints\.shake ' /tmp/mdsp-run-timings.out
+grep -q '^  thermo\.langevin ' /tmp/mdsp-run-timings.out
+grep -q '^  integrate\.drift ' /tmp/mdsp-run-timings.out
 
 # Verification gate: interval-analyze every built-in kernel, check every
 # compiled table's domain/fit/quantization, race-sanitize all parallel

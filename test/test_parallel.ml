@@ -1,6 +1,6 @@
 (* The execution-backend layer: Serial vs Domains agreement on energies,
    forces, and virial; bit-level determinism of the static tiling + tree
-   reduction; and the per-resource step-timing instrumentation. *)
+   reduction; and the executor's phase clock. *)
 
 open Mdsp_util
 open Testsupport
@@ -61,6 +61,42 @@ let test_parallel_run_propagates_exceptions () =
   Exec.shutdown pool;
   check_true "worker exception re-raised on caller" raised;
   check_true "pool usable after failure" (Array.for_all Fun.id hits)
+
+let test_phase_clock_charges () =
+  (* Labelled barriers and timed regions charge their names; unlabelled
+     barriers and the shared serial executor charge nothing. *)
+  let busy () =
+    let t0 = Unix.gettimeofday () in
+    while Unix.gettimeofday () -. t0 < 2e-4 do
+      ()
+    done
+  in
+  List.iter
+    (fun backend ->
+      let exec = Exec.create backend in
+      Exec.parallel_run exec (fun _ -> busy ());
+      check_true "an unlabelled barrier is not charged"
+        (Exec.phase_times exec = []);
+      Exec.parallel_run ~phase:"b" exec (fun _ -> busy ());
+      ignore (Exec.map_slots exec (fun s -> s));
+      Exec.sweep ~phase:"a" exec ~total:8 (fun _ _ _ -> busy ());
+      check_true "timed returns the region's value"
+        (Exec.timed ~phase:"c" exec (fun () -> busy (); 42) = 42);
+      let names = List.map fst (Exec.phase_times exec) in
+      check_true "one sorted entry per charged name"
+        (names = [ "a"; "b"; "c"; "exec.map_slots" ]);
+      List.iter
+        (fun (name, s) ->
+          if name <> "exec.map_slots" then
+            check_true (name ^ " charged its wall time") (s >= 2e-4))
+        (Exec.phase_times exec);
+      Exec.reset_phase_times exec;
+      check_true "reset empties the clock" (Exec.phase_times exec = []);
+      Exec.shutdown exec)
+    [ Exec.Serial; Exec.Domains { n = 2 } ];
+  Exec.parallel_run ~phase:"b" Exec.serial (fun _ -> busy ());
+  ignore (Exec.timed ~phase:"c" Exec.serial busy);
+  check_true "Exec.serial keeps no clock" (Exec.phase_times Exec.serial = [])
 
 (* --- a solvated box exercising every force class ---
 
@@ -474,47 +510,6 @@ let test_gse_trajectory_determinism () =
   Array.iteri (fun i p -> if p <> pos2.(i) then identical := false) pos1;
   check_true "GSE trajectory positions bit-identical" !identical
 
-let test_gse_subphase_timings () =
-  let eng = gse_engine ~exec:Exec.serial () in
-  E.reset_timings eng;
-  E.run eng 5;
-  let tm = E.timings eng in
-  let open FC in
-  check_true "calls counted" (tm.calls = 5);
-  check_true "spread time recorded" (tm.lr_spread_s > 0.);
-  check_true "fft time recorded" (tm.lr_fft_s > 0.);
-  check_true "convolve time recorded" (tm.lr_convolve_s > 0.);
-  check_true "gather time recorded" (tm.lr_gather_s > 0.);
-  let sub =
-    tm.lr_spread_s +. tm.lr_fft_s +. tm.lr_convolve_s +. tm.lr_gather_s
-  in
-  (* The sub-phases partition the grid pipeline; the longrange bucket also
-     holds the Ewald self/excluded correction work on top. *)
-  check_true "sub-phases within the longrange bucket"
-    (sub <= tm.longrange_s +. 1e-9);
-  let per = timings_per_call tm in
-  check_close ~rel:1e-9 "per-call scaling of sub-phases"
-    (tm.lr_spread_s /. 5.) per.lr_spread_s;
-  (* timings_total must not double-count the breakdown. *)
-  check_true "total excludes the sub-phase breakdown"
-    (abs_float
-       (timings_total tm
-       -. (tm.pair_s +. tm.bonded_s +. tm.longrange_s +. tm.bias_s
-          +. tm.neighbor_s +. tm.integrate_s +. tm.constraints_s
-          +. tm.thermostat_s))
-    < 1e-12);
-  E.reset_timings eng;
-  check_true "reset clears sub-phases" ((E.timings eng).lr_spread_s = 0.);
-  (* A solver-free workload must leave the grid sub-phases untouched. *)
-  let plain =
-    Mdsp_workload.Workloads.make_engine ~seed:3
-      (Mdsp_workload.Workloads.lj_fluid ~n:64 ())
-  in
-  E.run plain 3;
-  check_true "no GSE -> no sub-phase time"
-    ((E.timings plain).lr_spread_s = 0.
-    && (E.timings plain).lr_fft_s = 0.)
-
 (* --- one force path: the flat store against the boxed oracle ---
 
    Force_calc runs every force phase on the flat (SoA) store. The boxed
@@ -736,19 +731,59 @@ let test_soa_parallel_determinism () =
   check_bitwise "fresh pools" (run ()) (run ())
 
 let test_soa_pair_loop_zero_alloc () =
-  (* The one-slot pair window is measured with Gc.minor_words: the
-     analytic flat loops must not allocate at all once warm. *)
-  let sys = Mdsp_workload.Workloads.lj_fluid ~n:500 () in
-  let eng = Mdsp_workload.Workloads.make_engine ~seed:3 sys in
-  E.run eng 2;
-  E.reset_timings eng;
-  E.run eng 10;
-  let tm = E.timings eng in
-  check_true "10 evaluations measured" (tm.FC.calls = 10);
-  check_true
-    (Printf.sprintf "pair loop allocates zero minor words (got %.1f)"
-       tm.FC.pair_words)
-    (tm.FC.pair_words = 0.)
+  (* The analytic flat 1-4 and pair loops allocate nothing once warm, for
+     every electrostatics kind: Gc.minor_words around the kernels
+     themselves, on a warm store over a real pair list. *)
+  let module K = Mdsp_md.Soa_kernels in
+  let words (sys : Mdsp_workload.Workloads.system) elec =
+    let topo = sys.Mdsp_workload.Workloads.topo in
+    let box = sys.Mdsp_workload.Workloads.box in
+    let x = sys.Mdsp_workload.Workloads.positions in
+    let cutoff = 0.45 *. Pbc.min_edge box in
+    let ev =
+      PI.of_topology topo ~cutoff ~trunc:Mdsp_ff.Nonbonded.Shift ~elec
+    in
+    let nl =
+      Mdsp_space.Neighbor_list.create
+        ~exclusions:topo.Mdsp_ff.Topology.exclusions ~cutoff ~skin:0.5 box x
+    in
+    let is, js = Mdsp_space.Neighbor_list.raw_pairs nl in
+    let npairs = Mdsp_space.Neighbor_list.length nl in
+    let kernel = K.pair_kernel topo ev in
+    let p14 = K.kernel_pairs14 kernel in
+    let store = Mdsp_md.Soa.create ~box (Array.length x) in
+    Mdsp_md.Soa.sync_load store x;
+    let sc = K.make_scratch () in
+    let pass () =
+      K.pairs14_range p14 box store 0 (K.pairs14_count p14) sc;
+      K.kernel_range kernel box store ~is ~js 0 npairs sc
+    in
+    pass ();
+    let w0 = Gc.minor_words () in
+    pass ();
+    pass ();
+    let w1 = Gc.minor_words () in
+    check_true "the list has pairs" (npairs > 0);
+    w1 -. w0
+  in
+  let water = Mdsp_workload.Workloads.water_box ~n_side:3 () in
+  let chain = scaled14_chain () in
+  List.iter
+    (fun (label, sys, elec) ->
+      let w = words sys elec in
+      check_true
+        (Printf.sprintf "%s: 1-4 + pair loops allocate zero minor words \
+                         (got %.0f)"
+           label w)
+        (w = 0.))
+    [
+      ("water, no Coulomb", water, PI.No_coulomb);
+      ("water, cutoff Coulomb", water, PI.Cutoff_coulomb);
+      ("water, reaction field", water, PI.Reaction_field { epsilon_rf = 78. });
+      ("water, Ewald real space", water, PI.Ewald_real { beta = 0.35 });
+      ("charged 1-4 chain, Ewald real space", chain,
+        PI.Ewald_real { beta = 0.35 });
+    ]
 
 let test_soa_phases_race_free () =
   (* The flat parallel phases under the write-set sanitizer at 2 and 4
@@ -860,52 +895,166 @@ let test_flat_chain14_tables_match_oracle () =
                  topo.Mdsp_ff.Topology.atoms)
             ~charges:(Mdsp_ff.Topology.charges topo) ~cutoff))
 
-let test_nbuild_subphase_timed () =
-  let sys = Mdsp_workload.Workloads.lj_fluid ~n:256 () in
-  let cfg =
-    {
-      E.default_config with
-      dt_fs = 2.0;
-      temperature = 120.;
-      thermostat = E.Langevin { gamma_fs = 0.02 };
-    }
-  in
-  let eng = Mdsp_workload.Workloads.make_engine ~config:cfg ~seed:3 sys in
-  E.reset_timings eng;
-  E.run eng 40;
-  let tm = E.timings eng in
-  let rebuilt =
-    Mdsp_space.Neighbor_list.rebuild_count (FC.nlist (E.force_calc eng)) > 0
-  in
-  check_true "nbuild within the neighbor bucket"
-    (tm.FC.nbuild_s >= 0. && tm.FC.nbuild_s <= tm.FC.neighbor_s +. 1e-9);
-  if rebuilt then check_true "rebuilds were timed" (tm.FC.nbuild_s > 0.)
+(* --- the executor's phase clock ---
 
-(* --- timing instrumentation --- *)
+   Every created executor times its phases by name; the clock is the one
+   source of mdsp run/project --timings, Perf.resource_rows and e21. *)
 
-let test_step_timings_populated () =
-  let sys = Mdsp_workload.Workloads.lj_fluid ~n:256 () in
-  let eng = Mdsp_workload.Workloads.make_engine ~seed:3 sys in
-  E.reset_timings eng;
-  E.run eng 10;
-  let tm = E.timings eng in
-  let open FC in
-  check_true "one force evaluation per step" (tm.calls = 10);
-  check_true "pair time recorded" (tm.pair_s > 0.);
-  check_true "phases non-negative"
-    (tm.bonded_s >= 0. && tm.longrange_s >= 0. && tm.bias_s >= 0.
-    && tm.neighbor_s >= 0.);
-  check_true "integrator sweep time recorded" (tm.integrate_s > 0.);
-  let per = timings_per_call tm in
-  check_close ~rel:1e-9 "per-call scaling" (tm.pair_s /. 10.) per.pair_s;
-  check_true "total is the sum"
-    (abs_float
-       (timings_total tm
-       -. (tm.pair_s +. tm.bonded_s +. tm.longrange_s +. tm.bias_s
-          +. tm.neighbor_s +. tm.integrate_s))
-    < 1e-12);
-  E.reset_timings eng;
-  check_true "reset clears" ((E.timings eng).calls = 0)
+(* The names a clock may hold: the registered pool phases plus the serial
+   bias pass. *)
+let clock_names = "bias" :: Mdsp_verify.Dataflow.expected_phases
+
+(* Reset the clock, run [steps] steps plus one neighbor-list rebuild (so
+   cell.bin and nbuild run), and return the clock with the run's wall
+   time. *)
+let clocked_run exec eng ~steps =
+  Exec.reset_phase_times exec;
+  let t0 = Unix.gettimeofday () in
+  E.run eng steps;
+  ignore
+    (Mdsp_space.Neighbor_list.rebuild
+       (FC.nlist (E.force_calc eng))
+       (E.state eng).Mdsp_md.State.positions);
+  let wall = Unix.gettimeofday () -. t0 in
+  (Exec.phase_times exec, wall)
+
+(* [present] must be charged, [positive] charged a positive time; nothing
+   outside [clock_names], no region charged twice, and a reset empties the
+   clock. *)
+let check_clock label exec eng ~steps ~present ~positive =
+  let phases, wall = clocked_run exec eng ~steps in
+  List.iter
+    (fun (name, _) ->
+      check_true
+        (Printf.sprintf "%s: %s is a registered phase" label name)
+        (List.mem name clock_names))
+    phases;
+  List.iter
+    (fun name ->
+      check_true
+        (Printf.sprintf "%s: %s charged" label name)
+        (List.mem_assoc name phases))
+    present;
+  List.iter
+    (fun name ->
+      match List.assoc_opt name phases with
+      | Some s ->
+          check_true
+            (Printf.sprintf "%s: %s charged a positive time (%g s)" label
+               name s)
+            (s > 0.)
+      | None -> Alcotest.failf "%s: %s never charged" label name)
+    positive;
+  let total = List.fold_left (fun acc (_, s) -> acc +. s) 0. phases in
+  check_true
+    (Printf.sprintf "%s: charged %g s within the run's wall time %g s" label
+       total wall)
+    (total <= wall);
+  Exec.reset_phase_times exec;
+  check_true (label ^ ": reset empties the clock") (Exec.phase_times exec = []);
+  phases
+
+(* A created serial executor, then a 2-slot pool. At one slot the inline
+   bonded/1-4/pair loops and the GSE spread charge their pool phases'
+   names; only the slot reductions are pool-only. *)
+let on_clocked_executors f =
+  List.iter
+    (fun (label, backend, pool_only) ->
+      let exec = Exec.create backend in
+      Fun.protect ~finally:(fun () -> Exec.shutdown exec) (fun () ->
+          f ~exec ~label ~pool_only))
+    [
+      ("created serial", Exec.Serial, []);
+      ("2-slot pool", Exec.Domains { n = 2 }, [ "soa.reduce" ]);
+    ]
+
+let test_clock_gse_water () =
+  on_clocked_executors (fun ~exec ~label ~pool_only ->
+      let eng = gse_engine ~exec () in
+      ignore
+        (check_clock ("GSE water, " ^ label) exec eng ~steps:5
+           ~present:[ "bonded"; "bias" ]
+           ~positive:
+             ([
+                "pair"; "soa.load"; "soa.store"; "gse.spread"; "gse.fft_fwd.x";
+                "gse.fft_fwd.y"; "gse.fft_fwd.z"; "gse.convolve";
+                "gse.fft_inv.x"; "gse.fft_inv.y"; "gse.fft_inv.z";
+                "gse.phi_scale"; "gse.gather"; "integrate.kick1";
+                "integrate.drift"; "integrate.kick2"; "constraints.shake";
+                "constraints.fold"; "constraints.rattle"; "thermo.langevin";
+                "cell.bin"; "nbuild";
+              ]
+             @ pool_only
+             @ if pool_only = [] then [] else [ "gse.combine" ])))
+
+let test_clock_chain14 () =
+  on_clocked_executors (fun ~exec ~label ~pool_only ->
+      let eng =
+        Mdsp_workload.Workloads.make_engine ~seed:5 ~exec (scaled14_chain ())
+      in
+      let phases =
+        check_clock ("1-4 chain, " ^ label) exec eng ~steps:20
+          ~present:[ "bias" ]
+          ~positive:
+            ([
+               "bonded"; "pair14"; "pair"; "soa.load"; "soa.store";
+               "integrate.kick1"; "integrate.drift"; "integrate.kick2";
+               "cell.bin"; "nbuild";
+             ]
+            @ pool_only)
+      in
+      check_true "no grid solver -> no gse.* phase"
+        (not
+           (List.exists
+              (fun (name, _) -> String.starts_with ~prefix:"gse." name)
+              phases)))
+
+let test_clock_serial_shared () =
+  (* Replica and job engines share Exec.serial across domains: it must
+     stay stateless. *)
+  let eng = gse_engine ~exec:Exec.serial () in
+  E.run eng 3;
+  check_true "Exec.serial charges nothing" (Exec.phase_times Exec.serial = [])
+
+let test_resource_rows_measured () =
+  (* Every mapped row of a pooled GSE run is measured, so a misspelt
+     phase name in the mapping shows up as an unmeasured row; only sync
+     and the priced torus sub-rows have no host analogue. *)
+  let module M = Mdsp_machine in
+  let exec = Exec.create (Exec.Domains { n = 2 }) in
+  Fun.protect ~finally:(fun () -> Exec.shutdown exec) (fun () ->
+      let eng = gse_engine ~exec () in
+      let phases, _ = clocked_run exec eng ~steps:3 in
+      let sys = Mdsp_workload.Workloads.water_box ~n_side:3 () in
+      let box = sys.Mdsp_workload.Workloads.box in
+      let cfg = M.Config.anton_like ~nodes:(2, 2, 2) () in
+      let w =
+        M.Perf.of_system ~fft_grid:gse_grid sys.Mdsp_workload.Workloads.topo
+          box
+      in
+      let comm =
+        M.Comm_model.of_stats cfg ~grid:gse_grid
+          (M.Decomp.analyze
+             (M.Decomp.create box ~nodes:(2, 2, 2)
+                ~cutoff:(Pbc.min_edge box /. 2.))
+             sys.Mdsp_workload.Workloads.positions)
+      in
+      let torus =
+        List.map
+          (fun (p : M.Comm_model.phase) -> "  " ^ p.M.Comm_model.label)
+          (M.Comm_model.phases comm)
+      in
+      check_true "the torus sub-rows are priced" (torus <> []);
+      List.iter
+        (fun (r : M.Perf.resource_row) ->
+          let name = r.M.Perf.resource in
+          match r.M.Perf.measured_s with
+          | m when name = "sync" || List.mem name torus ->
+              check_true (name ^ " has no host analogue") (m = None)
+          | Some v ->
+              check_true (Printf.sprintf "%s measured (%g s)" name v) (v >= 0.)
+          | None -> Alcotest.failf "row %S unmeasured" name)
+        (M.Perf.resource_rows ~comm (M.Perf.step_time cfg w) ~steps:3 phases))
 
 let test_resource_rows_mapping () =
   let w =
@@ -913,40 +1062,39 @@ let test_resource_rows_mapping () =
       ~dt_fs:2.
   in
   let b = Mdsp_machine.Perf.step_time (Mdsp_machine.Config.anton_like ()) w in
-  let tm = FC.zero_timings () in
-  tm.FC.pair_s <- 2.0;
-  tm.FC.bonded_s <- 0.5;
-  tm.FC.bias_s <- 0.25;
-  tm.FC.calls <- 10;
-  let rows = Mdsp_machine.Perf.resource_rows b tm in
-  let find name =
-    List.find (fun r -> r.Mdsp_machine.Perf.resource = name) rows
+  let phases =
+    [
+      ("bias", 0.25);
+      ("bonded", 0.5);
+      ("integrate.drift", 0.75);
+      ("nbuild", 1.0);
+      ("pair", 1.5);
+      ("pair14", 0.5);
+    ]
   in
-  (match (find "pair pipelines").Mdsp_machine.Perf.measured_s with
-  | Some v -> check_float ~eps:1e-12 "pair maps per-call" 0.2 v
-  | None -> Alcotest.fail "pair row unmapped");
-  (match (find "flex cores").Mdsp_machine.Perf.measured_s with
-  | Some v -> check_float ~eps:1e-12 "flex = bonded + bias" 0.075 v
-  | None -> Alcotest.fail "flex row unmapped");
-  check_true "sync has no host analogue"
-    ((find "sync").Mdsp_machine.Perf.measured_s = None);
-  (* The neighbor-build sub-phase row maps timings.nbuild_s. *)
-  tm.FC.nbuild_s <- 1.0;
-  let rows' = Mdsp_machine.Perf.resource_rows b tm in
-  (match
-     (List.find
-        (fun r -> r.Mdsp_machine.Perf.resource = "  nbuild")
-        rows')
-       .Mdsp_machine.Perf.measured_s
-   with
-  | Some v -> check_float ~eps:1e-12 "nbuild maps per-call" 0.1 v
-  | None -> Alcotest.fail "nbuild row unmapped");
-  (* Unmeasured timings map to nothing. *)
-  let rows0 = Mdsp_machine.Perf.resource_rows b (FC.zero_timings ()) in
-  check_true "no calls -> no measured columns"
+  let rows = Mdsp_machine.Perf.resource_rows b ~steps:10 phases in
+  let measured name =
+    (List.find (fun r -> r.Mdsp_machine.Perf.resource = name) rows)
+      .Mdsp_machine.Perf.measured_s
+  in
+  let expect name v =
+    match measured name with
+    | Some m -> check_float ~eps:1e-12 (name ^ " per step") v m
+    | None -> Alcotest.failf "%s row unmapped" name
+  in
+  expect "pair pipelines" 0.2;
+  expect "flex cores" 0.075;
+  expect "network" 0.1;
+  expect "  nbuild" 0.1;
+  expect "step" 0.45;
+  check_true "no gse phase -> long-range unmeasured"
+    (measured "long-range" = None);
+  check_true "sync has no host analogue" (measured "sync" = None);
+  (* Nothing measured maps to nothing. *)
+  check_true "no phases -> no measured columns"
     (List.for_all
        (fun r -> r.Mdsp_machine.Perf.measured_s = None)
-       rows0)
+       (Mdsp_machine.Perf.resource_rows b ~steps:10 []))
 
 let () =
   Alcotest.run "parallel"
@@ -960,6 +1108,8 @@ let () =
             test_parallel_run_covers_slots;
           Alcotest.test_case "exceptions propagate" `Quick
             test_parallel_run_propagates_exceptions;
+          Alcotest.test_case "phase clock charges labelled phases" `Quick
+            test_phase_clock_charges;
         ] );
       ( "agreement",
         [
@@ -995,8 +1145,6 @@ let () =
             test_gse_reciprocal_backends;
           Alcotest.test_case "10-step GSE trajectory bit-identical" `Quick
             test_gse_trajectory_determinism;
-          Alcotest.test_case "sub-phase timing sanity" `Quick
-            test_gse_subphase_timings;
         ] );
       ( "soa",
         [
@@ -1027,10 +1175,14 @@ let () =
         ] );
       ( "timing",
         [
-          Alcotest.test_case "per-resource step timings" `Quick
-            test_step_timings_populated;
-          Alcotest.test_case "nbuild sub-phase" `Quick
-            test_nbuild_subphase_timed;
+          Alcotest.test_case "phase clock: GSE water" `Quick
+            test_clock_gse_water;
+          Alcotest.test_case "phase clock: 1-4 chain" `Quick
+            test_clock_chain14;
+          Alcotest.test_case "Exec.serial keeps no clock" `Quick
+            test_clock_serial_shared;
+          Alcotest.test_case "resource rows of a pooled GSE run" `Quick
+            test_resource_rows_measured;
           Alcotest.test_case "model vs measured resource rows" `Quick
             test_resource_rows_mapping;
         ] );

@@ -318,17 +318,6 @@ let test_neighbor_list_parallel_rebuild_race_free () =
       ignore (Neighbor_list.rebuild nl moved);
       check_true "sanitized rebuild completed" (Neighbor_list.length nl > 0))
 
-let test_neighbor_list_build_seconds () =
-  let box, positions =
-    random_positions ~seed:39 ~n:100 ~box_l:14. ~min_dist:0.8
-  in
-  let nl = Neighbor_list.create ~cutoff:3.5 ~skin:1. box positions in
-  let t0 = Neighbor_list.build_seconds nl in
-  check_true "creation time accounted" (t0 >= 0.);
-  ignore (Neighbor_list.rebuild nl positions);
-  check_true "rebuild time accumulates"
-    (Neighbor_list.build_seconds nl >= t0)
-
 let () =
   Alcotest.run "mdsp_space"
     [
@@ -374,8 +363,6 @@ let () =
             test_neighbor_list_parallel_rebuild_identical;
           Alcotest.test_case "sanitized parallel rebuild race-free" `Quick
             test_neighbor_list_parallel_rebuild_race_free;
-          Alcotest.test_case "build time accounting" `Quick
-            test_neighbor_list_build_seconds;
           prop_neighbor_list_skin_sweep;
         ] );
     ]
