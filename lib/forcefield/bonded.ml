@@ -22,23 +22,33 @@ let rec tree_force slots i lo hi =
     Vec3.add (tree_force slots i lo mid) (tree_force slots i mid hi)
   end
 
-let reduce_slots ?(exec = Exec.serial) ?(phase = "bonded.reduce")
-    ?(reads = []) ~into slots =
+let reduce_slots ?(exec = Exec.serial) ?(reads = []) ~into slots =
   let nslots = Array.length slots in
-  if nslots >= 1 then begin
-    (* This phase writes the *shared* accumulator, so the declared resource
-       is the atom index space itself: each slot read-modifies its own
-       tile of it after reading every slot's partials — [reads] names the
-       iteration-space resources the producing phase declared. *)
-    Exec.sweep ~phase ~reads:[ "bonded.reduce" ] ~writes:[ "bonded.reduce" ]
-      ~whole:reads exec ~total:(Array.length into.forces) (fun _ lo hi ->
+  (* This phase writes the *shared* accumulator, so the declared resource
+     is the atom index space itself: each slot read-modifies its own tile
+     of it after reading every slot's partials — [reads] names the
+     iteration-space resources the producing phase declared. It runs at
+     every slot count; with no private partials it folds nothing. *)
+  Exec.sweep ~phase:"bonded.reduce" ~reads:[ "bonded.reduce" ]
+    ~writes:[ "bonded.reduce" ] ~whole:reads exec
+    ~total:(Array.length into.forces) (fun _ lo hi ->
+      if nslots > 0 then
         for i = lo to hi - 1 do
           into.forces.(i) <-
             Vec3.add into.forces.(i) (tree_force slots i 0 nslots)
         done);
+  if nslots > 0 then
     into.virial <-
       into.virial +. Exec.sum_tree (Array.map (fun a -> a.virial) slots)
-  end
+
+let slot_accums exec acc =
+  let ns = Exec.n_slots exec in
+  if ns = 1 then ([| acc |], [||])
+  else
+    let privates =
+      Array.init ns (fun _ -> make_accum (Array.length acc.forces))
+    in
+    (privates, privates)
 
 (* --- bonded terms, over an index range so tiles can run in parallel --- *)
 
@@ -193,22 +203,15 @@ let impropers box topo positions acc =
   impropers_range box topo positions acc 0
     (Array.length topo.Topology.impropers)
 
-let all_serial box topo positions acc =
-  let eb = bonds box topo positions acc in
-  let ea = angles box topo positions acc in
-  let ed = dihedrals box topo positions acc +. impropers box topo positions acc in
-  (eb, ea, ed)
-
 let term_count (topo : Topology.t) =
   Array.length topo.bonds + Array.length topo.angles
   + Array.length topo.dihedrals + Array.length topo.impropers
 
 let all ?(exec = Exec.serial) box (topo : Topology.t) positions acc =
-  let ns = Exec.n_slots exec in
-  if (ns = 1 && not (Exec.sanitizing exec)) || term_count topo = 0 then
-    all_serial box topo positions acc
+  if term_count topo = 0 then (0., 0., 0.)
   else begin
-    let slots = Array.init ns (fun _ -> make_accum (Array.length acc.forces)) in
+    let ns = Exec.n_slots exec in
+    let slots, privates = slot_accums exec acc in
     let b_tiles = Exec.tile_bounds ~total:(Array.length topo.bonds) ~ntiles:ns in
     let a_tiles = Exec.tile_bounds ~total:(Array.length topo.angles) ~ntiles:ns in
     let d_tiles =
@@ -222,7 +225,6 @@ let all ?(exec = Exec.serial) box (topo : Topology.t) positions acc =
     let natoms = Array.length positions in
     Exec.parallel_run ~phase:"bonded" exec (fun s ->
         let a = slots.(s) in
-        reset a;
         let declare resource tiles total =
           let lo, hi = tiles in
           Exec.declare_write ~slot:s ~resource ~total ~lo ~hi exec
@@ -251,6 +253,6 @@ let all ?(exec = Exec.serial) box (topo : Topology.t) positions acc =
           ("bonded.dihedrals", Array.length topo.dihedrals);
           ("bonded.impropers", Array.length topo.impropers);
         ]
-      ~into:acc slots;
+      ~into:acc privates;
     (Exec.sum_tree eb, Exec.sum_tree ea, Exec.sum_tree ed)
   end

@@ -20,14 +20,23 @@ val reset : accum -> unit
 (** [reduce_slots ?exec ~into slots] adds every slot's forces and virial
     into [into] using a fixed-shape pairwise tree over the slots, so the
     result is deterministic for a given slot count. The per-atom sums are
-    themselves parallelized over [exec] (disjoint atom tiles). Slot contents
-    are left untouched. [phase] names the barrier for the dataflow trace
-    (default ["bonded.reduce"]); [reads] lists the (resource, extent)
-    iteration spaces whose per-slot partials this reduction consumes, so
-    the happens-before graph gets a producer → reduce edge. *)
+    themselves parallelized over [exec] (disjoint atom tiles), as the
+    ["bonded.reduce"] phase. Slot contents are left untouched. [reads]
+    lists the (resource, extent) iteration spaces whose per-slot partials
+    this reduction consumes, so the happens-before graph gets a producer →
+    reduce edge. The phase runs at every slot count: with no slots (the
+    private partials of a one-slot phase, see {!slot_accums}) it folds
+    nothing and leaves [into] alone. *)
 val reduce_slots :
-  ?exec:Exec.t -> ?phase:string -> ?reads:(string * int) list -> into:accum ->
-  accum array -> unit
+  ?exec:Exec.t -> ?reads:(string * int) list -> into:accum -> accum array ->
+  unit
+
+(** [slot_accums exec acc] is what each slot of a pool phase accumulates
+    into, and the private partials {!reduce_slots} folds into [acc]: at one
+    slot, slot 0 accumulates straight into [acc] and there is no private
+    partial ([([| acc |], [||])]); at two or more, every slot has a fresh
+    zeroed accumulator of its own (both arrays are the same). *)
+val slot_accums : Exec.t -> accum -> accum array * accum array
 
 (** Evaluate all bonds; returns the total bond energy. *)
 val bonds : Pbc.t -> Topology.t -> Vec3.t array -> accum -> float
@@ -42,10 +51,10 @@ val dihedrals : Pbc.t -> Topology.t -> Vec3.t array -> accum -> float
 val impropers : Pbc.t -> Topology.t -> Vec3.t array -> accum -> float
 
 (** All bonded terms. Returns (bond_e, angle_e, dihedral_e + improper_e).
-    With a parallel [exec], each term array is cut into static contiguous
-    tiles, each slot accumulates into its own freshly allocated scratch
-    accumulator, and the partials are tree-reduced into [acc]
-    deterministically. *)
+    Each term array is cut into static contiguous tiles, one per slot of
+    [exec]; each slot accumulates into its {!slot_accums} accumulator, and
+    the private partials are tree-reduced into [acc] deterministically
+    (none at one slot, where slot 0 accumulates into [acc]). *)
 val all :
   ?exec:Exec.t -> Pbc.t -> Topology.t -> Vec3.t array -> accum ->
   float * float * float

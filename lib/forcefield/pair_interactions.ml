@@ -85,37 +85,27 @@ let apply_pair evaluator box positions (acc : Bonded.accum) energy i j =
 
 let compute ?(exec = Exec.serial) evaluator box nlist positions acc =
   let ns = Exec.n_slots exec in
-  if ns = 1 && not (Exec.sanitizing exec) then begin
-    let energy = ref 0. in
-    Mdsp_space.Neighbor_list.iter nlist (fun i j ->
-        apply_pair evaluator box positions acc energy i j);
-    !energy
-  end
-  else begin
-    let n = Array.length acc.Bonded.forces in
-    let slots = Array.init ns (fun _ -> Bonded.make_accum n) in
-    let tiles = Mdsp_space.Neighbor_list.tiles nlist ~ntiles:ns in
-    let total = snd tiles.(ns - 1) in
-    let natoms = Array.length positions in
-    let energies = Array.make ns 0. in
-    Exec.parallel_run ~phase:"pair" exec (fun s ->
-        let a = slots.(s) in
-        Bonded.reset a;
-        let energy = ref 0. in
-        let lo, hi = tiles.(s) in
-        Exec.declare_write ~slot:s ~resource:"pair.tiles" ~total ~lo ~hi exec;
-        (* Each slot reads its own pair range of the neighbor list and, via
-           the pair indices, arbitrary positions. *)
-        Exec.declare_read ~slot:s ~resource:"nlist.pairs" ~total ~lo ~hi exec;
-        Exec.declare_read ~slot:s ~resource:"state.positions" ~lo:0
-          ~hi:natoms exec;
-        Mdsp_space.Neighbor_list.iter_range nlist lo hi (fun i j ->
-            apply_pair evaluator box positions a energy i j);
-        energies.(s) <- !energy);
-    Bonded.reduce_slots ~exec ~reads:[ ("pair.tiles", total) ] ~into:acc
-      slots;
-    Exec.sum_tree energies
-  end
+  let slots, privates = Bonded.slot_accums exec acc in
+  let tiles = Mdsp_space.Neighbor_list.tiles nlist ~ntiles:ns in
+  let total = snd tiles.(ns - 1) in
+  let natoms = Array.length positions in
+  let energies = Array.make ns 0. in
+  Exec.parallel_run ~phase:"pair" exec (fun s ->
+      let a = slots.(s) in
+      let energy = ref 0. in
+      let lo, hi = tiles.(s) in
+      Exec.declare_write ~slot:s ~resource:"pair.tiles" ~total ~lo ~hi exec;
+      (* Each slot reads its own pair range of the neighbor list and, via
+         the pair indices, arbitrary positions. *)
+      Exec.declare_read ~slot:s ~resource:"nlist.pairs" ~total ~lo ~hi exec;
+      Exec.declare_read ~slot:s ~resource:"state.positions" ~lo:0 ~hi:natoms
+        exec;
+      Mdsp_space.Neighbor_list.iter_range nlist lo hi (fun i j ->
+          apply_pair evaluator box positions a energy i j);
+      energies.(s) <- !energy);
+  Bonded.reduce_slots ~exec ~reads:[ ("pair.tiles", total) ] ~into:acc
+    privates;
+  Exec.sum_tree energies
 
 let apply_pair14 (topo : Topology.t) ~charges ~types ~cutoff box positions
     (acc : Bonded.accum) energy i j =
@@ -155,36 +145,21 @@ let compute_pairs14 ?(exec = Exec.serial) (topo : Topology.t) ~cutoff
   else begin
     let charges = Topology.charges topo in
     let types = Array.map (fun (a : Topology.atom) -> a.type_id) topo.atoms in
-    let ns = Exec.n_slots exec in
-    if ns = 1 && not (Exec.sanitizing exec) then begin
-      let energy = ref 0. in
-      Array.iter
-        (fun (i, j) ->
-          apply_pair14 topo ~charges ~types ~cutoff box positions acc energy
-            i j)
-        topo.pairs14;
-      !energy
-    end
-    else begin
-      let n = Array.length acc.Bonded.forces in
-      let slots = Array.init ns (fun _ -> Bonded.make_accum n) in
-      let energies = Array.make ns 0. in
-      Exec.sweep ~phase:"pair14" ~writes:[ "pair.pairs14" ]
-        ~whole:[ ("state.positions", Array.length positions) ]
-        exec ~total:npairs (fun s lo hi ->
-          let a = slots.(s) in
-          Bonded.reset a;
-          let energy = ref 0. in
-          for k = lo to hi - 1 do
-            let i, j = topo.pairs14.(k) in
-            apply_pair14 topo ~charges ~types ~cutoff box positions a energy
-              i j
-          done;
-          energies.(s) <- !energy);
-      Bonded.reduce_slots ~exec ~reads:[ ("pair.pairs14", npairs) ] ~into:acc
-        slots;
-      Exec.sum_tree energies
-    end
+    let slots, privates = Bonded.slot_accums exec acc in
+    let energies = Array.make (Exec.n_slots exec) 0. in
+    Exec.sweep ~phase:"pair14" ~writes:[ "pair.pairs14" ]
+      ~whole:[ ("state.positions", Array.length positions) ]
+      exec ~total:npairs (fun s lo hi ->
+        let a = slots.(s) in
+        let energy = ref 0. in
+        for k = lo to hi - 1 do
+          let i, j = topo.pairs14.(k) in
+          apply_pair14 topo ~charges ~types ~cutoff box positions a energy i j
+        done;
+        energies.(s) <- !energy);
+    Bonded.reduce_slots ~exec ~reads:[ ("pair.pairs14", npairs) ] ~into:acc
+      privates;
+    Exec.sum_tree energies
   end
 
 let compute_all_pairs ?exclusions evaluator box positions acc =

@@ -56,11 +56,12 @@ val of_topology :
   evaluator
 
 (** [compute eval box nlist positions acc] accumulates forces and virial for
-    all neighbor-list pairs and returns the potential energy. With a
-    parallel [exec], the pair list is cut into static contiguous tiles
-    ({!Mdsp_space.Neighbor_list.tiles}), each execution slot accumulates
-    into its own freshly allocated scratch accumulator, and partial
-    forces/virial/energy are tree-reduced into [acc] deterministically. *)
+    all neighbor-list pairs and returns the potential energy. The pair list
+    is cut into static contiguous tiles, one per slot of [exec]
+    ({!Mdsp_space.Neighbor_list.tiles}); each slot accumulates into its
+    {!Bonded.slot_accums} accumulator, and the private partial
+    forces/virial/energy are tree-reduced into [acc] deterministically
+    (none at one slot, where slot 0 accumulates into [acc]). *)
 val compute :
   ?exec:Exec.t ->
   evaluator -> Pbc.t -> Mdsp_space.Neighbor_list.t -> Vec3.t array ->

@@ -40,9 +40,9 @@ type t = {
   (* The grid itself, reused across calls. *)
   re : float array;
   im : float array;
-  (* Per-slot scratch grids for domain-parallel charge spreading and
-     per-slot stencils, sized lazily to the executor actually used and
-     reused across steps. *)
+  (* Per-slot scratch grids for domain-parallel charge spreading (two or
+     more slots only) and per-slot stencils, sized lazily to the executor
+     actually used and reused across steps. *)
   mutable scratch : float array array;
   mutable stencils : stencil array;
 }
@@ -278,8 +278,11 @@ let rec tree_cell stack d grids g lo hi =
     stack.(d) <- stack.(d) +. stack.(d + 1)
   end
 
+(* The private spread grids, one per slot at two or more slots, reused
+   across steps; none at one slot. *)
 let scratch_grids t ns =
   let total = t.nx * t.ny * t.nz in
+  let ns = if ns = 1 then 0 else ns in
   if Array.length t.scratch <> ns
      || (ns > 0 && Array.length t.scratch.(0) <> total)
   then t.scratch <- Array.init ns (fun _ -> Array.make total 0.);
@@ -301,38 +304,34 @@ let stencils t ns =
   end;
   t.stencils
 
-(* 1. Spread charges. Serial: accumulate directly into [re] in particle
-   order, charged to the clock as the pool phase it replaces. Parallel:
-   each slot spreads its contiguous particle tile into a private scratch
-   grid, then the grids are combined point-wise with the fixed-shape tree,
-   itself tiled over the pool. *)
+(* 1. Spread charges: each slot spreads its contiguous particle tile, in
+   particle order, into its grid — [re] itself at one slot, a private
+   scratch grid at two or more — then the private grids are combined
+   point-wise into [re] with the fixed-shape tree, itself tiled over the
+   pool. At one slot the combine has nothing to fold. *)
 let spread ~exec t sts charges positions re =
   let n = Array.length positions in
-  let ns = Exec.n_slots exec in
-  if ns = 1 && not (Exec.sanitizing exec) then
-    Exec.timed ~phase:"gse.spread" exec (fun () ->
-        Array.fill re 0 (Array.length re) 0.;
-        spread_range t sts.(0) re charges positions 0 n)
-  else begin
-    let grids = scratch_grids t ns in
-    (* Each slot spreads a particle tile into its private scratch grid; the
-       racing surface is the particle partition. *)
-    Exec.sweep ~phase:"gse.spread" ~reads:[ "state.positions" ]
-      ~writes:[ "gse.spread" ] exec ~total:n (fun s lo hi ->
-        let grid = grids.(s) in
-        Array.fill grid 0 (Array.length grid) 0.;
-        spread_range t sts.(s) grid charges positions lo hi);
-    (* The tree combine reads every slot's partial grid, i.e. the whole
-       particle footprint the spread phase declared. *)
-    Exec.sweep ~phase:"gse.combine" ~writes:[ "gse.grid_combine" ]
-      ~whole:[ ("gse.spread", n) ] exec ~total:(t.nx * t.ny * t.nz)
-      (fun _ lo hi ->
-        let stack = Array.make (ns + 1) 0. in
+  let partials = scratch_grids t (Exec.n_slots exec) in
+  let np = Array.length partials in
+  let grids = if np = 0 then [| re |] else partials in
+  (* The racing surface is the particle partition. *)
+  Exec.sweep ~phase:"gse.spread" ~reads:[ "state.positions" ]
+    ~writes:[ "gse.spread" ] exec ~total:n (fun s lo hi ->
+      let grid = grids.(s) in
+      Array.fill grid 0 (Array.length grid) 0.;
+      spread_range t sts.(s) grid charges positions lo hi);
+  (* The tree combine reads every slot's partial grid, i.e. the whole
+     particle footprint the spread phase declared. *)
+  Exec.sweep ~phase:"gse.combine" ~writes:[ "gse.grid_combine" ]
+    ~whole:[ ("gse.spread", n) ] exec ~total:(t.nx * t.ny * t.nz)
+    (fun _ lo hi ->
+      if np > 0 then begin
+        let stack = Array.make (np + 1) 0. in
         for g = lo to hi - 1 do
-          tree_cell stack 0 grids g 0 ns;
+          tree_cell stack 0 partials g 0 np;
           re.(g) <- stack.(0)
-        done)
-  end
+        done
+      end)
 
 let reciprocal ?(exec = Exec.serial) ?phases t charges positions
     (acc : Mdsp_ff.Bonded.accum) =

@@ -23,7 +23,9 @@
 
     Every stage of {!reciprocal} can run on an execution backend
     ({!Mdsp_util.Exec.t}): charge spreading uses one private scratch grid
-    per pool slot combined by a fixed-shape tree reduction, the FFT sweeps
+    per pool slot combined by a fixed-shape tree reduction (at one slot,
+    slot 0 spreads straight into the grid and the combine folds nothing),
+    the FFT sweeps
     tile their independent 1-D lines over the pool, the k-space convolution
     tiles grid points with tree-combined energy/virial partials, and force
     gathering tiles particles (disjoint per-particle writes, no reduction).
@@ -101,8 +103,8 @@ val with_box : t -> Pbc.t -> t
     clock times each stage by phase name ([gse.spread], [gse.combine],
     [gse.fft_fwd.*], [gse.convolve], [gse.fft_inv.*], [gse.phi_scale],
     [gse.gather]); [phases] additionally accumulates per-stage wall time
-    when provided. The grid, per-slot
-    scratch grids and stencils are cached inside [t] and reused across
+    when provided. The grid, the per-slot scratch grids (two or more
+    slots only) and stencils are cached inside [t] and reused across
     calls. Positions may lie anywhere; each is wrapped into [t]'s box. *)
 val reciprocal :
   ?exec:Exec.t -> ?phases:phases ->

@@ -42,18 +42,21 @@ type transform = {
 
 module K = Soa_kernels
 
-(* The flat particle store every force phase runs on, and the per-slot
-   scratch for the parallel phases. Slot stores share the position columns
-   with [store] (only their force columns are private), so one load serves
-   every phase. *)
+(* The flat particle store every force phase runs on, and what each slot
+   of a pool phase accumulates into. At one slot, slot 0's store and
+   scratch are [store] and [sc] themselves, so no private partial exists.
+   At two or more, slot stores share the position columns with [store]
+   and own their force columns, the private partials the reduction folds
+   into [store]. *)
 type flat = {
   store : Soa.t;
   sc : K.scratch;
   slot_stores : Soa.t array;
+  slot_sc : K.scratch array;
+  (* The private force columns, one per slot; empty at one slot. *)
   slot_fx : Soa.fa array;
   slot_fy : Soa.fa array;
   slot_fz : Soa.fa array;
-  slot_sc : K.scratch array;
   (* Per-phase slot outputs, preallocated; every slot overwrites its entry
      before any read. *)
   slot_energy : float array;
@@ -64,33 +67,34 @@ type flat = {
 }
 
 let make_flat ~exec natoms =
-  let store = Soa.create natoms in
+  let store = Soa.create natoms and sc = K.make_scratch () in
   let ns = Exec.n_slots exec in
-  (* Sanitizing runs take the parallel (declaring) branches even at one
-     slot, so they need the slot scratch sized. *)
-  let nslots = if ns > 1 || Exec.sanitizing exec then ns else 0 in
-  let slot_stores =
-    Array.init nslots (fun _ ->
-        {
-          store with
-          Soa.fx = Soa.make_fa natoms;
-          Soa.fy = Soa.make_fa natoms;
-          Soa.fz = Soa.make_fa natoms;
-        })
+  let slot_stores, slot_sc =
+    if ns = 1 then ([| store |], [| sc |])
+    else
+      ( Array.init ns (fun _ ->
+            {
+              store with
+              Soa.fx = Soa.make_fa natoms;
+              Soa.fy = Soa.make_fa natoms;
+              Soa.fz = Soa.make_fa natoms;
+            }),
+        Array.init ns (fun _ -> K.make_scratch ()) )
   in
+  let privates = if ns = 1 then [||] else slot_stores in
   {
     store;
-    sc = K.make_scratch ();
+    sc;
     slot_stores;
-    slot_fx = Array.map (fun s -> s.Soa.fx) slot_stores;
-    slot_fy = Array.map (fun s -> s.Soa.fy) slot_stores;
-    slot_fz = Array.map (fun s -> s.Soa.fz) slot_stores;
-    slot_sc = Array.init nslots (fun _ -> K.make_scratch ());
-    slot_energy = Array.make (max nslots 1) 0.;
-    slot_virial = Array.make (max nslots 1) 0.;
-    eb = Array.make (max nslots 1) 0.;
-    ea = Array.make (max nslots 1) 0.;
-    ed = Array.make (max nslots 1) 0.;
+    slot_sc;
+    slot_fx = Array.map (fun s -> s.Soa.fx) privates;
+    slot_fy = Array.map (fun s -> s.Soa.fy) privates;
+    slot_fz = Array.map (fun s -> s.Soa.fz) privates;
+    slot_energy = Array.make ns 0.;
+    slot_virial = Array.make ns 0.;
+    eb = Array.make ns 0.;
+    ea = Array.make ns 0.;
+    ed = Array.make ns 0.;
   }
 
 type t = {
@@ -212,22 +216,22 @@ let compute_longrange t box positions acc =
 
 (* --- the flat force phases ----------------------------------------- *)
 
-(* One slot and no sanitizer: the phases run inline on the calling domain
-   instead of as declared pool phases, charged to the executor's clock
-   under the pool phase's name. *)
-let inline t = Exec.n_slots t.exec = 1 && not (Exec.sanitizing t.exec)
-
 (* A declared pool phase on the flat store: [body s store sc] runs on slot
-   [s]'s private force columns and scratch (cleared first), then the
-   columns and virials reduce into the store with the boxed tree shape.
-   [reads] names the iteration spaces the reduction consumes. Returns the
-   tree sum of the slot energies. *)
+   [s]'s store and scratch with the scratch energy zeroed, then the
+   private force columns and virials fold into the store with the boxed
+   tree shape. Private columns and scratch are cleared first; at one slot
+   the body accumulates straight into the store and the running virial,
+   and the fold has nothing to add. [reads] names the iteration spaces
+   the reduction consumes. Returns the tree sum of the slot energies. *)
 let slot_phase t ~phase ~reads body =
   let ctx = t.flat in
   Exec.parallel_run ~phase t.exec (fun s ->
       let sst = ctx.slot_stores.(s) and ssc = ctx.slot_sc.(s) in
-      Soa.clear_forces sst;
-      K.reset_scratch ssc;
+      if sst != ctx.store then begin
+        Soa.clear_forces sst;
+        K.reset_scratch ssc
+      end;
+      ssc.K.energy <- 0.;
       body s sst ssc;
       ctx.slot_energy.(s) <- ssc.K.energy;
       ctx.slot_virial.(s) <- ssc.K.virial);
@@ -253,9 +257,10 @@ let bonded_terms box topo store sc (b_lo, b_hi) (a_lo, a_hi) (d_lo, d_hi)
   K.impropers_range box topo store i_lo i_hi sc;
   (eb, ea, e_d +. sc.K.energy)
 
-(* Bonded terms on the flat store: the same serial/parallel split, per-term
-   tilings, declares and reduction tree as Bonded.all, so both the
-   sanitizer view and the accumulated bits match the boxed oracle. *)
+(* Bonded terms on the flat store: the same per-term tilings, declares and
+   reduction tree as Bonded.all, so both the sanitizer view and the
+   accumulated bits match the boxed oracle. A topology without bonded
+   terms runs no phase, but still charges [bonded]. *)
 let bonded t box =
   let topo = t.topo in
   let ctx = t.flat in
@@ -263,10 +268,8 @@ let bonded t box =
   let na = Array.length topo.Mdsp_ff.Topology.angles in
   let nd = Array.length topo.Mdsp_ff.Topology.dihedrals in
   let ni = Array.length topo.Mdsp_ff.Topology.impropers in
-  if inline t || Mdsp_ff.Bonded.term_count topo = 0 then
-    Exec.timed ~phase:"bonded" t.exec (fun () ->
-        bonded_terms box topo ctx.store ctx.sc (0, nb) (0, na) (0, nd)
-          (0, ni))
+  if Mdsp_ff.Bonded.term_count topo = 0 then
+    Exec.timed ~phase:"bonded" t.exec (fun () -> (0., 0., 0.))
   else begin
     let ns = Exec.n_slots t.exec in
     let terms =
@@ -306,18 +309,12 @@ let bonded t box =
 (* Scaled 1-4 terms at the evaluator's cutoff, the mirror of
    Pair_interactions.compute_pairs14 (same skip condition, same tiling). *)
 let pairs14 t box =
-  let ctx = t.flat in
   let p14 = K.kernel_pairs14 t.kernel in
   let np = K.pairs14_count p14 in
   if not (K.pairs14_active p14) then 0.
-  else if inline t then
-    Exec.timed ~phase:"pair14" t.exec (fun () ->
-        ctx.sc.K.energy <- 0.;
-        K.pairs14_range p14 box ctx.store 0 np ctx.sc;
-        ctx.sc.K.energy)
   else begin
     let tiles = Exec.tile_bounds ~total:np ~ntiles:(Exec.n_slots t.exec) in
-    let natoms = Soa.n ctx.store in
+    let natoms = Soa.n t.flat.store in
     slot_phase t ~phase:"pair14" ~reads:[ ("pair.pairs14", np) ]
       (fun s sst ssc ->
         let lo, hi = tiles.(s) in
@@ -328,34 +325,22 @@ let pairs14 t box =
         K.pairs14_range p14 box sst lo hi ssc)
   end
 
-(* Neighbor-list pairs, mirror of Pair_interactions.compute: inline at one
-   slot, otherwise one tile of the list per slot. *)
+(* Neighbor-list pairs, mirror of Pair_interactions.compute: one tile of
+   the list per slot. *)
 let pair t box =
   let is, js = Mdsp_space.Neighbor_list.raw_pairs t.nlist in
-  if inline t then
-    Exec.timed ~phase:"pair" t.exec (fun () ->
-        let sc = t.flat.sc in
-        sc.K.energy <- 0.;
-        K.kernel_range t.kernel box t.flat.store ~is ~js 0
-          (Mdsp_space.Neighbor_list.length t.nlist)
-          sc;
-        sc.K.energy)
-  else begin
-    let ns = Exec.n_slots t.exec in
-    let tiles = Mdsp_space.Neighbor_list.tiles t.nlist ~ntiles:ns in
-    let total = snd tiles.(ns - 1) in
-    let natoms = Soa.n t.flat.store in
-    slot_phase t ~phase:"pair" ~reads:[ ("pair.tiles", total) ]
-      (fun s sst ssc ->
-        let lo, hi = tiles.(s) in
-        Exec.declare_write ~slot:s ~resource:"pair.tiles" ~total ~lo ~hi
-          t.exec;
-        Exec.declare_read ~slot:s ~resource:"nlist.pairs" ~total ~lo ~hi
-          t.exec;
-        Exec.declare_read ~slot:s ~resource:"soa.positions" ~lo:0 ~hi:natoms
-          t.exec;
-        K.kernel_range t.kernel box sst ~is ~js lo hi ssc)
-  end
+  let ns = Exec.n_slots t.exec in
+  let tiles = Mdsp_space.Neighbor_list.tiles t.nlist ~ntiles:ns in
+  let total = snd tiles.(ns - 1) in
+  let natoms = Soa.n t.flat.store in
+  slot_phase t ~phase:"pair" ~reads:[ ("pair.tiles", total) ]
+    (fun s sst ssc ->
+      let lo, hi = tiles.(s) in
+      Exec.declare_write ~slot:s ~resource:"pair.tiles" ~total ~lo ~hi t.exec;
+      Exec.declare_read ~slot:s ~resource:"nlist.pairs" ~total ~lo ~hi t.exec;
+      Exec.declare_read ~slot:s ~resource:"soa.positions" ~lo:0 ~hi:natoms
+        t.exec;
+      K.kernel_range t.kernel box sst ~is ~js lo hi ssc)
 
 (* Load positions into the flat store and reset its accumulators: the
    ["soa.load"] phase. *)
@@ -374,43 +359,37 @@ let flush t acc =
   Soa.sync_store ~exec:t.exec t.flat.store acc;
   acc.Mdsp_ff.Bonded.virial <- t.flat.sc.K.virial
 
-let compute t box positions acc =
+(* The one force sequence: load, bonded, 1-4, pair, flush, long-range,
+   bias. The class selects the terms — [`Fast] the bonded, 1-4 and bias
+   terms, [`Slow] the list rebuild, the pairs and long-range, [`All]
+   every term plus the transform. *)
+let evaluate t cls box positions acc =
+  let fast = cls <> `Slow and slow = cls <> `Fast in
   Mdsp_ff.Bonded.reset acc;
-  ignore (Mdsp_space.Neighbor_list.maybe_rebuild ~box t.nlist positions);
+  if slow then
+    ignore (Mdsp_space.Neighbor_list.maybe_rebuild ~box t.nlist positions);
   load t box positions;
-  let bond, angle, dihedral = bonded t box in
-  let pair14 = pairs14 t box in
-  let pair = pair14 +. pair t box in
+  let bond, angle, dihedral = if fast then bonded t box else (0., 0., 0.) in
+  let pair14 = if fast then pairs14 t box else 0. in
+  let pair = if slow then pair14 +. pair t box else pair14 in
   flush t acc;
-  let recip, correction = compute_longrange t box positions acc in
-  (* The serial bias and transform pass — the programmable-core work of
-     the paper's methods. *)
-  Exec.timed ~phase:"bias" t.exec (fun () ->
-      let bias = compute_biases t box positions acc in
-      let e = { bond; angle; dihedral; pair; recip; correction; bias } in
-      match t.transform with
-      | None -> e
-      | Some tr ->
-          let boost = tr.tr_apply box positions acc (total e) in
-          { e with bias = e.bias +. boost })
+  let recip, correction =
+    if slow then compute_longrange t box positions acc else (0., 0.)
+  in
+  let e = { bond; angle; dihedral; pair; recip; correction; bias = 0. } in
+  if not fast then e
+  else
+    (* The serial bias and transform pass — the programmable-core work of
+       the paper's methods. *)
+    Exec.timed ~phase:"bias" t.exec (fun () ->
+        let e = { e with bias = compute_biases t box positions acc } in
+        match t.transform with
+        | Some tr when cls = `All ->
+            let boost = tr.tr_apply box positions acc (total e) in
+            { e with bias = e.bias +. boost }
+        | _ -> e)
+
+let compute t box positions acc = evaluate t `All box positions acc
 
 let compute_class t cls box positions acc =
-  Mdsp_ff.Bonded.reset acc;
-  match cls with
-  | `Fast ->
-      load t box positions;
-      let bond, angle, dihedral = bonded t box in
-      let pair14 = pairs14 t box in
-      flush t acc;
-      let bias =
-        Exec.timed ~phase:"bias" t.exec (fun () ->
-            compute_biases t box positions acc)
-      in
-      { zero_energies with bond; angle; dihedral; pair = pair14; bias }
-  | `Slow ->
-      ignore (Mdsp_space.Neighbor_list.maybe_rebuild ~box t.nlist positions);
-      load t box positions;
-      let pair = pair t box in
-      flush t acc;
-      let recip, correction = compute_longrange t box positions acc in
-      { zero_energies with pair; recip; correction }
+  evaluate t (cls :> [ `All | `Fast | `Slow ]) box positions acc

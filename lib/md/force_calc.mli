@@ -51,9 +51,13 @@ type t
     execution backend for the pair and bonded phases; the flat particle
     store and the per-slot scratch are sized here and reused across steps.
     Every phase runs under its registered name on [exec], whose phase
-    clock ({!Mdsp_util.Exec.phase_times}) times it; at one slot the inline
-    bonded, 1-4 and pair loops charge [bonded], [pair14] and [pair], and
-    the serial bias and transform pass charges [bias].
+    clock ({!Mdsp_util.Exec.phase_times}) times it, through one body at
+    every slot count: at one slot, slot 0 accumulates straight into the
+    store and the fold ([soa.reduce]) has nothing to add; at two or more,
+    each slot keeps private force columns and scratch that the fold
+    tree-reduces into the store. The serial bias and transform pass
+    charges [bias], and a topology without bonded terms still charges
+    [bonded].
 
     The bonded, 1-4 and short-range pair phases run the {!Soa_kernels}
     loops over a {!Soa} store; the pair loop is the one
@@ -118,7 +122,9 @@ val set_transform : t -> transform option -> unit
 val compute : t -> Pbc.t -> Vec3.t array -> Mdsp_ff.Bonded.accum -> energies
 
 (** Like {!compute} but restricted to a force class, for RESPA splitting:
-    [`Fast] = bonded + biases, [`Slow] = nonbonded (+ long-range). *)
+    [`Fast] = bonded + 1-4 + biases, [`Slow] = neighbor-list pairs (+
+    long-range). Both run {!compute}'s sequence with the other class's
+    terms left out, and neither applies the transform. *)
 val compute_class :
   t -> [ `Fast | `Slow ] -> Pbc.t -> Vec3.t array -> Mdsp_ff.Bonded.accum ->
   energies

@@ -657,16 +657,17 @@ let reduce_slots ~exec ?(reads = []) ~(into : Soa.t)
     ~(slot_fz : Soa.fa array) ~(slot_virial : float array) (sc : scratch) =
   let nslots = Array.length slot_fx in
   let ifx = into.Soa.fx and ify = into.Soa.fy and ifz = into.Soa.fz in
-  if nslots >= 1 then begin
-    (* Writes the shared flat force columns (a read-modify-write of the
-       slot's own atom tile) after reading every slot's partials. *)
-    Exec.sweep ~phase:"soa.reduce" ~reads:[ "soa.reduce" ]
-      ~writes:[ "soa.reduce" ] ~whole:reads exec ~total:into.Soa.n
-      (fun _ lo hi ->
+  (* Writes the shared flat force columns (a read-modify-write of the
+     slot's own atom tile) after reading every slot's partials. Runs at
+     every slot count; without private columns it folds nothing. *)
+  Exec.sweep ~phase:"soa.reduce" ~reads:[ "soa.reduce" ]
+    ~writes:[ "soa.reduce" ] ~whole:reads exec ~total:into.Soa.n
+    (fun _ lo hi ->
+      if nslots > 0 then
         for i = lo to hi - 1 do
           ifx.{i} <- ifx.{i} +. tree_col slot_fx i 0 nslots;
           ify.{i} <- ify.{i} +. tree_col slot_fy i 0 nslots;
           ifz.{i} <- ifz.{i} +. tree_col slot_fz i 0 nslots
         done);
-    sc.virial <- sc.virial +. Exec.sum_tree slot_virial
-  end
+  (* Without private partials the phase's virial is already in [sc]. *)
+  if nslots > 0 then sc.virial <- sc.virial +. Exec.sum_tree slot_virial

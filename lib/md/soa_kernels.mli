@@ -121,7 +121,10 @@ val impropers_range :
     ["soa.reduce"], the flat mirror of the accumulator's atom space), and
     adds the tree-summed slot virials to [sc.virial]. [reads] lists the
     (resource, extent) iteration spaces whose per-slot partials the
-    reduction consumes, for the dataflow graph. *)
+    reduction consumes, for the dataflow graph. The phase runs at every
+    slot count: with no private columns ([slot_fx] empty — one slot, whose
+    phase accumulated straight into [into] and [sc]) it folds nothing and
+    leaves [sc] alone. *)
 val reduce_slots :
   exec:Exec.t ->
   ?reads:(string * int) list ->

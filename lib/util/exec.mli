@@ -79,19 +79,17 @@ exception Race of string
     calling domain between a no-op reset and a no-op validate, so one code
     path serves serial and pooled runs alike, and the sanitized sweep and
     the {!set_observer} dataflow trace see every phase at every slot
-    count. The exceptions are the reductions whose pooled form needs
-    per-slot scratch and a tree combine: the inline bonded/1-4/pair window
-    of [Mdsp_md.Force_calc], [Mdsp_ff.Bonded.all],
+    count. No exception remains. The reductions whose pooled form needs
+    per-slot partials and a tree combine ([Mdsp_md.Force_calc]'s bonded,
+    1-4 and pair phases, [Mdsp_ff.Bonded.all],
     [Mdsp_ff.Pair_interactions.compute] and [compute_pairs14], and
-    [Mdsp_longrange.Gse]'s charge spread run inline at one slot. The slot
-    count selects that shortcut only when the executor is not
-    [sanitizing], so a sanitizing executor still runs their declaring
-    branch. The engine's shortcuts ([Force_calc]'s loops and the GSE
-    spread) charge their pool phase's name through {!timed}. *)
+    [Mdsp_longrange.Gse]'s charge spread) keep one body too: at one slot,
+    slot 0 accumulates straight into the shared accumulator and their fold
+    phase runs with nothing to fold; at two or more, each slot keeps
+    private partials. The accumulator follows from {!n_slots}; no phase
+    chooses its path by the slot count or by whether the executor
+    sanitizes. *)
 val create : ?sanitize:bool -> backend -> t
-
-(** True if the executor was created with [sanitize:true]. *)
-val sanitizing : t -> bool
 
 (** [declare_write ~slot ~resource ?total ~lo ~hi t] registers, from inside
     a {!parallel_run} slot body, that slot [slot] writes the half-open index
@@ -169,9 +167,9 @@ val parallel_run : ?phase:string -> t -> (int -> unit) -> unit
       end of the barrier (its barrier-to-barrier time) to that name. A
       barrier without [~phase] is not charged.
     - {!timed} charges a region that runs on the calling domain without a
-      barrier, through the same path. The one-slot shortcuts that bypass
-      the pool charge under their pool phase's name, so a name means the
-      same work at every slot count.
+      barrier, through the same path. Its users are the serial bias and
+      transform pass ([bias]) and the [bonded] charge of a topology
+      without bonded terms, which runs no phase.
     - Storage is one cell per distinct name, so the clock stays bounded
       however long the executor runs.
     - The clock is charged without a lock: like the sanitizer buffers, it

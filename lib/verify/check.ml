@@ -357,14 +357,14 @@ let pp_summary fmt s =
   List.iter (Table_check.pp_report fmt) s.tables;
   List.iter
     (fun r ->
+      let slots =
+        Printf.sprintf "%d slot%s" r.slots (if r.slots = 1 then "" else "s")
+      in
       match r.failure with
       | None ->
-          Format.fprintf fmt
-            "sanitize (%d slot%s): %d parallel phases race-free@," r.slots
-            (if r.slots = 1 then "" else "s")
-            (List.length r.phases)
-      | Some msg ->
-          Format.fprintf fmt "sanitize (%d slots): RACE@,  %s@," r.slots msg)
+          Format.fprintf fmt "sanitize (%s): %d parallel phases race-free@,"
+            slots (List.length r.phases)
+      | Some msg -> Format.fprintf fmt "sanitize (%s): RACE@,  %s@," slots msg)
     s.sanitize;
   List.iter (Fixed_check.pp_verdict fmt) s.datapath;
   Option.iter (fun r -> Dataflow.pp_report fmt r) s.phases;

@@ -11,7 +11,9 @@
 (** Outcome of one sanitized phase sweep at a given slot count. *)
 type sanitize_result = {
   slots : int;
-  phases : string list;  (** phase labels exercised (empty on failure) *)
+  phases : string list;
+      (** the distinct phase names the sanitized barriers carried (empty on
+          failure) *)
   failure : string option;  (** the {!Mdsp_util.Exec.Race} message, if any *)
 }
 

@@ -191,52 +191,20 @@ let windows =
     ("collective", collective);
   ]
 
-(* Must track the [Exec.declare_write] resource names in the force stack
-   and the engine. *)
-let phase_labels =
-  [
-    "cell.bin";
-    "nlist.tiles";
-    "pair.tiles";
-    "pair.pairs14";
-    "bonded.bonds";
-    "bonded.angles";
-    "bonded.dihedrals";
-    "bonded.impropers";
-    "bonded.reduce";
-    "soa.positions";
-    "soa.velocities";
-    "soa.forces";
-    "soa.reduce";
-    "gse.spread";
-    "gse.grid_combine";
-    "gse.convolve";
-    "gse.phi_scale";
-    "gse.gather";
-    "fft.x_lines";
-    "fft.y_lines";
-    "fft.z_lines";
-    "state.positions";
-    "state.velocities";
-    "state.forces";
-    "integrate.prev";
-    "cons.pos";
-    "cons.vel";
-    "cons.prev";
-    "decomp.owner";
-    "decomp.resident";
-    "decomp.pairs";
-    "service.jobs";
-    "exec.map_slots";
-  ]
-
 let make_exec ~slots =
   if slots < 1 then invalid_arg "Phase_check: slots must be >= 1"
   else if slots = 1 then Exec.create ~sanitize:true Exec.Serial
   else Exec.create ~sanitize:true (Exec.Domains { n = slots })
 
+(* The phase names are read off the validated barriers, so the count
+   [mdsp check] prints is what the sanitizer saw. *)
 let run_phases ~slots =
   let exec = make_exec ~slots in
+  let seen = Hashtbl.create 64 in
+  Exec.set_observer exec
+    (Some
+       (fun br ->
+         Option.iter (fun p -> Hashtbl.replace seen p ()) br.Exec.br_phase));
   Fun.protect
     ~finally:(fun () -> Exec.shutdown exec)
     (fun () ->
@@ -245,4 +213,4 @@ let run_phases ~slots =
           let body = window ~exec () in
           body ())
         windows);
-  phase_labels
+  List.sort compare (Hashtbl.fold (fun p () l -> p :: l) seen [])

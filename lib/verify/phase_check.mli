@@ -36,7 +36,9 @@ val windows : (string * (exec:Exec.t -> unit -> unit -> unit)) list
     [slots < 1]. The caller must [Exec.shutdown] it. *)
 val make_exec : slots:int -> Exec.t
 
-(** [run_phases ~slots] drives every window on a sanitizing pool of
-    [slots] domains. Returns the declared resource labels exercised.
-    Raises {!Mdsp_util.Exec.Race} on any conflict-matrix violation. *)
+(** [run_phases ~slots] drives every window, setup included, on a
+    sanitizing pool of [slots] domains. Returns the distinct phase names
+    the validated barriers carried, read through
+    {!Mdsp_util.Exec.set_observer} and sorted. Raises
+    {!Mdsp_util.Exec.Race} on any conflict-matrix violation. *)
 val run_phases : slots:int -> string list

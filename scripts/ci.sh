@@ -43,6 +43,12 @@ grep -q '^  gse\.spread ' /tmp/mdsp-run-timings.out
 grep -q '^  constraints\.shake ' /tmp/mdsp-run-timings.out
 grep -q '^  thermo\.langevin ' /tmp/mdsp-run-timings.out
 grep -q '^  integrate\.drift ' /tmp/mdsp-run-timings.out
+# One body per force reduction at every slot count: at one slot the fold
+# phases still run (folding nothing), so the clock charges them there too.
+dune exec bin/mdsp.exe -- run -p water4 --gse 16 --domains 1 -n 4 \
+  --timings > /tmp/mdsp-run-timings-1.out
+grep -q '^  soa\.reduce ' /tmp/mdsp-run-timings-1.out
+grep -q '^  gse\.combine ' /tmp/mdsp-run-timings-1.out
 
 # Verification gate: interval-analyze every built-in kernel, check every
 # compiled table's domain/fit/quantization, race-sanitize all parallel

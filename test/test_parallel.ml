@@ -801,6 +801,52 @@ let test_soa_phases_race_free () =
                (Mdsp_workload.Workloads.water_box ~n_side:3 ()))))
     [ 2; 4 ]
 
+(* A sanitizing executor only watches: at one slot it runs the same
+   bodies on the same accumulators as a plain one, so the forces it
+   certifies and the trajectory it integrates carry the production bits —
+   compared as bit patterns, so a -0. against a +0. fails too. *)
+let test_sanitized_one_slot_is_production () =
+  let bits x = Int64.bits_of_float x in
+  let vec_bits (v : Vec3.t) = (bits v.Vec3.x, bits v.Vec3.y, bits v.Vec3.z) in
+  let energy_bits (e : FC.energies) =
+    List.map bits
+      [ e.FC.bond; e.angle; e.dihedral; e.pair; e.recip; e.correction; e.bias ]
+  in
+  let systems =
+    [
+      ( "scaled 1-4 chain",
+        fun exec ->
+          Mdsp_workload.Workloads.make_engine ~seed:5 ~exec (scaled14_chain ())
+      );
+      ( "bead chain",
+        fun exec ->
+          Mdsp_workload.Workloads.make_engine ~seed:5 ~exec
+            (Mdsp_workload.Workloads.bead_chain ~n_beads:16 ~n_total:256 ()) );
+      ("gse water", fun exec -> gse_engine ~exec ());
+    ]
+  in
+  List.iter
+    (fun (label, make) ->
+      let run sanitize =
+        let exec = Exec.create ~sanitize Exec.Serial in
+        let eng = make exec in
+        let snap = E.snapshot eng in
+        let created =
+          ( energy_bits (E.energies eng),
+            bits snap.E.snap_virial,
+            Array.map vec_bits snap.E.snap_forces )
+        in
+        E.run eng 5;
+        (created, Array.map vec_bits (E.state eng).Mdsp_md.State.positions)
+      in
+      let (e_p, w_p, f_p), x_p = run false in
+      let (e_s, w_s, f_s), x_s = run true in
+      check_true (label ^ ": energies bit-identical at creation") (e_p = e_s);
+      check_true (label ^ ": virial bit-identical at creation") (w_p = w_s);
+      check_true (label ^ ": forces bit-identical at creation") (f_p = f_s);
+      check_true (label ^ ": positions bit-identical after 5 steps") (x_p = x_s))
+    systems
+
 (* --- the generality layer on the flat path ---
 
    Table, FEP-lambda, Switch and custom evaluators run the generic flat
@@ -871,6 +917,36 @@ let test_flat_switch_matches_oracle () =
           PI.of_topology sys.Mdsp_workload.Workloads.topo ~cutoff:ev.PI.cutoff
             ~trunc:(Mdsp_ff.Nonbonded.Switch { r_on = 0.8 *. ev.PI.cutoff })
             ~elec))
+
+let test_flat_analytic_kinds_match_oracle () =
+  (* The specialised loops for the electrostatics and truncations the
+     seed workloads leave out: cutoff Coulomb under Shift, Ewald real
+     space under Truncate, and the bead chain without Coulomb under
+     Truncate. Built from the calculator's own topology, so the analytic
+     loop (not the generic one) runs. *)
+  let analytic ~trunc ~elec sys ev =
+    PI.of_topology sys.Mdsp_workload.Workloads.topo ~cutoff:ev.PI.cutoff
+      ~trunc ~elec
+  in
+  on_slots (fun ~exec slots ->
+      List.iter
+        (fun (label, sys, trunc, elec) ->
+          check_installed ~exec (label ^ ", " ^ slots) sys
+            (analytic ~trunc ~elec))
+        [
+          ( "water, cutoff Coulomb, Shift",
+            Mdsp_workload.Workloads.water_box ~n_side:3 (),
+            Mdsp_ff.Nonbonded.Shift,
+            PI.Cutoff_coulomb );
+          ( "water, Ewald real space, Truncate",
+            Mdsp_workload.Workloads.water_box ~n_side:3 (),
+            Mdsp_ff.Nonbonded.Truncate,
+            PI.Ewald_real { beta = 0.35 } );
+          ( "bead chain, no Coulomb, Truncate",
+            Mdsp_workload.Workloads.bead_chain ~n_beads:16 ~n_total:256 (),
+            Mdsp_ff.Nonbonded.Truncate,
+            PI.No_coulomb );
+        ])
 
 let test_flat_chain14_tables_match_oracle () =
   (* Tables at a cutoff below the list's: the flat 1-4 kernel must take
@@ -954,26 +1030,26 @@ let check_clock label exec eng ~steps ~present ~positive =
   check_true (label ^ ": reset empties the clock") (Exec.phase_times exec = []);
   phases
 
-(* A created serial executor, then a 2-slot pool. At one slot the inline
-   bonded/1-4/pair loops and the GSE spread charge their pool phases'
-   names; only the slot reductions are pool-only. *)
+(* A created serial executor, then a 2-slot pool. Every phase runs at
+   both slot counts. The folds (soa.reduce, gse.combine) fold nothing at
+   one slot, where the microsecond clock may read zero, so they must be
+   charged at every slot count and charged a positive time when
+   [pooled]. *)
 let on_clocked_executors f =
   List.iter
-    (fun (label, backend, pool_only) ->
+    (fun (label, backend) ->
       let exec = Exec.create backend in
       Fun.protect ~finally:(fun () -> Exec.shutdown exec) (fun () ->
-          f ~exec ~label ~pool_only))
-    [
-      ("created serial", Exec.Serial, []);
-      ("2-slot pool", Exec.Domains { n = 2 }, [ "soa.reduce" ]);
-    ]
+          f ~exec ~label ~pooled:(Exec.n_slots exec > 1)))
+    [ ("created serial", Exec.Serial); ("2-slot pool", Exec.Domains { n = 2 }) ]
 
 let test_clock_gse_water () =
-  on_clocked_executors (fun ~exec ~label ~pool_only ->
+  on_clocked_executors (fun ~exec ~label ~pooled ->
       let eng = gse_engine ~exec () in
+      let folds = [ "soa.reduce"; "gse.combine" ] in
       ignore
         (check_clock ("GSE water, " ^ label) exec eng ~steps:5
-           ~present:[ "bonded"; "bias" ]
+           ~present:([ "bonded"; "bias" ] @ folds)
            ~positive:
              ([
                 "pair"; "soa.load"; "soa.store"; "gse.spread"; "gse.fft_fwd.x";
@@ -984,24 +1060,24 @@ let test_clock_gse_water () =
                 "constraints.fold"; "constraints.rattle"; "thermo.langevin";
                 "cell.bin"; "nbuild";
               ]
-             @ pool_only
-             @ if pool_only = [] then [] else [ "gse.combine" ])))
+             @ if pooled then folds else [])))
 
 let test_clock_chain14 () =
-  on_clocked_executors (fun ~exec ~label ~pool_only ->
+  on_clocked_executors (fun ~exec ~label ~pooled ->
       let eng =
         Mdsp_workload.Workloads.make_engine ~seed:5 ~exec (scaled14_chain ())
       in
+      let folds = [ "soa.reduce" ] in
       let phases =
         check_clock ("1-4 chain, " ^ label) exec eng ~steps:20
-          ~present:[ "bias" ]
+          ~present:("bias" :: folds)
           ~positive:
             ([
                "bonded"; "pair14"; "pair"; "soa.load"; "soa.store";
                "integrate.kick1"; "integrate.drift"; "integrate.kick2";
                "cell.bin"; "nbuild";
              ]
-            @ pool_only)
+            @ if pooled then folds else [])
       in
       check_true "no grid solver -> no gse.* phase"
         (not
@@ -1164,6 +1240,8 @@ let () =
             test_soa_pair_loop_zero_alloc;
           Alcotest.test_case "sanitized SoA phases race-free" `Quick
             test_soa_phases_race_free;
+          Alcotest.test_case "sanitized one slot = production bitwise" `Quick
+            test_sanitized_one_slot_is_production;
           Alcotest.test_case "table evaluator = oracle bitwise" `Quick
             test_flat_tables_match_oracle;
           Alcotest.test_case "FEP lambda evaluator = oracle bitwise" `Quick
@@ -1172,6 +1250,8 @@ let () =
             test_flat_switch_matches_oracle;
           Alcotest.test_case "scaled 1-4 chain tables = oracle bitwise"
             `Quick test_flat_chain14_tables_match_oracle;
+          Alcotest.test_case "analytic evaluators = oracle bitwise" `Quick
+            test_flat_analytic_kinds_match_oracle;
         ] );
       ( "timing",
         [
