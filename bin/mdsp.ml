@@ -104,13 +104,19 @@ let checkpoint_arg =
   Arg.(
     value & opt (some string) None
     & info [ "checkpoint" ] ~docv:"FILE"
-        ~doc:"Write a restart checkpoint to FILE at the end of the run.")
+        ~doc:
+          "Write an exact checkpoint of the engine to FILE at the end of the \
+           run (the format of $(b,mdsp ensemble) and the job service).")
 
 let restart_arg =
   Arg.(
     value & opt (some string) None
     & info [ "restart" ] ~docv:"FILE"
-        ~doc:"Resume positions/velocities/box/time from a checkpoint.")
+        ~doc:
+          "Resume exactly from a checkpoint written by --checkpoint: the step \
+           counter, RNG stream, thermostat state, in-flight forces and \
+           neighbor list come from FILE, and its target temperature wins \
+           over -t. Use the preset and force flags of the saved run.")
 
 let build_system name = Mdsp_workload.Workloads.of_name name
 
@@ -175,26 +181,6 @@ let run_cmd =
     | `Gse (gx, gy, gz) ->
         Printf.printf "long-range: GSE grid %dx%dx%d\n" gx gy gz
     | _ -> ());
-    (match restart with
-    | None -> ()
-    | Some path ->
-        let loaded, step =
-          Mdsp_md.Trajectory.Checkpoint.load ~expect_preset:preset path
-        in
-        let st = E.state eng in
-        if Mdsp_md.State.n loaded <> Mdsp_md.State.n st then
-          failwith
-            (Printf.sprintf
-               "restart %s: checkpoint has %d atoms but preset %s has %d"
-               path (Mdsp_md.State.n loaded) preset (Mdsp_md.State.n st));
-        Array.blit loaded.Mdsp_md.State.positions 0 st.Mdsp_md.State.positions
-          0 (Mdsp_md.State.n st);
-        Array.blit loaded.Mdsp_md.State.velocities 0
-          st.Mdsp_md.State.velocities 0 (Mdsp_md.State.n st);
-        st.Mdsp_md.State.box <- loaded.Mdsp_md.State.box;
-        st.Mdsp_md.State.time <- loaded.Mdsp_md.State.time;
-        E.refresh_forces eng;
-        Printf.printf "restarted from %s (step %d)\n" path step);
     let traj =
       Option.map
         (fun path ->
@@ -221,6 +207,13 @@ let run_cmd =
       E.refresh_forces eng;
       Printf.printf "pair interactions: compiled machine tables (2048 intervals)\n"
     end;
+    (* After the tables are installed, so the in-flight forces come from
+       the file rather than from a refresh. *)
+    Option.iter
+      (fun path ->
+        Mdsp_ensemble.Checkpoint.resume ~expect_preset:preset path [| eng |];
+        Printf.printf "restarted from %s (step %d)\n" path (E.steps_done eng))
+      restart;
     Printf.printf "%s: %d atoms, %d steps at %.1f fs\n"
       sys.Mdsp_workload.Workloads.label
       (Mdsp_ff.Topology.n_atoms sys.Mdsp_workload.Workloads.topo)
@@ -253,12 +246,11 @@ let run_cmd =
     let wall_s = Unix.gettimeofday () -. t0 in
     Option.iter Mdsp_md.Trajectory.close_xyz traj;
     if timings then print_timings exec ~steps ~wall_s;
-    (match checkpoint with
-    | None -> ()
-    | Some path ->
-        Mdsp_md.Trajectory.Checkpoint.save ~preset path (E.state eng)
-          ~step:(E.steps_done eng);
-        Printf.printf "checkpoint written to %s\n" path);
+    Option.iter
+      (fun path ->
+        Mdsp_ensemble.Checkpoint.save ~preset path [| eng |];
+        Printf.printf "checkpoint written to %s\n" path)
+      checkpoint;
     Mdsp_util.Exec.shutdown exec
   in
   Cmd.v (Cmd.info "run" ~doc)
@@ -317,31 +309,10 @@ let ensemble_cmd =
     if stride < 1 then failwith "ensemble: need --stride >= 1";
     if not (tmax > tmin && tmin > 0.) then
       failwith "ensemble: need 0 < --temp-min < --temp-max";
-    (* Geometric ladder: uniform acceptance across rungs wants constant
-       temperature ratios. *)
-    let temps =
-      Array.init replicas (fun i ->
-          tmin
-          *. ((tmax /. tmin)
-             ** (float_of_int i /. float_of_int (replicas - 1))))
+    let remd =
+      Mdsp_service.Scheduler.remd_ladder ~preset ~dt_fs:2.0 ~seed ~replicas
+        ~temp_min:tmin ~temp_max:tmax ~stride
     in
-    let engines =
-      Array.mapi
-        (fun i temp ->
-          let sys = build_system preset in
-          let cfg =
-            {
-              E.default_config with
-              dt_fs = 2.0;
-              temperature = temp;
-              thermostat = E.Langevin { gamma_fs = 0.02 };
-            }
-          in
-          Mdsp_workload.Workloads.make_engine ~config:cfg ~seed:(seed + i)
-            sys)
-        temps
-    in
-    let remd = Mdsp_core.Remd.create ~engines ~temps ~stride ~seed in
     let exec =
       let module X = Mdsp_util.Exec in
       match domains with
@@ -358,13 +329,14 @@ let ensemble_cmd =
     (match resume with
     | None -> ()
     | Some path ->
-        Mdsp_ensemble.Ensemble.resume_checkpoint ~expect_preset:preset ens
-          path;
+        Mdsp_ensemble.Checkpoint.resume ~expect_preset:preset path ~remd
+          (Mdsp_core.Remd.engines remd);
         Printf.printf "resumed from %s (sweep %d)\n" path
           (Mdsp_core.Remd.sweeps_done remd));
     let sweeps = max 1 (steps / stride) in
     Mdsp_ensemble.Ensemble.run ens ~sweeps;
     print_string (Mdsp_ensemble.Ensemble.metrics_table ens);
+    let temps = Mdsp_core.Remd.temps remd in
     let acc = Mdsp_core.Remd.acceptance remd in
     Array.iteri
       (fun i a ->
@@ -376,7 +348,8 @@ let ensemble_cmd =
     (match checkpoint with
     | None -> ()
     | Some path ->
-        Mdsp_ensemble.Ensemble.save_checkpoint ~preset ens path;
+        Mdsp_ensemble.Checkpoint.save ~preset path ~remd
+          (Mdsp_core.Remd.engines remd);
         Printf.printf "ensemble checkpoint written to %s (sweep %d)\n" path
           (Mdsp_core.Remd.sweeps_done remd));
     Mdsp_util.Exec.shutdown exec

@@ -6,9 +6,9 @@ module Remd = Mdsp_core.Remd
 
 (* Version 2 adds a provenance line ("preset <name>", "-" when unrecorded)
    and makes the exchange section optional ("remd none"), so the same
-   format checkpoints both REMD ladders and single-engine service jobs.
-   Version 1 files (no preset line, exchange section mandatory) still
-   load. *)
+   format checkpoints REMD ladders, single-engine service jobs and
+   `mdsp run`. Version 1 files (no preset line, exchange section
+   mandatory) still load. *)
 let header_v2 = "mdsp-ensemble-checkpoint 2"
 let header_v1 = "mdsp-ensemble-checkpoint 1"
 
@@ -17,7 +17,9 @@ let write_rng oc (r : Rng.snapshot) =
     r.Rng.sn_s2 r.Rng.sn_s3 r.Rng.sn_cached_gauss
     (if r.Rng.sn_has_gauss then 1 else 0)
 
-let save ?preset path ?remd ~(engines : E.snapshot array) () =
+(* The codec: snapshots to text and back. Only [save] and [resume] below
+   reach it, so the engines are the one way in and out. *)
+let write ?preset path ?remd (engines : E.snapshot array) =
   Atomic_file.write path (fun oc ->
       Printf.fprintf oc "%s\n" header_v2;
       Printf.fprintf oc "preset %s\n"
@@ -80,29 +82,34 @@ let save ?preset path ?remd ~(engines : E.snapshot array) () =
           done)
         engines)
 
-let load ?expect_preset ?expect_replicas path =
+(* Parses the whole file, checking it against the engines it will resume,
+   before anything is restored: a torn or mismatched file leaves every
+   engine as it was. *)
+let read ?expect_preset path ~ladder (engines : E.t array) =
   let ic =
     try open_in path
     with Sys_error m ->
-      failwith
-        (Printf.sprintf "Ensemble checkpoint %s: cannot open (%s)" path m)
+      failwith (Printf.sprintf "checkpoint %s: cannot open (%s)" path m)
   in
+  Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
   let lineno = ref 0 in
   let fail msg =
-    close_in ic;
-    failwith
-      (Printf.sprintf "Ensemble checkpoint %s, line %d: %s" path !lineno msg)
+    failwith (Printf.sprintf "checkpoint %s, line %d: %s" path !lineno msg)
   in
+  let truncated () = fail "truncated (unexpected end of file)" in
   let line () =
     incr lineno;
-    try input_line ic
-    with End_of_file -> fail "truncated (unexpected end of file)"
+    try input_line ic with
+    | End_of_file -> truncated ()
+    | Sys_error m -> fail m
   in
-  let scan fmt f =
-    let l = line () in
-    try Scanf.sscanf l fmt f
-    with Scanf.Scan_failure m | Failure m -> fail m
+  (* A line that ends early is a torn write, the same as a missing line. *)
+  let parse l fmt f =
+    try Scanf.sscanf l fmt f with
+    | End_of_file -> truncated ()
+    | Scanf.Scan_failure m | Failure m | Invalid_argument m -> fail m
   in
+  let scan fmt f = parse (line ()) fmt f in
   let read_rng s0 s1 s2 s3 g h =
     {
       Rng.sn_s0 = s0;
@@ -117,7 +124,7 @@ let load ?expect_preset ?expect_replicas path =
     match line () with
     | h when h = header_v2 -> 2
     | h when h = header_v1 -> 1
-    | _ -> fail "bad header (not an mdsp ensemble checkpoint)"
+    | _ -> fail "bad header (not an mdsp checkpoint)"
   in
   let preset =
     if version < 2 then None
@@ -131,20 +138,19 @@ let load ?expect_preset ?expect_replicas path =
            want)
   | _ -> ());
   let m = scan "replicas %d" Fun.id in
-  (match expect_replicas with
-  | Some want when want <> m ->
-      fail
-        (Printf.sprintf "checkpoint holds %d replicas but the ladder has %d"
-           m want)
-  | _ -> ());
+  if m <> Array.length engines then
+    fail
+      (Printf.sprintf "checkpoint holds %d replicas, not %d" m
+         (Array.length engines));
   let remd =
     let l = line () in
     if version >= 2 && l = "remd none" then None
     else
       let sweep, npairs =
-        try Scanf.sscanf l "remd sweep %d pairs %d" (fun a b -> (a, b))
-        with Scanf.Scan_failure m | Failure m -> fail m
+        parse l "remd sweep %d pairs %d" (fun a b -> (a, b))
       in
+      if npairs < 0 || npairs <> m - 1 then
+        fail (Printf.sprintf "%d exchange pairs for %d replicas" npairs m);
       let attempts = Array.make npairs 0 in
       let accepts = Array.make npairs 0 in
       let rngs = Array.make npairs (Rng.snapshot (Rng.create 0)) in
@@ -156,13 +162,16 @@ let load ?expect_preset ?expect_replicas path =
             rngs.(i) <- read_rng s0 s1 s2 s3 g h)
       done;
       let config =
-        let l = line () in
-        match String.split_on_char ' ' (String.trim l) with
+        match String.split_on_char ' ' (String.trim (line ())) with
         | "config" :: rest -> (
             try Array.of_list (List.map int_of_string rest)
             with Failure m -> fail m)
         | _ -> fail "expected config line"
       in
+      if Array.length config <> m then
+        fail
+          (Printf.sprintf "config lists %d rungs for %d replicas"
+             (Array.length config) m);
       Some
         {
           Remd.snap_sweep = sweep;
@@ -172,8 +181,13 @@ let load ?expect_preset ?expect_replicas path =
           snap_rngs = rngs;
         }
   in
-  let engines =
-    Array.init m (fun i ->
+  if ladder && remd = None then
+    fail
+      "no exchange section (a single-engine checkpoint cannot resume a \
+       replica-exchange ladder)";
+  let snaps =
+    Array.mapi
+      (fun i eng ->
         let j = scan "replica %d" Fun.id in
         if j <> i then fail (Printf.sprintf "expected replica %d" i);
         let steps = scan "steps %d" Fun.id in
@@ -182,9 +196,7 @@ let load ?expect_preset ?expect_replicas path =
         let nhc =
           let l = line () in
           if l = "nhc none" then None
-          else
-            try Scanf.sscanf l "nhc %f %f" (fun a b -> Some (a, b))
-            with Scanf.Scan_failure m | Failure m -> fail m
+          else parse l "nhc %f %f" (fun a b -> Some (a, b))
         in
         let mc_baro = scan "mc_baro %d %d" (fun a b -> (a, b)) in
         let energies =
@@ -202,6 +214,11 @@ let load ?expect_preset ?expect_replicas path =
         in
         let virial = scan "virial %f" Fun.id in
         let n = scan "atoms %d" Fun.id in
+        let want = State.n (E.state eng) in
+        if n <> want then
+          fail
+            (Printf.sprintf "replica %d has %d atoms but its engine has %d" i
+               n want);
         let box =
           scan "box %f %f %f" (fun lx ly lz -> Pbc.make ~lx ~ly ~lz)
         in
@@ -239,6 +256,20 @@ let load ?expect_preset ?expect_replicas path =
           snap_nlist_box = nlist_box;
           snap_nlist_ref = nlist_ref;
         })
+      engines
   in
-  close_in ic;
-  (remd, engines)
+  (remd, snaps)
+
+let save ?preset path ?remd engines =
+  write ?preset path
+    ?remd:(Option.map Remd.snapshot remd)
+    (Array.map E.snapshot engines)
+
+let resume ?expect_preset path ?remd engines =
+  let remd_snap, snaps =
+    read ?expect_preset path ~ladder:(Option.is_some remd) engines
+  in
+  Array.iteri (fun i s -> E.restore engines.(i) s) snaps;
+  match (remd, remd_snap) with
+  | Some ladder, Some s -> Remd.restore ladder s
+  | _ -> ()

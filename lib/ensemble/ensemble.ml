@@ -25,30 +25,6 @@ let run t ~sweeps =
     Remd.exchange_sweep t.remd
   done
 
-let save_checkpoint ?preset t path =
-  Checkpoint.save ?preset path ~remd:(Remd.snapshot t.remd)
-    ~engines:(Array.map E.snapshot (Remd.engines t.remd))
-    ()
-
-let resume_checkpoint ?expect_preset t path =
-  let engines = Remd.engines t.remd in
-  let remd_snap, engine_snaps =
-    Checkpoint.load ?expect_preset ~expect_replicas:(Array.length engines)
-      path
-  in
-  let remd_snap =
-    match remd_snap with
-    | Some s -> s
-    | None ->
-        failwith
-          (Printf.sprintf
-             "Ensemble checkpoint %s: no exchange section (written by a \
-              single-engine job, not an ensemble)"
-             path)
-  in
-  Array.iteri (fun i s -> E.restore engines.(i) s) engine_snaps;
-  Remd.restore t.remd remd_snap
-
 type replica_metrics = {
   replica : int;
   slot : int;

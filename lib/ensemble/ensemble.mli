@@ -10,7 +10,8 @@
     from dedicated per-pair streams (see the draw-order contract in
     [remd.mli]), the sharded run is {e bitwise identical} to the
     sequential {!Mdsp_core.Remd.run} path for any slot count — the
-    property [bench e22] and [test_ensemble] enforce. *)
+    property [bench e22] and [test_ensemble] enforce. A ladder saves and
+    resumes through {!Checkpoint} with [~remd:(remd t)]. *)
 
 type t
 
@@ -25,23 +26,6 @@ val shard : t -> Shard.t
 (** [run t ~sweeps] advances every replica [sweeps * stride] steps,
     stepping concurrently and exchanging at each barrier. *)
 val run : t -> sweeps:int -> unit
-
-(** {2 Checkpoint / restart} *)
-
-(** Write the full ensemble state (every engine's snapshot plus the
-    exchange bookkeeping) to a text checkpoint, crash-safely (staged to a
-    temp name, renamed into place). [preset] records the workload the
-    ladder was built from; {!resume_checkpoint} can verify it. *)
-val save_checkpoint : ?preset:string -> t -> string -> unit
-
-(** Restore a checkpoint written by {!save_checkpoint} into an ensemble
-    built for the same system and ladder: engines and exchange bookkeeping
-    rewind to the saved point, and continuing with {!run} reproduces the
-    uninterrupted run exactly. Raises [Failure] with a descriptive message
-    on a missing, truncated, or malformed file, a replica-count mismatch,
-    or — when both [expect_preset] and the recorded preset are present — a
-    workload mismatch. *)
-val resume_checkpoint : ?expect_preset:string -> t -> string -> unit
 
 (** {2 Per-replica metrics} *)
 

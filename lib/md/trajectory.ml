@@ -41,87 +41,3 @@ let read_xyz path =
    with End_of_file -> ());
   close_in ic;
   List.rev !frames
-
-module Checkpoint = struct
-  (* Version 2 adds a provenance line ("preset <name>", "-" when the caller
-     recorded none) right after the header, so a restart can refuse a
-     checkpoint taken from a different workload instead of silently loading
-     mismatched coordinates. Version 1 files (no preset line) still load. *)
-  let save ?preset path (st : State.t) ~step =
-    Atomic_file.write path (fun oc ->
-        let n = State.n st in
-        let open Pbc in
-        Printf.fprintf oc "mdsp-checkpoint 2\n";
-        Printf.fprintf oc "preset %s\n"
-          (match preset with Some p when p <> "" -> p | _ -> "-");
-        Printf.fprintf oc "atoms %d\n" n;
-        Printf.fprintf oc "step %d\n" step;
-        Printf.fprintf oc "time %.17g\n" st.State.time;
-        Printf.fprintf oc "box %.17g %.17g %.17g\n" st.State.box.lx
-          st.State.box.ly st.State.box.lz;
-        for i = 0 to n - 1 do
-          let p = st.State.positions.(i) and v = st.State.velocities.(i) in
-          Printf.fprintf oc "%.17g %.17g %.17g %.17g %.17g %.17g %.17g\n"
-            st.State.masses.(i) p.Vec3.x p.Vec3.y p.Vec3.z v.Vec3.x v.Vec3.y
-            v.Vec3.z
-        done)
-
-  let load ?expect_preset path =
-    let ic =
-      try open_in path
-      with Sys_error m ->
-        failwith (Printf.sprintf "Checkpoint.load %s: cannot open (%s)" path m)
-    in
-    let exception Bad of string in
-    let fail msg =
-      close_in ic;
-      raise (Bad (Printf.sprintf "Checkpoint.load %s: %s" path msg))
-    in
-    let line () = try input_line ic with End_of_file -> fail "truncated" in
-    (try
-       let version =
-         match line () with
-         | "mdsp-checkpoint 1" -> 1
-         | "mdsp-checkpoint 2" -> 2
-         | _ -> fail "bad header (not an mdsp checkpoint)"
-       in
-       let preset =
-         if version < 2 then None
-         else
-           match Scanf.sscanf (line ()) "preset %s" Fun.id with
-           | "-" -> None
-           | p -> Some p
-       in
-       (match (expect_preset, preset) with
-       | Some want, Some got when want <> got ->
-           fail
-             (Printf.sprintf
-                "checkpoint was written for preset %S, not %S" got want)
-       | _ -> ());
-       let n = Scanf.sscanf (line ()) "atoms %d" Fun.id in
-       let step = Scanf.sscanf (line ()) "step %d" Fun.id in
-       let time = Scanf.sscanf (line ()) "time %f" Fun.id in
-       let lx, ly, lz =
-         Scanf.sscanf (line ()) "box %f %f %f" (fun a b c -> (a, b, c))
-       in
-       let masses = Array.make n 0. in
-       let positions = Array.make n Vec3.zero in
-       let velocities = Array.make n Vec3.zero in
-       for i = 0 to n - 1 do
-         Scanf.sscanf (line ()) " %f %f %f %f %f %f %f"
-           (fun m px py pz vx vy vz ->
-             masses.(i) <- m;
-             positions.(i) <- Vec3.make px py pz;
-             velocities.(i) <- Vec3.make vx vy vz)
-       done;
-       close_in ic;
-       let st = State.create ~positions ~masses ~box:(Pbc.make ~lx ~ly ~lz) in
-       Array.blit velocities 0 st.State.velocities 0 n;
-       st.State.time <- time;
-       (st, step)
-     with
-    | Bad m -> failwith m
-    | Scanf.Scan_failure m | Failure m ->
-        close_in ic;
-        failwith (Printf.sprintf "Checkpoint.load %s: %s" path m))
-end

@@ -1,10 +1,8 @@
-(** Trajectory output (XYZ) and exact-restart checkpoints.
+(** Trajectory output (XYZ).
 
     The XYZ writer produces the standard extended-XYZ-flavored text format
-    readable by common visualization tools. Checkpoints round-trip the full
-    dynamic state (positions, velocities, box, time) in a self-describing
-    text format stable across runs; restarting from a checkpoint is exact
-    up to the engine's RNG state, which the caller reseeds. *)
+    readable by common visualization tools. Exact restart files are
+    [Mdsp_ensemble.Checkpoint]'s, built from {!Engine.snapshot}. *)
 
 open Mdsp_util
 
@@ -22,17 +20,3 @@ val close_xyz : xyz -> unit
 
 (** [read_xyz path] loads all frames as (comment, positions) pairs. *)
 val read_xyz : string -> (string * Vec3.t array) list
-
-module Checkpoint : sig
-  (** [save ?preset path state ~step] writes a restart file crash-safely
-      (staged to [path ^ ".tmp"], then renamed into place, so an interrupt
-      mid-write never destroys an existing checkpoint). [preset] records
-      which workload the state came from; {!load} can verify it. *)
-  val save : ?preset:string -> string -> State.t -> step:int -> unit
-
-  (** [load ?expect_preset path] returns the state and step count. Raises
-      [Failure] with a descriptive message when the file is missing,
-      truncated, malformed, or — when both [expect_preset] and the file's
-      recorded preset are present — written for a different workload. *)
-  val load : ?expect_preset:string -> string -> State.t * int
-end

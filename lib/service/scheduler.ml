@@ -29,6 +29,32 @@ let quantum t = t.quantum
 
 let langevin = E.Langevin { gamma_fs = 0.02 }
 
+let remd_ladder ~preset ~dt_fs ~seed ~replicas ~temp_min ~temp_max ~stride =
+  (* Geometric ladder: uniform acceptance across rungs wants constant
+     temperature ratios. *)
+  let temps =
+    Array.init replicas (fun i ->
+        temp_min
+        *. ((temp_max /. temp_min)
+           ** (float_of_int i /. float_of_int (replicas - 1))))
+  in
+  let engines =
+    Array.mapi
+      (fun i temp ->
+        let sys = W.of_name preset in
+        let cfg =
+          {
+            E.default_config with
+            dt_fs;
+            temperature = temp;
+            thermostat = langevin;
+          }
+        in
+        W.make_engine ~config:cfg ~seed:(seed + i) sys)
+      temps
+  in
+  Remd.create ~engines ~temps ~stride ~seed
+
 let build_fresh (spec : Job.spec) =
   match spec.kind with
   | Job.Single ->
@@ -43,55 +69,21 @@ let build_fresh (spec : Job.spec) =
       in
       Single_eng (W.make_engine ~config:cfg ~seed:spec.seed sys)
   | Job.Remd r ->
-      (* Geometric ladder, replica i seeded seed + i — the same
-         construction as `mdsp ensemble`. *)
-      let temps =
-        Array.init r.replicas (fun i ->
-            r.temp_min
-            *. ((r.temp_max /. r.temp_min)
-               ** (float_of_int i /. float_of_int (r.replicas - 1))))
-      in
-      let engines =
-        Array.mapi
-          (fun i temp ->
-            let sys = W.of_name spec.preset in
-            let cfg =
-              {
-                E.default_config with
-                dt_fs = spec.dt_fs;
-                temperature = temp;
-                thermostat = langevin;
-              }
-            in
-            W.make_engine ~config:cfg ~seed:(spec.seed + i) sys)
-          temps
-      in
-      Ladder (Remd.create ~engines ~temps ~stride:r.stride ~seed:spec.seed)
+      Ladder
+        (remd_ladder ~preset:spec.preset ~dt_fs:spec.dt_fs ~seed:spec.seed
+           ~replicas:r.replicas ~temp_min:r.temp_min ~temp_max:r.temp_max
+           ~stride:r.stride)
 
-let restore_from inst path ~preset =
-  match inst with
-  | Single_eng eng -> (
-      match
-        Checkpoint.load ~expect_preset:preset ~expect_replicas:1 path
-      with
-      | _, [| snap |] -> E.restore eng snap
-      | _ -> assert false)
-  | Ladder ladder -> (
-      let engines = Remd.engines ladder in
-      let remd_snap, engine_snaps =
-        Checkpoint.load ~expect_preset:preset
-          ~expect_replicas:(Array.length engines) path
-      in
-      match remd_snap with
-      | None ->
-          failwith
-            (Printf.sprintf
-               "Ensemble checkpoint %s: single-engine checkpoint cannot \
-                resume an REMD job"
-               path)
-      | Some s ->
-          Array.iteri (fun i sn -> E.restore engines.(i) sn) engine_snaps;
-          Remd.restore ladder s)
+(* The engines a checkpoint holds, plus the exchange bookkeeping for a
+   ladder: the one mapping the slice save, the resume and [uninterrupted]
+   share. *)
+let checkpointed = function
+  | Single_eng eng -> (None, [| eng |])
+  | Ladder ladder -> (Some ladder, Remd.engines ladder)
+
+let save_ckpt (spec : Job.spec) path inst =
+  let remd, engines = checkpointed inst in
+  Checkpoint.save ~preset:spec.Job.preset path ?remd engines
 
 let instance_of t (e : Queue.entry) =
   match Hashtbl.find_opt t.instances e.Queue.id with
@@ -99,8 +91,10 @@ let instance_of t (e : Queue.entry) =
   | None ->
       let inst = build_fresh e.Queue.spec in
       let ckpt = Queue.ckpt_path t.queue e in
-      if Sys.file_exists ckpt then
-        restore_from inst ckpt ~preset:e.Queue.spec.Job.preset;
+      (if Sys.file_exists ckpt then
+         let remd, engines = checkpointed inst in
+         Checkpoint.resume ~expect_preset:e.Queue.spec.Job.preset ckpt ?remd
+           engines);
       Hashtbl.add t.instances e.Queue.id inst;
       inst
 
@@ -134,17 +128,6 @@ let slice_budget t (spec : Job.spec) inst =
       let stride = Remd.stride ladder in
       let remaining = total_sweeps spec stride - Remd.sweeps_done ladder in
       min (max 1 (t.quantum / stride)) remaining * stride
-
-let save_ckpt t (e : Queue.entry) inst =
-  let path = Queue.ckpt_path t.queue e in
-  let preset = e.Queue.spec.Job.preset in
-  match inst with
-  | Single_eng eng ->
-      Checkpoint.save ~preset path ~engines:[| E.snapshot eng |] ()
-  | Ladder ladder ->
-      Checkpoint.save ~preset path ~remd:(Remd.snapshot ladder)
-        ~engines:(Array.map E.snapshot (Remd.engines ladder))
-        ()
 
 let observables inst =
   match inst with
@@ -180,7 +163,7 @@ let result_line (e : Queue.entry) obs =
 (* --- the slice --- *)
 
 let finalize t (e : Queue.entry) inst =
-  save_ckpt t e inst;
+  save_ckpt e.Queue.spec (Queue.ckpt_path t.queue e) inst;
   Queue.write_result t.queue e (result_line e (observables inst));
   let done_steps, _ = progress e.Queue.spec inst in
   e.Queue.steps_done <- done_steps;
@@ -189,25 +172,34 @@ let finalize t (e : Queue.entry) inst =
 
 let run_slice t =
   let n_slots = Exec.n_slots t.exec in
-  let batch =
-    (* Instantiate on the caller (engine construction and checkpoint I/O
-       stay out of the parallel region); a bad preset or unreadable
-       checkpoint fails the job here with the underlying message. *)
-    List.filter_map
-      (fun (e : Queue.entry) ->
-        match instance_of t e with
-        | inst ->
-            Queue.set_status t.queue e Queue.Running;
-            Some (e, inst)
-        | exception Failure msg ->
-            Queue.set_status t.queue e (Queue.Failed msg);
-            Hashtbl.remove t.instances e.Queue.id;
-            None)
-      (Queue.take_batch t.queue n_slots)
+  (* Instantiate on the caller (engine construction and checkpoint I/O
+     stay out of the parallel region); a bad preset or unreadable
+     checkpoint fails the job here with the underlying message, and when
+     every job taken fails the next runnable ones get the slice, so 0
+     still means nothing is runnable. *)
+  let rec take () =
+    match Queue.take_batch t.queue n_slots with
+    | [] -> []
+    | taken -> (
+        match
+          List.filter_map
+            (fun (e : Queue.entry) ->
+              match instance_of t e with
+              | inst ->
+                  Queue.set_status t.queue e Queue.Running;
+                  Some (e, inst)
+              | exception Failure msg ->
+                  Queue.set_status t.queue e (Queue.Failed msg);
+                  Hashtbl.remove t.instances e.Queue.id;
+                  None)
+            taken
+        with
+        | [] -> take ()
+        | batch -> batch)
   in
-  match batch with
+  match take () with
   | [] -> 0
-  | _ ->
+  | batch ->
       let jobs = Array.of_list batch in
       let nb = Array.length jobs in
       ignore
@@ -228,7 +220,7 @@ let run_slice t =
           let done_steps, budget = progress e.Queue.spec inst in
           if done_steps >= budget then finalize t e inst
           else begin
-            save_ckpt t e inst;
+            save_ckpt e.Queue.spec (Queue.ckpt_path t.queue e) inst;
             e.Queue.steps_done <- done_steps;
             Queue.set_status t.queue e Queue.Paused;
             Queue.requeue t.queue e
@@ -247,13 +239,5 @@ let uninterrupted (spec : Job.spec) ~ckpt =
   let inst = build_fresh spec in
   let _, budget = progress spec inst in
   advance inst ~budget_steps:budget;
-  (match inst with
-  | Single_eng eng ->
-      Checkpoint.save ~preset:spec.Job.preset ckpt
-        ~engines:[| E.snapshot eng |] ()
-  | Ladder ladder ->
-      Checkpoint.save ~preset:spec.Job.preset ckpt
-        ~remd:(Remd.snapshot ladder)
-        ~engines:(Array.map E.snapshot (Remd.engines ladder))
-        ());
+  save_ckpt spec ckpt inst;
   observables inst

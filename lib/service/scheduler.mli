@@ -25,10 +25,29 @@ val create : ?quantum:int -> exec:Mdsp_util.Exec.t -> Queue.t -> t
 
 val quantum : t -> int
 
+(** [remd_ladder ~preset ~dt_fs ~seed ~replicas ~temp_min ~temp_max
+    ~stride] builds the replica-exchange ladder that REMD jobs and
+    [mdsp ensemble] both run: [replicas] geometrically spaced temperatures
+    from [temp_min] to [temp_max], one Langevin (γ = 0.02 fs⁻¹) engine per
+    rung built from the named preset and seeded [seed + i], exchanging
+    every [stride] steps from seed [seed]. Raises [Failure] on an unknown
+    preset and [Invalid_argument] on a malformed ladder
+    ({!Mdsp_core.Remd.create}). *)
+val remd_ladder :
+  preset:string ->
+  dt_fs:float ->
+  seed:int ->
+  replicas:int ->
+  temp_min:float ->
+  temp_max:float ->
+  stride:int ->
+  Mdsp_core.Remd.t
+
 (** Run one slice; returns the number of jobs advanced (0 when nothing is
     runnable — the queue is empty or all jobs are terminal). Jobs whose
-    preset is unknown or whose checkpoint fails to load become
-    [Failed] with the underlying message instead of raising. *)
+    preset is unknown or whose checkpoint fails to load (missing, torn,
+    malformed or mismatched) become [Failed] with the underlying message
+    instead of raising, and their slots go to the next runnable jobs. *)
 val run_slice : t -> int
 
 (** Slice until nothing is runnable. *)

@@ -50,6 +50,25 @@ dune exec bin/mdsp.exe -- run -p water4 --gse 16 --domains 1 -n 4 \
 grep -q '^  soa\.reduce ' /tmp/mdsp-run-timings-1.out
 grep -q '^  gse\.combine ' /tmp/mdsp-run-timings-1.out
 
+# Exact-restart gate: `mdsp run --checkpoint/--restart` go through the
+# engine snapshot format the ensembles and the job service use, so 20 + 20
+# steps through a checkpoint must end byte-identical to 40 uninterrupted
+# steps (RNG stream, thermostat, in-flight forces and neighbor list
+# included), serial LJ and pooled GSE water alike.
+for cfg in "-p lj64" "-p water4 --gse 16 --domains 2"; do
+  # shellcheck disable=SC2086  # $cfg is a list of flags
+  dune exec bin/mdsp.exe -- run $cfg -n 40 \
+    --checkpoint /tmp/mdsp-restart-A.ckpt >/dev/null
+  # shellcheck disable=SC2086
+  dune exec bin/mdsp.exe -- run $cfg -n 20 \
+    --checkpoint /tmp/mdsp-restart-B.ckpt >/dev/null
+  # shellcheck disable=SC2086
+  dune exec bin/mdsp.exe -- run $cfg -n 20 \
+    --restart /tmp/mdsp-restart-B.ckpt \
+    --checkpoint /tmp/mdsp-restart-C.ckpt >/dev/null
+  cmp /tmp/mdsp-restart-A.ckpt /tmp/mdsp-restart-C.ckpt
+done
+
 # Verification gate: interval-analyze every built-in kernel, check every
 # compiled table's domain/fit/quantization, race-sanitize all parallel
 # phases at 1/2/4 slots, and certify the fixed-point datapaths for the

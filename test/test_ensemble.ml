@@ -1,8 +1,10 @@
 (* The ensemble orchestration subsystem: sharded REMD must be bitwise
    identical to the sequential Remd.run path for any slot count, a
-   checkpoint -> restore -> continue must equal the uninterrupted run
-   exactly, tempering walkers must be interleaving-independent, and
-   Remd.create must reject malformed ladders up front. *)
+   checkpoint -> resume -> continue must equal the uninterrupted run
+   exactly (for a ladder and for a single engine), a torn or corrupt
+   checkpoint must fail cleanly, tempering walkers must be
+   interleaving-independent, and Remd.create must reject malformed
+   ladders up front. *)
 
 open Mdsp_util
 open Testsupport
@@ -12,6 +14,7 @@ module Remd = Mdsp_core.Remd
 module Tempering = Mdsp_core.Tempering
 module Shard = Mdsp_ensemble.Shard
 module Ensemble = Mdsp_ensemble.Ensemble
+module Checkpoint = Mdsp_ensemble.Checkpoint
 
 (* --- fixtures --- *)
 
@@ -179,6 +182,49 @@ let test_metrics_populated () =
 
 (* --- checkpoint / restore --- *)
 
+(* Every field of every engine snapshot, and the exchange bookkeeping,
+   bitwise. *)
+let assert_snapshots_identical msg (a : E.t array) (b : E.t array) =
+  check_true (msg ^ ": engine count") (Array.length a = Array.length b);
+  Array.iteri
+    (fun i ea ->
+      let s = E.snapshot ea and r = E.snapshot b.(i) in
+      let chk field ok =
+        check_true (Printf.sprintf "%s: %d %s" msg i field) ok
+      in
+      chk "state" (State.equal s.E.snap_state r.E.snap_state);
+      chk "masses" (s.E.snap_state.State.masses = r.E.snap_state.State.masses);
+      chk "steps" (s.E.snap_steps = r.E.snap_steps);
+      chk "temperature" (s.E.snap_temperature = r.E.snap_temperature);
+      chk "rng" (s.E.snap_rng = r.E.snap_rng);
+      chk "nhc" (s.E.snap_nhc = r.E.snap_nhc);
+      chk "mc_baro" (s.E.snap_mc_baro = r.E.snap_mc_baro);
+      chk "energies" (s.E.snap_energies = r.E.snap_energies);
+      chk "forces" (s.E.snap_forces = r.E.snap_forces);
+      chk "virial" (s.E.snap_virial = r.E.snap_virial);
+      chk "nlist box" (s.E.snap_nlist_box = r.E.snap_nlist_box);
+      chk "nlist reference" (s.E.snap_nlist_ref = r.E.snap_nlist_ref))
+    a
+
+let assert_remd_snapshots_identical msg a b =
+  let sa = Remd.snapshot a and sb = Remd.snapshot b in
+  check_true (msg ^ ": remd sweep") (sa.Remd.snap_sweep = sb.Remd.snap_sweep);
+  check_true (msg ^ ": remd attempts")
+    (sa.Remd.snap_attempts = sb.Remd.snap_attempts);
+  check_true (msg ^ ": remd accepts")
+    (sa.Remd.snap_accepts = sb.Remd.snap_accepts);
+  check_true (msg ^ ": remd rng streams")
+    (sa.Remd.snap_rngs = sb.Remd.snap_rngs);
+  check_true (msg ^ ": remd config walk")
+    (sa.Remd.snap_config = sb.Remd.snap_config);
+  assert_snapshots_identical msg (Remd.engines a) (Remd.engines b)
+
+let save_ladder path ladder =
+  Checkpoint.save path ~remd:ladder (Remd.engines ladder)
+
+let resume_ladder ?expect_preset path ladder =
+  Checkpoint.resume ?expect_preset path ~remd:ladder (Remd.engines ladder)
+
 let test_checkpoint_roundtrip_exact () =
   (* Uninterrupted reference. *)
   let whole = make_ladder () in
@@ -191,13 +237,14 @@ let test_checkpoint_roundtrip_exact () =
   let ens1 = Ensemble.create ~exec:pool first in
   Ensemble.run ens1 ~sweeps:4;
   let path = Filename.temp_file "mdsp_ensemble" ".ckpt" in
-  Ensemble.save_checkpoint ens1 path;
+  save_ladder path first;
   let resumed = make_ladder () in
   let ens2 = Ensemble.create ~exec:pool resumed in
   (* Desynchronize the fresh ladder first to prove restore really rewinds. *)
   Ensemble.run ens2 ~sweeps:1;
-  Ensemble.resume_checkpoint ens2 path;
+  resume_ladder path resumed;
   check_true "sweep counter restored" (Remd.sweeps_done resumed = 4);
+  assert_remd_snapshots_identical "resumed vs saved" first resumed;
   Ensemble.run ens2 ~sweeps:6;
   Exec.shutdown pool;
   Sys.remove path;
@@ -205,45 +252,181 @@ let test_checkpoint_roundtrip_exact () =
     whole resumed
 
 let test_checkpoint_file_exact () =
-  (* The text format itself round-trips snapshots bit-for-bit. *)
+  (* The text format itself round-trips every snapshot field bit-for-bit. *)
   let ladder = make_ladder () in
   Remd.run ladder ~sweeps:3;
-  let remd_snap = Remd.snapshot ladder in
-  let engine_snaps = Array.map E.snapshot (Remd.engines ladder) in
   let path = Filename.temp_file "mdsp_ensemble" ".ckpt" in
-  Mdsp_ensemble.Checkpoint.save path ~remd:remd_snap ~engines:engine_snaps ();
-  let remd_back, engines_back = Mdsp_ensemble.Checkpoint.load path in
+  save_ladder path ladder;
+  let back = make_ladder () in
+  resume_ladder path back;
   Sys.remove path;
-  let remd_back =
-    match remd_back with
-    | Some s -> s
-    | None -> Alcotest.fail "checkpoint lost its exchange section"
+  assert_remd_snapshots_identical "file round trip" ladder back
+
+let test_single_engine_resume () =
+  (* One engine through the file: a Langevin + SHAKE water engine and a
+     Nosé–Hoover LJ engine, saved after 10 steps and resumed into a fresh
+     engine, must continue bitwise — RNG stream, thermostat chain, step
+     counter, in-flight forces and neighbor list all come from the file. *)
+  let water () =
+    let sys = Mdsp_workload.Workloads.water_box ~n_side:2 () in
+    let cfg =
+      {
+        E.default_config with
+        dt_fs = 1.0;
+        temperature = 300.;
+        thermostat = E.Langevin { gamma_fs = 0.02 };
+      }
+    in
+    Mdsp_workload.Workloads.make_engine ~config:cfg ~seed:7 sys
   in
-  check_true "remd sweep" (remd_back.Remd.snap_sweep = remd_snap.Remd.snap_sweep);
-  check_true "remd attempts"
-    (remd_back.Remd.snap_attempts = remd_snap.Remd.snap_attempts);
-  check_true "remd rng streams"
-    (remd_back.Remd.snap_rngs = remd_snap.Remd.snap_rngs);
-  check_true "remd config walk"
-    (remd_back.Remd.snap_config = remd_snap.Remd.snap_config);
+  let lj_nh () =
+    let sys = Mdsp_workload.Workloads.lj_fluid ~n:64 () in
+    let cfg =
+      {
+        E.default_config with
+        dt_fs = 2.0;
+        temperature = 120.;
+        thermostat = E.Nose_hoover { tau_fs = 100. };
+      }
+    in
+    Mdsp_workload.Workloads.make_engine ~config:cfg ~seed:5 sys
+  in
+  List.iter
+    (fun (name, make) ->
+      let eng = make () in
+      E.run eng 10;
+      let path = Filename.temp_file "mdsp_single" ".ckpt" in
+      Checkpoint.save ~preset:name path [| eng |];
+      let fresh = make () in
+      Checkpoint.resume ~expect_preset:name path [| fresh |];
+      Sys.remove path;
+      check_true (name ^ ": step counter restored") (E.steps_done fresh = 10);
+      E.run eng 15;
+      E.run fresh 15;
+      check_true (name ^ ": state bitwise")
+        (State.equal (E.state eng) (E.state fresh));
+      check_true (name ^ ": potential energy bitwise")
+        (E.potential_energy eng = E.potential_energy fresh);
+      check_true (name ^ ": total energy bitwise")
+        (E.total_energy eng = E.total_energy fresh);
+      check_true (name ^ ": step counter") (E.steps_done fresh = 25);
+      assert_snapshots_identical name [| eng |] [| fresh |])
+    [ ("water", water); ("lj-nose-hoover", lj_nh) ]
+
+(* --- torn and corrupt checkpoint files --- *)
+
+let small_ladder ?(n = 32) ?(replicas = 2) () =
+  let temps = Array.init replicas (fun i -> 120. +. (15. *. float_of_int i)) in
+  let engines =
+    Array.mapi
+      (fun i temp ->
+        let sys = Mdsp_workload.Workloads.lj_fluid ~n () in
+        let cfg =
+          {
+            E.default_config with
+            dt_fs = 2.0;
+            temperature = temp;
+            thermostat = E.Langevin { gamma_fs = 0.02 };
+          }
+        in
+        Mdsp_workload.Workloads.make_engine ~config:cfg ~seed:(40 + i) sys)
+      temps
+  in
+  Remd.create ~engines ~temps ~stride:5 ~seed:3
+
+let contains ~needle hay =
+  let nn = String.length needle and nh = String.length hay in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
+let write_file path s =
+  let oc = open_out_bin path in
+  output_string oc s;
+  close_out oc
+
+let read_file path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+(* [f] must raise [Failure] naming [path] and a line, and [needle] when
+   given. *)
+let fails_at_line ?needle what path f =
+  match f () with
+  | () -> Alcotest.failf "%s: resumed without error" what
+  | exception Failure msg ->
+      let at = Printf.sprintf "checkpoint %s, line " path in
+      if not (contains ~needle:at msg) then
+        Alcotest.failf "%s: %S names no file and line" what msg;
+      Option.iter
+        (fun needle ->
+          if not (contains ~needle msg) then
+            Alcotest.failf "%s: %S does not mention %S" what msg needle)
+        needle
+
+let test_torn_and_corrupt_files () =
+  (* A real 2-replica ladder file, then every way a crash or a stray edit
+     can damage it. Each damaged file must be a Failure naming the file and
+     the line, and must leave the target ladder untouched. *)
+  let src = small_ladder () in
+  Remd.run src ~sweeps:2;
+  let good = Filename.temp_file "mdsp_torn" ".ckpt" in
+  Checkpoint.save ~preset:"lj32" good ~remd:src (Remd.engines src);
+  let text = read_file good in
+  let lines = Array.of_list (String.split_on_char '\n' text) in
+  (* The file ends in a newline, so the split leaves one empty tail. *)
+  let lines = Array.sub lines 0 (Array.length lines - 1) in
+  let nl = Array.length lines in
+  let prefix k = String.concat "" (List.init k (fun i -> lines.(i) ^ "\n")) in
+  let bad = Filename.temp_file "mdsp_torn" ".ckpt" in
+  let target = small_ladder () in
+  let untouched what =
+    check_true (what ^ ": ladder untouched")
+      (Remd.sweeps_done target = 0
+      && Array.for_all (fun e -> E.steps_done e = 0) (Remd.engines target))
+  in
+  let resume_bad ?expect_preset what =
+    fails_at_line what bad (fun () -> resume_ladder ?expect_preset bad target);
+    untouched what
+  in
+  for k = 0 to nl - 1 do
+    write_file bad (prefix k);
+    resume_bad (Printf.sprintf "prefix of %d lines" k)
+  done;
   Array.iteri
-    (fun i (s : E.snapshot) ->
-      let b = engines_back.(i) in
-      check_true "state" (State.equal s.E.snap_state b.E.snap_state);
-      check_true "masses"
-        (s.E.snap_state.State.masses = b.E.snap_state.State.masses);
-      check_true "steps" (s.E.snap_steps = b.E.snap_steps);
-      check_true "temperature" (s.E.snap_temperature = b.E.snap_temperature);
-      check_true "rng" (s.E.snap_rng = b.E.snap_rng);
-      check_true "nhc" (s.E.snap_nhc = b.E.snap_nhc);
-      check_true "mc_baro" (s.E.snap_mc_baro = b.E.snap_mc_baro);
-      check_true "energies" (s.E.snap_energies = b.E.snap_energies);
-      check_true "forces" (s.E.snap_forces = b.E.snap_forces);
-      check_true "virial" (s.E.snap_virial = b.E.snap_virial);
-      check_true "nlist box" (s.E.snap_nlist_box = b.E.snap_nlist_box);
-      check_true "nlist reference"
-        (s.E.snap_nlist_ref = b.E.snap_nlist_ref))
-    engine_snaps
+    (fun i l ->
+      write_file bad (prefix i ^ String.sub l 0 (String.length l / 2));
+      resume_bad (Printf.sprintf "line %d cut in half" (i + 1)))
+    lines;
+  (* A garbage token in an atom row of the second replica. *)
+  let row = nl - 3 in
+  let garbled = Array.copy lines in
+  garbled.(row) <-
+    (match String.split_on_char ' ' lines.(row) with
+    | first :: rest -> String.concat " " (first :: "garbage" :: List.tl rest)
+    | [] -> assert false);
+  write_file bad (String.concat "\n" (Array.to_list garbled) ^ "\n");
+  resume_bad "garbage token";
+  (* Mismatches against a well-formed file. *)
+  fails_at_line ~needle:"preset" "wrong preset" good (fun () ->
+      resume_ladder ~expect_preset:"lj64" good target);
+  untouched "wrong preset";
+  fails_at_line ~needle:"replicas" "wrong replica count" good (fun () ->
+      resume_ladder good (small_ladder ~replicas:3 ()));
+  fails_at_line ~needle:"atoms" "wrong atom count" good (fun () ->
+      resume_ladder good (small_ladder ~n:64 ()));
+  (* A stranded staging file from a crashed save does not shadow the good
+     file, and the next save replaces it. *)
+  let stranded = good ^ Atomic_file.tmp_suffix in
+  write_file stranded (prefix (nl / 2));
+  resume_ladder ~expect_preset:"lj32" good target;
+  assert_remd_snapshots_identical "resumed past a stranded .tmp" src target;
+  Checkpoint.save ~preset:"lj32" good ~remd:target (Remd.engines target);
+  check_true "save leaves no .tmp behind" (not (Sys.file_exists stranded));
+  check_true "save rewrites the same bytes" (read_file good = text);
+  Sys.remove good;
+  Sys.remove bad
 
 let test_engine_snapshot_restore () =
   (* Engine-level restart exactness on a constrained, thermostatted system
@@ -378,6 +561,10 @@ let () =
             test_checkpoint_roundtrip_exact;
           Alcotest.test_case "text format round-trips bitwise" `Quick
             test_checkpoint_file_exact;
+          Alcotest.test_case "single engine resumes bitwise" `Quick
+            test_single_engine_resume;
+          Alcotest.test_case "torn and corrupt files fail cleanly" `Quick
+            test_torn_and_corrupt_files;
           Alcotest.test_case "engine snapshot/restore" `Quick
             test_engine_snapshot_restore;
         ] );

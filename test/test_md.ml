@@ -681,7 +681,7 @@ let test_minimize_respects_constraints () =
        st.State.positions
     < 1e-6)
 
-(* --- Trajectory and checkpoints --- *)
+(* --- Trajectory --- *)
 
 let test_xyz_roundtrip () =
   let path = Filename.temp_file "mdsp_traj" ".xyz" in
@@ -712,58 +712,6 @@ let test_xyz_wraps_positions () =
   let _, p = List.hd frames in
   check_true "wrapped into the box"
     (Vec3.equal_eps ~eps:1e-5 p.(0) (Vec3.make 2. 7. 5.))
-
-let test_checkpoint_roundtrip () =
-  let eng = lj_engine ~n:32 ~equil:200 () in
-  let st = E.state eng in
-  let path = Filename.temp_file "mdsp_ckpt" ".txt" in
-  Trajectory.Checkpoint.save path st ~step:123;
-  let loaded, step = Trajectory.Checkpoint.load path in
-  Sys.remove path;
-  Alcotest.(check int) "step" 123 step;
-  check_true "positions exact" (max_vec_diff loaded.State.positions st.State.positions = 0.);
-  check_true "velocities exact"
-    (max_vec_diff loaded.State.velocities st.State.velocities = 0.);
-  check_float ~eps:0. "time exact" st.State.time loaded.State.time;
-  check_true "box exact" (loaded.State.box = st.State.box);
-  check_true "masses exact" (loaded.State.masses = st.State.masses)
-
-let test_checkpoint_restart_equivalence () =
-  (* NVE from a checkpoint must bitwise-track the original run. *)
-  let eng = lj_engine ~n:32 ~equil:300 () in
-  let st = E.state eng in
-  let sys = Mdsp_workload.Workloads.lj_fluid ~n:32 () in
-  let build positions velocities =
-    let sys = { sys with Mdsp_workload.Workloads.positions } in
-    let cfg = { E.default_config with dt_fs = 2.0; temperature = 120. } in
-    let e = Mdsp_workload.Workloads.make_engine ~config:cfg sys in
-    Array.blit velocities 0 (E.state e).State.velocities 0 32;
-    E.refresh_forces e;
-    e
-  in
-  let e1 = build (Array.copy st.State.positions) st.State.velocities in
-  (* Save, load, and build a second engine from the loaded state. *)
-  let path = Filename.temp_file "mdsp_ckpt" ".txt" in
-  Trajectory.Checkpoint.save path (E.state e1) ~step:0;
-  let loaded, _ = Trajectory.Checkpoint.load path in
-  Sys.remove path;
-  let e2 = build loaded.State.positions loaded.State.velocities in
-  E.run e1 100;
-  E.run e2 100;
-  check_true "restart is exact"
-    (max_vec_diff (E.state e1).State.positions (E.state e2).State.positions
-     = 0.)
-
-let test_checkpoint_rejects_garbage () =
-  let path = Filename.temp_file "mdsp_ckpt" ".txt" in
-  let oc = open_out path in
-  output_string oc "not a checkpoint\n";
-  close_out oc;
-  (try
-     ignore (Trajectory.Checkpoint.load path);
-     Alcotest.fail "expected failure"
-   with Failure _ -> ());
-  Sys.remove path
 
 (* --- Soa: the flat (structure-of-arrays) store --- *)
 
@@ -916,12 +864,6 @@ let () =
         [
           Alcotest.test_case "xyz roundtrip" `Quick test_xyz_roundtrip;
           Alcotest.test_case "xyz wraps" `Quick test_xyz_wraps_positions;
-          Alcotest.test_case "checkpoint roundtrip" `Quick
-            test_checkpoint_roundtrip;
-          Alcotest.test_case "restart equivalence" `Quick
-            test_checkpoint_restart_equivalence;
-          Alcotest.test_case "rejects garbage" `Quick
-            test_checkpoint_rejects_garbage;
         ] );
       ( "virtual_sites",
         [

@@ -3,8 +3,8 @@
    preempted repeatedly — including across a simulated server restart —
    must end bitwise identical to an uninterrupted run at 1/2/4 slots, the
    serve loop must answer malformed requests with errors instead of dying,
-   and the checkpoint loaders must fail with clear messages on missing /
-   truncated / mismatched files. *)
+   and the checkpoint reader must fail with clear messages on missing /
+   truncated / mismatched files — failing only the job whose file it is. *)
 
 open Mdsp_util
 open Testsupport
@@ -375,8 +375,9 @@ let test_serve_end_to_end () =
 (* --- checkpoint error paths --- *)
 
 let test_checkpoint_errors () =
-  let module T = Mdsp_md.Trajectory.Checkpoint in
-  fails_with "cannot open" (fun () -> T.load "/nonexistent/ckpt");
+  let module EC = Mdsp_ensemble.Checkpoint in
+  let eng = lj_engine ~n:32 ~equil:10 () in
+  fails_with "cannot open" (fun () -> EC.resume "/nonexistent/ckpt" [| eng |]);
   let tmp = Filename.temp_file "mdsp_test_ck" ".ckpt" in
   let write s =
     let oc = open_out tmp in
@@ -384,31 +385,72 @@ let test_checkpoint_errors () =
     close_out oc
   in
   write "garbage\n";
-  fails_with "bad header" (fun () -> T.load tmp);
-  write "mdsp-checkpoint 2\npreset lj64\n";
-  fails_with "truncated" (fun () -> T.load tmp);
-  (* preset guard, through a real save *)
-  let eng = lj_engine ~n:32 ~equil:10 () in
-  T.save ~preset:"lj32" tmp (Mdsp_md.Engine.state eng) ~step:10;
-  check_true "no staging leftover"
+  fails_with "bad header" (fun () -> EC.resume tmp [| eng |]);
+  (* The state-only format older `mdsp run --checkpoint` wrote. *)
+  write "mdsp-checkpoint 2\npreset lj64\natoms 32\n";
+  fails_with "line 1: bad header" (fun () -> EC.resume tmp [| eng |]);
+  write "mdsp-ensemble-checkpoint 2\npreset lj64\n";
+  fails_with "truncated" (fun () -> EC.resume tmp [| eng |]);
+  (* preset, replica-count and atom-count guards, through a real save *)
+  EC.save ~preset:"lj32" tmp [| eng |];
+  check_true "save atomic"
     (not (Sys.file_exists (tmp ^ Atomic_file.tmp_suffix)));
-  fails_with "preset" (fun () -> T.load ~expect_preset:"water6k" tmp);
-  let st, step = T.load ~expect_preset:"lj32" tmp in
-  check_true "matching preset loads"
-    (step = 10 && Mdsp_md.State.n st = 32);
-  (* ensemble checkpoint: replica-count and preset guards *)
-  let module EC = Mdsp_ensemble.Checkpoint in
-  let snap = Mdsp_md.Engine.snapshot eng in
-  EC.save ~preset:"lj32" tmp ~engines:[| snap |] ();
-  check_true "ensemble save atomic"
-    (not (Sys.file_exists (tmp ^ Atomic_file.tmp_suffix)));
-  fails_with "replicas" (fun () -> EC.load ~expect_replicas:4 tmp);
-  fails_with "preset" (fun () -> EC.load ~expect_preset:"water6k" tmp);
-  (let remd, engines = EC.load ~expect_replicas:1 ~expect_preset:"lj32" tmp in
-   check_true "single-engine checkpoint has no exchange section"
-     (remd = None && Array.length engines = 1));
-  fails_with "cannot open" (fun () -> EC.load "/nonexistent/ckpt");
+  let fresh = lj_engine ~n:32 ~equil:0 () in
+  fails_with "preset" (fun () ->
+      EC.resume ~expect_preset:"water6k" tmp [| fresh |]);
+  fails_with "replicas" (fun () -> EC.resume tmp [| fresh; fresh |]);
+  fails_with "atoms" (fun () ->
+      EC.resume tmp [| lj_engine ~n:64 ~equil:0 () |]);
+  check_true "failed resumes leave the engine alone"
+    (Mdsp_md.Engine.steps_done fresh = 0);
+  EC.resume ~expect_preset:"lj32" tmp [| fresh |];
+  check_true "matching preset resumes"
+    (Mdsp_md.Engine.steps_done fresh = 10);
+  (* a single-engine file has no exchange section for a ladder *)
+  let ladder =
+    Sch.remd_ladder ~preset:"lj32" ~dt_fs:2.0 ~seed:1 ~replicas:2
+      ~temp_min:120. ~temp_max:140. ~stride:5
+  in
+  EC.save ~preset:"lj32" tmp (Mdsp_core.Remd.engines ladder);
+  fails_with "exchange section" (fun () ->
+      EC.resume tmp ~remd:ladder (Mdsp_core.Remd.engines ladder));
   Sys.remove tmp
+
+(* A torn .ckpt fails that job only: the server keeps draining the rest. *)
+let test_torn_ckpt_fails_job () =
+  let dir = Atomic_file.fresh_dir ~prefix:"mdsp_test_torn" () in
+  let a = lj_spec ~label:"torn" ~seed:41 () in
+  let b = lj_spec ~label:"intact" ~seed:42 () in
+  let q1 = Q.create ~dir in
+  let ea = Result.get_ok (Q.submit q1 a) in
+  let _ = Result.get_ok (Q.submit q1 b) in
+  let s1 = Sch.create ~quantum:40 ~exec:Exec.serial q1 in
+  ignore (Sch.run_slice s1);
+  ignore (Sch.run_slice s1);
+  (* Cut job a's checkpoint mid-row, the way a non-atomic writer dying
+     halfway through would leave it. *)
+  let ckpt = Q.ckpt_path q1 ea in
+  let lines = String.split_on_char '\n' (read_file ckpt) in
+  let keep = 30 in
+  let torn =
+    String.concat "\n" (List.filteri (fun i _ -> i < keep) lines)
+    ^ "\n"
+    ^ (let row = List.nth lines keep in
+       String.sub row 0 (String.length row / 2))
+  in
+  let oc = open_out_bin ckpt in
+  output_string oc torn;
+  close_out oc;
+  let q2 = Q.create ~dir in
+  Sch.drain (Sch.create ~quantum:40 ~exec:Exec.serial q2);
+  (match (Option.get (Q.find q2 (Job.id a))).Q.status with
+  | Q.Failed msg ->
+      check_true "failure names the checkpoint" (contains ~needle:ckpt msg);
+      check_true "failure says truncated" (contains ~needle:"truncated" msg)
+  | st -> Alcotest.failf "torn job ended %s" (Q.status_to_string st));
+  check_true "the other job completes"
+    ((Option.get (Q.find q2 (Job.id b))).Q.status = Q.Done);
+  rm_rf dir
 
 let () =
   Alcotest.run "service"
@@ -442,6 +484,8 @@ let () =
             `Quick test_preemption_identity;
           Alcotest.test_case "unknown preset fails the job" `Quick
             test_unknown_preset_fails_job;
+          Alcotest.test_case "torn checkpoint fails only its job" `Quick
+            test_torn_ckpt_fails_job;
         ] );
       ( "serve",
         [
