@@ -347,10 +347,10 @@ let e21 () =
      per flat engine step (flat 1-4 + pair kernels: %.0f words per pass —\n\
      the analytic loops allocate nothing once warm).\n"
     words_boxed words_flat soa_pair_words;
-  (* The sweeps the constraint-coloring certificate lets the pool run: a
-     rigid water box drives SHAKE/RATTLE over the fused 3-atom clusters
-     (one batch — the schedule [mdsp check --constraints] certifies) plus
-     the Berendsen velocity rescale, serial vs domains. Bitwise identity
+  (* The sweeps the constraint-schedule certificate lets the pool run: a
+     rigid water box drives SHAKE/RATTLE over the fused 3-atom cluster
+     list (the schedule [mdsp check --constraints] certifies) plus the
+     Berendsen velocity rescale, serial vs domains. Bitwise identity
      between the two columns' trajectories is test_parallel's job; this
      table prices the sweeps. *)
   let cons_steps = 10 in
@@ -377,7 +377,8 @@ let e21 () =
   let t_cons =
     T.create
       ~title:
-        "constraint + thermostat sweeps, 1536-atom rigid water box (1 batch)"
+        "constraint + thermostat sweeps, 1536-atom rigid water box \
+         (512 clusters)"
       ~columns:
         [
           ("phase", T.Left);

@@ -455,7 +455,8 @@ let jobs_check_arg =
     & info [ "check" ]
         ~doc:
           "Also scan for spool orphans (leftover .tmp staging files, \
-           records without a .job spec); exit 1 if any.")
+           records without a .job spec, unreadable .job or .state \
+           records); exit 1 if any.")
 
 let jobs_cmd =
   let doc = "List the jobs in a spool directory." in
@@ -726,10 +727,7 @@ let dot_arg =
     & info [ "dot" ] ~docv:"FILE"
         ~doc:
           "Write the happens-before graph of the last slot count as a \
-           Graphviz DOT file (deterministic output). Implies $(b,--phases). \
-           With $(b,--constraints) and without $(b,--phases), writes the \
-           constraint-cluster interference graph of the first registered \
-           envelope instead.")
+           Graphviz DOT file (deterministic output). Implies $(b,--phases).")
 
 let seed_cycle_arg =
   Arg.(
@@ -746,22 +744,21 @@ let constraints_arg =
     value & flag
     & info [ "constraints" ]
         ~doc:
-          "Additionally plan and certify the constraint-cluster schedules \
-           of the registered workload envelopes: fuse constraints sharing \
-           an atom into clusters, color the cluster interference graph into \
-           independent batches, and check the certificate — proper \
-           coloring, every constraint covered exactly once, per-batch atom \
-           footprints disjoint across slots — plus the registered envelope \
-           bounds (max cluster size, batch count).")
+          "Additionally certify the constraint schedule the SHAKE/RATTLE \
+           solver runs on each registered workload envelope — the list of \
+           clusters fusing constraints that share an atom: no two clusters \
+           share an atom, every constraint is covered exactly once, and the \
+           clusters' atom footprints stay disjoint across slots — plus the \
+           registered envelope bound (max cluster size).")
 
 let seed_conflict_arg =
   Arg.(
     value & flag
     & info [ "seed-conflict" ]
         ~doc:
-          "Additionally certify a deliberately broken schedule (two \
-           same-batch units sharing an atom); the command must then fail \
-           (a self-test of the schedule certifier). Implies \
+          "Additionally certify a deliberately broken schedule (two units \
+           sharing an atom); the command must then fail, naming the shared \
+           atom (a self-test of the schedule certifier). Implies \
            $(b,--constraints).")
 
 let check_cmd =
@@ -785,18 +782,15 @@ let check_cmd =
          the static happens-before graph: full coverage of the expected \
          phase set, acyclicity, and an identical graph shape at every slot \
          count. With $(b,--constraints), also certifies the constraint-\
-         cluster coloring schedules the parallel SHAKE/RATTLE sweeps run \
-         (proper coloring, exactly-once cover, cross-slot footprint \
-         disjointness, registered envelope bounds). Exits non-zero if any \
-         check fails.";
+         cluster list the parallel SHAKE/RATTLE sweeps run (no shared \
+         atom, exactly-once cover, cross-slot footprint disjointness, \
+         registered envelope bound). Exits non-zero if any check fails.";
     ]
   in
   let run json seed_hazard slots datapath seed_narrow phases seed_race
       seed_cycle constraints seed_conflict dot =
     let constraints = constraints || seed_conflict in
-    let phases =
-      phases || seed_race || seed_cycle || (dot <> None && not constraints)
-    in
+    let phases = phases || seed_race || seed_cycle || dot <> None in
     let s =
       Mdsp_verify.Check.run ~seed_hazard ~seed_narrow ~seed_race ~seed_cycle
         ~seed_conflict ~phases ~constraints ~slots ()
@@ -809,7 +803,6 @@ let check_cmd =
         s.Mdsp_verify.Check.datapath;
     (match (dot, s.Mdsp_verify.Check.phases) with
     | None, _ -> ()
-    | Some _, _ when not phases -> ()
     | Some _, (None | Some { Mdsp_verify.Dataflow.df_graphs = []; _ }) ->
         prerr_endline "mdsp check: no dataflow graph recorded, no DOT written"
     | Some path, Some { Mdsp_verify.Dataflow.df_graphs = gs; _ } ->
@@ -819,24 +812,6 @@ let check_cmd =
         close_out oc;
         Printf.printf "dataflow graph (%d slots) written to %s\n"
           g.Mdsp_verify.Dataflow.g_slots path);
-    (match dot with
-    | Some path when constraints && not phases ->
-        (* The interference graph of the first registered envelope (the
-           schedule the production solver runs), batches as colors. *)
-        (match Mdsp_verify.Schedule.builtin_envelopes () with
-        | [] -> prerr_endline "mdsp check: no constraint envelope registered"
-        | e :: _ ->
-            let p =
-              Mdsp_verify.Schedule.plan
-                ~name:e.Mdsp_verify.Schedule.env_name
-                (e.Mdsp_verify.Schedule.env_topo ())
-            in
-            let oc = open_out path in
-            output_string oc (Mdsp_verify.Schedule.dot p);
-            close_out oc;
-            Printf.printf "constraint interference graph (%s) written to %s\n"
-              e.Mdsp_verify.Schedule.env_name path)
-    | _ -> ());
     (match json with
     | None -> ()
     | Some path ->

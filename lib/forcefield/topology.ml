@@ -109,38 +109,6 @@ let constraint_clusters t =
          { cl_constraints = ks; cl_atoms = aa })
        !roots)
 
-let cluster_adjacency (clusters : cluster array) =
-  let n = Array.length clusters in
-  let adj = Array.make n [] in
-  let touching = Hashtbl.create 64 in
-  (* Any atom shared by two clusters makes them neighbors. Fused clusters
-     are atom-disjoint by construction, so this is empty there — but the
-     certifier recomputes it rather than assuming it. *)
-  Array.iteri
-    (fun k c ->
-      Array.iter
-        (fun a ->
-          let prev = try Hashtbl.find touching a with Not_found -> [] in
-          Hashtbl.replace touching a (k :: prev))
-        c.cl_atoms)
-    clusters;
-  let edges = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun _ ks ->
-      List.iter
-        (fun i ->
-          List.iter
-            (fun j -> if i <> j then Hashtbl.replace edges (min i j, max i j) ())
-            ks)
-        ks)
-    touching;
-  Hashtbl.iter
-    (fun (i, j) () ->
-      adj.(i) <- j :: adj.(i);
-      adj.(j) <- i :: adj.(j))
-    edges;
-  Array.map (fun l -> List.sort_uniq compare l) adj
-
 module Builder = struct
   type topo = t
 

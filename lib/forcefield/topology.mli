@@ -97,12 +97,6 @@ type cluster = { cl_constraints : int array; cl_atoms : int array }
     atom-disjoint by construction. *)
 val constraint_clusters : t -> cluster array
 
-(** Interference adjacency over an arbitrary cluster set: clusters are
-    neighbors iff their atom footprints intersect. Sorted neighbor lists.
-    On the output of {!constraint_clusters} this is edgeless; the schedule
-    certifier recomputes it instead of assuming so. *)
-val cluster_adjacency : cluster array -> int list array
-
 (** A builder for assembling topologies incrementally. *)
 module Builder : sig
   type topo = t

@@ -1,20 +1,15 @@
 open Mdsp_util
 
-(* One fused cluster: constraints coupled through shared atoms, solved
-   together by Gauss-Seidel iteration. Member constraints keep their
-   topology order, so a per-cluster sweep performs exactly the updates the
-   old global sweep performed on those atoms (a converged constraint writes
-   nothing, and clusters are atom-disjoint), making the batched solver
-   bitwise identical to the historical serial one. *)
-type cluster = {
-  k_pairs : (int * int * float) array;
-  k_first : int; (* smallest member constraint index, for diagnostics *)
-}
-
+(* A fused cluster is a set of constraints coupled through shared atoms,
+   solved together by Gauss-Seidel iteration. Member constraints keep
+   their topology order, so a per-cluster sweep performs exactly the
+   updates the old global sweep performed on those atoms (a converged
+   constraint writes nothing, and clusters are atom-disjoint), making the
+   tiled solver bitwise identical to the historical serial one. *)
 type t = {
   pairs : (int * int * float) array; (* all constraints, topology order *)
-  clusters : cluster array;
-  batches : int array array; (* color -> cluster ids, ascending *)
+  units : Mdsp_ff.Topology.cluster array; (* sweep order, atom footprints *)
+  cluster_pairs : (int * int * float) array array; (* per unit, (i, j, d) *)
   tol : float;
   max_iter : int;
 }
@@ -47,48 +42,41 @@ let create ?(tol = 1e-8) ?(max_iter = 200) (topo : Mdsp_ff.Topology.t) =
       (fun (c : Mdsp_ff.Topology.constraint_) -> (c.ci, c.cj, c.dist))
       topo.constraints
   in
-  let tcls = Mdsp_ff.Topology.constraint_clusters topo in
-  let clusters =
+  let units = Mdsp_ff.Topology.constraint_clusters topo in
+  let cluster_pairs =
     Array.map
-      (fun (tc : Mdsp_ff.Topology.cluster) ->
-        {
-          k_pairs = Array.map (fun k -> pairs.(k)) tc.cl_constraints;
-          k_first =
-            (if Array.length tc.cl_constraints = 0 then 0
-             else tc.cl_constraints.(0));
-        })
-      tcls
+      (fun (u : Mdsp_ff.Topology.cluster) ->
+        Array.map (fun k -> pairs.(k)) u.cl_constraints)
+      units
   in
-  (* Color the interference graph so same-batch clusters never share an
-     atom; fused clusters are already disjoint (one color), but the solver
-     trusts the coloring, not the fusion. *)
-  let adj = Mdsp_ff.Topology.cluster_adjacency tcls in
-  let colors = Coloring.dsatur ~n:(Array.length clusters) ~adj in
-  let batches = Coloring.classes colors in
-  { pairs; clusters; batches; tol; max_iter }
+  { pairs; units; cluster_pairs; tol; max_iter }
 
 let none =
-  { pairs = [||]; clusters = [||]; batches = [||]; tol = 1e-8; max_iter = 1 }
+  { pairs = [||]; units = [||]; cluster_pairs = [||]; tol = 1e-8; max_iter = 1 }
 
 let count t = Array.length t.pairs
-let n_clusters t = Array.length t.clusters
-let n_batches t = Array.length t.batches
+let clusters t = t.units
 
-let max_cluster_size t =
-  Array.fold_left
-    (fun acc c -> max acc (Array.length c.k_pairs))
-    0 t.clusters
-
-let cluster_violation box positions (c : cluster) =
+let violation box positions pairs =
   Array.fold_left
     (fun acc (i, j, d) ->
       let d2 = d *. d in
       let r2 = Pbc.dist2 box positions.(i) positions.(j) in
       Float.max acc (abs_float (r2 -. d2) /. d2))
-    0. c.k_pairs
+    0. pairs
+
+let unconverged t box positions ~solver ~iters cid =
+  Unconverged
+    {
+      uc_solver = solver;
+      uc_cluster = cid;
+      uc_first_constraint = t.units.(cid).Mdsp_ff.Topology.cl_constraints.(0);
+      uc_iters = iters;
+      uc_max_violation = violation box positions t.cluster_pairs.(cid);
+    }
 
 let shake_cluster t box ~prev positions ~masses cid =
-  let c = t.clusters.(cid) in
+  let pairs = t.cluster_pairs.(cid) in
   let iter = ref 0 in
   let converged = ref false in
   while (not !converged) && !iter < t.max_iter do
@@ -113,22 +101,14 @@ let shake_cluster t box ~prev positions ~masses cid =
           positions.(j) <-
             Vec3.add positions.(j) (Vec3.scale (g *. inv_mj) rij_prev)
         end)
-      c.k_pairs;
+      pairs;
     incr iter
   done;
   if not !converged then
-    raise
-      (Unconverged
-         {
-           uc_solver = "SHAKE";
-           uc_cluster = cid;
-           uc_first_constraint = c.k_first;
-           uc_iters = !iter;
-           uc_max_violation = cluster_violation box positions c;
-         })
+    raise (unconverged t box positions ~solver:"SHAKE" ~iters:!iter cid)
 
 let rattle_cluster t box positions velocities ~masses cid =
-  let c = t.clusters.(cid) in
+  let pairs = t.cluster_pairs.(cid) in
   let iter = ref 0 in
   let converged = ref false in
   (* Velocity tolerance scaled by constraint length. *)
@@ -150,54 +130,35 @@ let rattle_cluster t box positions velocities ~masses cid =
           velocities.(j) <-
             Vec3.add velocities.(j) (Vec3.scale (k *. inv_mj) rij)
         end)
-      c.k_pairs;
+      pairs;
     incr iter
   done;
   if not !converged then
-    raise
-      (Unconverged
-         {
-           uc_solver = "RATTLE";
-           uc_cluster = cid;
-           uc_first_constraint = c.k_first;
-           uc_iters = !iter;
-           uc_max_violation = cluster_violation box positions c;
-         })
+    raise (unconverged t box positions ~solver:"RATTLE" ~iters:!iter cid)
 
-(* Batch-by-batch sweep: clusters within one batch are atom-disjoint (the
-   Schedule certificate), so a batch tiles freely over the pool; the
-   barrier between batches orders the (potentially conflicting) colors.
-   Cluster footprints are scattered atom sets, not contiguous ranges, so
-   the sanitizer declarations cover cluster-index tiles under the cons.*
-   labels — the atom-level disjointness inside a batch is the statically
-   certified part. *)
-let sweep_batches ~exec ~phase t ~read_label ~rw_label body =
-  let reads = [ read_label; rw_label ] and writes = [ rw_label ] in
-  Array.iter
-    (fun batch ->
-      Exec.sweep ~phase ~reads ~writes exec ~total:(Array.length batch)
-        (fun _ lo hi ->
-          for k = lo to hi - 1 do
-            body batch.(k)
-          done))
-    t.batches
+(* One sweep over the cluster ids: fused clusters are atom-disjoint (the
+   Schedule certificate re-derives this from their footprints), so the
+   list tiles freely over the pool. Cluster footprints are scattered atom
+   sets, not contiguous ranges, so the sanitizer declarations cover
+   cluster-index tiles under the cons.* labels — the atom-level
+   disjointness across tiles is the statically certified part. *)
+let sweep_clusters ~exec ~phase t ~read_label ~rw_label body =
+  Exec.sweep ~phase ~reads:[ read_label; rw_label ] ~writes:[ rw_label ] exec
+    ~total:(Array.length t.units) (fun _ lo hi ->
+      for k = lo to hi - 1 do
+        body k
+      done)
 
 let shake ?(exec = Exec.serial) t box ~prev positions ~masses =
   if Array.length t.pairs > 0 then
-    sweep_batches ~exec ~phase:"constraints.shake" t ~read_label:"cons.prev"
+    sweep_clusters ~exec ~phase:"constraints.shake" t ~read_label:"cons.prev"
       ~rw_label:"cons.pos"
       (shake_cluster t box ~prev positions ~masses)
 
 let rattle ?(exec = Exec.serial) t box positions velocities ~masses =
   if Array.length t.pairs > 0 then
-    sweep_batches ~exec ~phase:"constraints.rattle" t ~read_label:"cons.pos"
+    sweep_clusters ~exec ~phase:"constraints.rattle" t ~read_label:"cons.pos"
       ~rw_label:"cons.vel"
       (rattle_cluster t box positions velocities ~masses)
 
-let max_violation t box positions =
-  Array.fold_left
-    (fun acc (i, j, d) ->
-      let d2 = d *. d in
-      let r2 = Pbc.dist2 box positions.(i) positions.(j) in
-      Float.max acc (abs_float (r2 -. d2) /. d2))
-    0. t.pairs
+let max_violation t box positions = violation box positions t.pairs

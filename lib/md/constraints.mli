@@ -2,20 +2,21 @@
     (velocities).
 
     Constraints come from the topology (rigid waters, fixed X–H bonds),
-    fused into atom-disjoint clusters ({!Mdsp_ff.Topology.constraint_clusters})
-    and colored into independent batches with {!Mdsp_util.Coloring} — the
-    same decomposition the {!Mdsp_verify.Schedule} certifier proves
-    race-free. Each cluster is solved by Gauss–Seidel iteration to its own
-    convergence; clusters within one batch share no atoms, so a batch tiles
-    over the {!Mdsp_util.Exec} pool with a barrier between batches, and the
-    parallel sweep is bitwise identical to the serial one. *)
+    fused into atom-disjoint clusters
+    ({!Mdsp_ff.Topology.constraint_clusters}). That cluster list is the one
+    constraint schedule: {!shake} and {!rattle} sweep it in one
+    {!Mdsp_util.Exec.sweep}, and the {!Mdsp_verify.Schedule} certifier
+    proves the very list {!clusters} returns race-free. Each cluster is
+    solved by Gauss–Seidel iteration to its own convergence; clusters share
+    no atoms, so the list tiles over the pool and the parallel sweep is
+    bitwise identical to the serial one. *)
 
 open Mdsp_util
 
 type t
 
-(** [create topo ~tol ~max_iter] prepares the constraint solver: clusters
-    fused, interference graph colored into batches. [tol] is the relative
+(** [create topo ~tol ~max_iter] prepares the constraint solver: the
+    topology's constraints fused into clusters. [tol] is the relative
     tolerance on squared distances (default 1e-8); [max_iter] defaults to
     200. *)
 val create : ?tol:float -> ?max_iter:int -> Mdsp_ff.Topology.t -> t
@@ -24,14 +25,10 @@ val create : ?tol:float -> ?max_iter:int -> Mdsp_ff.Topology.t -> t
 val none : t
 
 val count : t -> int
-val n_clusters : t -> int
 
-(** Number of independent batches (colors); 0 without constraints, 1 when
-    clusters are atom-disjoint, as fusion guarantees. *)
-val n_batches : t -> int
-
-(** Largest cluster, in constraints. *)
-val max_cluster_size : t -> int
+(** The clusters in sweep order (cluster id = index), with their atom
+    footprints — the list {!shake} and {!rattle} tile over the pool. *)
+val clusters : t -> Mdsp_ff.Topology.cluster array
 
 (** Carried by {!Unconverged}: which cluster failed, after how many
     iterations, and how badly its constraints are still violated. *)
@@ -56,7 +53,7 @@ val unconverged_message : unconverged -> string
 (** [shake t box ~prev positions] adjusts [positions] so all constraints
     hold, applying displacements inversely weighted by mass along the
     constraint direction of the *previous* (pre-step) geometry [prev].
-    [exec] (default serial) tiles each batch over the pool with
+    [exec] (default serial) tiles the cluster list over the pool with
     {!Mdsp_util.Exec.sweep} — bitwise identical at any slot count, with
     declared [cons.prev]/[cons.pos] read/write sets under phase
     ["constraints.shake"]. Raises {!Unconverged} if a cluster does not

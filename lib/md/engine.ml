@@ -397,8 +397,8 @@ let minimize ?(max_step = 0.2) t ~steps =
       end
     done;
     if Constraints.count t.cons > 0 then
-      Constraints.shake t.cons t.st.State.box ~prev:t.prev_positions x
-        ~masses:t.st.State.masses;
+      Constraints.shake ~exec:(Force_calc.exec t.fc) t.cons t.st.State.box
+        ~prev:t.prev_positions x ~masses:t.st.State.masses;
     refresh_forces t;
     let e' = potential_energy t in
     if e' <= !e then begin

@@ -41,16 +41,18 @@ let persist t e =
   | _ -> ());
   Atomic_file.write_string (state_path t e.id) (Buffer.contents b)
 
+(* A record that exists but does not parse is an error, never a default:
+   [persist] always writes the full record with a final newline, so a
+   missing newline, a missing field or an unknown word means the file was
+   torn or damaged, and the caller must not guess the job's state. *)
 let read_state path =
-  let ic = open_in path in
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> ());
-  close_in ic;
-  let lines = List.rev !lines in
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  let ( let* ) = Result.bind in
+  let* lines =
+    if String.ends_with ~suffix:"\n" text then
+      Ok (String.split_on_char '\n' (String.sub text 0 (String.length text - 1)))
+    else Error "truncated (no final newline)"
+  in
   let strip prefix l =
     let np = String.length prefix in
     if String.length l >= np && String.sub l 0 np = prefix then
@@ -58,38 +60,61 @@ let read_state path =
     else None
   in
   match lines with
-  | header :: rest when header = "mdsp-job-state 1" ->
-      let find prefix =
-        List.find_map (strip (prefix ^ " ")) rest
+  | "mdsp-job-state 1" :: rest ->
+      let find name =
+        Option.to_result ~none:("missing field " ^ name)
+          (List.find_map (strip (name ^ " ")) rest)
       in
-      let ( let* ) = Option.bind in
+      let int_field name =
+        let* v = find name in
+        Option.to_result ~none:(Printf.sprintf "bad %s %S" name v)
+          (int_of_string_opt v)
+      in
       let* id = find "id" in
-      let* seq = Option.bind (find "seq") int_of_string_opt in
+      let* seq = int_field "seq" in
       let* status_word = find "status" in
-      let* steps_done = Option.bind (find "steps_done") int_of_string_opt in
+      let* steps_done = int_field "steps_done" in
       let* status =
         match status_word with
-        | "pending" -> Some Pending
-        | "running" -> Some Running
-        | "paused" -> Some Paused
-        | "done" -> Some Done
+        | "pending" -> Ok Pending
+        | "running" -> Ok Running
+        | "paused" -> Ok Paused
+        | "done" -> Ok Done
         | "failed" ->
-            Some (Failed (Option.value ~default:"unknown" (find "error")))
-        | _ -> None
+            let* msg = find "error" in
+            Ok (Failed msg)
+        | w -> Error (Printf.sprintf "unknown status %S" w)
       in
-      Some (id, seq, status, steps_done)
-  | _ -> None
+      Ok (id, seq, status, steps_done)
+  | _ -> Error "bad header"
+
+(* The state record of job [id]: [Ok None] when there is none yet (the
+   crash between [submit]'s two writes), [Error] naming the file when it
+   exists but does not parse or belongs to another job. *)
+let load_state ~dir id =
+  let f = id ^ ".state" in
+  let path = Filename.concat dir f in
+  if not (Sys.file_exists path) then Ok None
+  else
+    match read_state path with
+    | Ok ((sid, _, _, _) as st) when sid = id -> Ok (Some st)
+    | Ok (sid, _, _, _) ->
+        Error (Printf.sprintf "%s: unreadable (record of job %s)" f sid)
+    | Error m -> Error (Printf.sprintf "%s: unreadable (%s)" f m)
 
 let sort_entries t =
   t.entries <-
     List.sort (fun a b -> compare a.seq b.seq) t.entries
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* A spec file decodes, and to the spec its name hashes from: a [.job] cut
+   inside its last field can still decode, but not to its own id. *)
+let load_job ~dir id =
+  match Job.decode (read_file (Filename.concat dir (id ^ ".job"))) with
+  | Ok spec when Job.id spec = id -> Ok spec
+  | Ok _ -> Error "spec does not hash to its file name"
+  | Error m -> Error m
 
 let create ~dir =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o700;
@@ -100,18 +125,19 @@ let create ~dir =
     (fun f ->
       if Filename.check_suffix f ".job" then begin
         let id = Filename.chop_suffix f ".job" in
-        match Job.decode (read_file (job_path t id)) with
+        match load_job ~dir id with
         | Error _ -> () (* corrupt spool file: surfaced by [orphans] *)
         | Ok spec ->
             let e = { id; spec; seq = 0; status = Pending; steps_done = 0 } in
-            (let sp = state_path t id in
-             if Sys.file_exists sp then
-               match read_state sp with
-               | Some (sid, seq, status, steps_done) when sid = id ->
-                   e.seq <- seq;
-                   e.status <- status;
-                   e.steps_done <- steps_done
-               | _ -> ());
+            (* A missing record leaves the job pending; an unreadable one
+               fails it, untouched on disk, until the operator deletes it. *)
+            (match load_state ~dir id with
+            | Ok None -> ()
+            | Ok (Some (_, seq, status, steps_done)) ->
+                e.seq <- seq;
+                e.status <- status;
+                e.steps_done <- steps_done
+            | Error m -> e.status <- Failed m);
             (* Restart recovery: a job the previous server died holding is
                requeued — from its checkpoint when one landed, from scratch
                otherwise. *)
@@ -216,10 +242,14 @@ let orphans ~dir =
           with
           | Some id when not (has_job id) ->
               Some (f ^ ": no matching .job spec")
+          | Some id when Filename.check_suffix f ".state" -> (
+              match load_state ~dir id with
+              | Error m -> Some m
+              | Ok _ -> None)
           | Some _ -> None
           | None ->
               if Filename.check_suffix f ".job" then
-                match Job.decode (read_file (Filename.concat dir f)) with
+                match load_job ~dir (Filename.chop_suffix f ".job") with
                 | Ok _ -> None
                 | Error m -> Some (f ^ ": unreadable (" ^ m ^ ")")
               else Some (f ^ ": unexpected file"))

@@ -15,7 +15,10 @@
     leaves the directory loadable: {!create} rebuilds the queue from the
     spool, demoting jobs caught in [Running] back to [Paused] (checkpoint
     present — they resume from it) or [Pending] (no checkpoint yet — they
-    restart from scratch). *)
+    restart from scratch). A record damaged some other way is never read
+    as a default: a [.job] that does not decode to its own id is skipped,
+    and a [.state] that exists but does not parse leaves its job
+    [Failed], the file untouched; {!orphans} names both. *)
 
 type status =
   | Pending  (** never run *)
@@ -37,7 +40,13 @@ type t
 val status_to_string : status -> string
 
 (** Open (creating if needed) the spool directory and load every job in
-    it, applying restart recovery to jobs left [Running]. *)
+    it, applying restart recovery to jobs left [Running]. A job without a
+    [.state] record is [Pending] (the crash between {!submit}'s two
+    writes). A job whose [.state] exists but does not parse — bad header,
+    missing or cut field, unknown status, another job's id — is
+    [Failed] with a message naming [<id>.state] and what is wrong; the
+    file is not rewritten, so deleting it requeues the job (from its
+    [.ckpt] when one exists). *)
 val create : dir:string -> t
 
 val dir : t -> string
@@ -77,7 +86,7 @@ val write_result : t -> entry -> string -> unit
 val read_result : t -> string -> string option
 
 (** Spool-hygiene scan: leftover [.tmp] staging files, state/checkpoint/
-    result records without a matching [.job], unreadable specs, and
-    unexpected files. Empty on a healthy spool; [mdsp jobs --check] and the
-    CI smoke gate on it. *)
+    result records without a matching [.job], unreadable specs and state
+    records, and unexpected files. Empty on a healthy spool;
+    [mdsp jobs --check] and the CI smoke gate on it. *)
 val orphans : dir:string -> string list

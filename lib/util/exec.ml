@@ -479,21 +479,6 @@ let sweep ~phase ?(reads = []) ?(writes = []) ?(whole = []) t ~total body =
       end;
       body s lo hi)
 
-let reduce_tree f a =
-  let n = Array.length a in
-  if n = 0 then invalid_arg "Exec.reduce_tree: empty array";
-  let b = Array.copy a in
-  let stride = ref 1 in
-  while !stride < n do
-    let i = ref 0 in
-    while !i + !stride < n do
-      b.(!i) <- f b.(!i) b.(!i + !stride);
-      i := !i + (2 * !stride)
-    done;
-    stride := 2 * !stride
-  done;
-  b.(0)
-
 let sum_tree a =
   let n = Array.length a in
   if n = 0 then invalid_arg "Exec.sum_tree: empty array";

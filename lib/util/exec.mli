@@ -8,27 +8,28 @@
 
     Scheduling is static (no work stealing): a task index set is cut into
     contiguous tiles, one per slot, and slot [s] always receives tile [s].
-    Combined with fixed-shape tree reductions ({!reduce_tree}), this makes
-    parallel runs bit-for-bit deterministic: two runs on the same pool size
-    produce identical floating-point results. Serial and parallel results
-    differ only by summation order (relative differences at rounding level).
+    Combined with reduction trees whose shape is fixed for a given slot
+    count ({!sum_tree} for per-slot scalars; the halving trees of the
+    force and grid slot reductions), this makes parallel runs bit-for-bit
+    deterministic: two runs on the same pool size produce identical
+    floating-point results. Serial and parallel results differ only by
+    summation order (relative differences at rounding level).
 
     A pool is cheap to keep around and is reused across steps; workers block
     on a condition variable between jobs. Pools are shut down explicitly with
     {!shutdown} or automatically at program exit.
 
     Phases that run on the pool when an executor with [n >= 2] slots is
-    threaded through the engine ([mdsp run --domains N]): neighbor-list pair
-    sums and 1-4 pairs ([Mdsp_ff.Pair_interactions]), bonded terms
-    ([Mdsp_ff.Bonded.all]) and their slot reduction
-    ([Mdsp_ff.Bonded.reduce_slots]), the whole GSE grid pipeline —
-    charge spreading over per-slot scratch grids, both 3D FFT passes (tiled
-    over independent 1-D lines), the k-space convolution, and the
-    per-particle force gather ([Mdsp_longrange.Gse.reciprocal],
+    threaded through the engine ([mdsp run --domains N]): the flat force
+    phases of [Mdsp_md.Force_calc] (pair tiles, 1-4 pairs, bonded terms)
+    and their slot reductions, the whole GSE grid pipeline — charge
+    spreading over per-slot scratch grids, both 3D FFT passes (tiled over
+    independent 1-D lines), the k-space convolution, and the per-particle
+    force gather ([Mdsp_longrange.Gse.reciprocal],
     [Mdsp_longrange.Fft.fft_3d]) — the neighbor-list rebuild, the boxed↔SoA
-    sync, the integrator position/velocity sweeps, the batched SHAKE/RATTLE
-    cluster sweeps scheduled by the [Mdsp_verify.Schedule] coloring
-    certificate, and the thermostat sweeps — the Langevin O-step on
+    sync, the integrator position/velocity sweeps, the SHAKE/RATTLE sweeps
+    over the fused constraint-cluster list the [Mdsp_verify.Schedule]
+    certificate covers, and the thermostat sweeps — the Langevin O-step on
     per-atom derived streams and the velocity rescales
     ([Mdsp_md.Engine.step]). *)
 
@@ -228,12 +229,11 @@ val map_slots : ?phase:string -> t -> (int -> 'a) -> 'a array
     most one. Empty ranges are possible when [total < ntiles]. *)
 val tile_bounds : total:int -> ntiles:int -> (int * int) array
 
-(** Fixed-shape pairwise tree reduction (stride doubling): the combination
-    order depends only on the array length, never on timing, so the result
-    is deterministic. Raises [Invalid_argument] on an empty array. *)
-val reduce_tree : ('a -> 'a -> 'a) -> 'a array -> 'a
-
-(** [reduce_tree ( +. )] specialized to floats without closure allocation. *)
+(** Fixed-shape pairwise tree sum (stride doubling): neighbours are paired,
+    then the pairs are paired, so 3 slots sum as [(a + b) + c]. The
+    combination order depends only on the array length, never on timing,
+    so the result is deterministic. Raises [Invalid_argument] on an empty
+    array. *)
 val sum_tree : float array -> float
 
 (** Stop the pool's workers and join them. Idempotent; [Serial] executors

@@ -61,8 +61,8 @@ val narrow_format : Mdsp_util.Fixed.format
     (default [[1; 2; 4]]). [phases] (default false) additionally runs the
     {!Dataflow} analysis at the same slot counts — coverage, acyclicity and
     slot-count invariance of the happens-before graph. [constraints]
-    (default false) additionally plans and certifies the registered
-    constraint-schedule envelopes ({!Schedule.run}). [seed_hazard]
+    (default false) additionally certifies the solver's constraint
+    schedule on every registered envelope ({!Schedule.run}). [seed_hazard]
     (default false) additionally runs {!hazardous_kernel}; [seed_narrow]
     (default false) additionally certifies each envelope against
     {!narrow_format}; [seed_race] (default false) implies [phases] and

@@ -144,7 +144,7 @@ let service_slice ~exec () =
 let collective ~exec () = fun () -> ignore (Exec.map_slots exec (fun s -> s))
 
 (* One velocity-Verlet step of a rigid water box with a Berendsen
-   thermostat: the batched SHAKE/RATTLE cluster sweeps, the constraint
+   thermostat: the SHAKE/RATTLE cluster sweeps, the constraint
    velocity fold, and the end-of-step thermostat velocity rescale.
    (step.gse covers the same constraint phases, but never rescales —
    No_thermostat.) *)

@@ -5,7 +5,7 @@
     reductions (of the flat store, and of the boxed oracle kernels), the
     GSE grid pipeline (spread / combine / FFT sweeps / convolve / phi
     scale / gather), the boxed<->SoA sync, the integrator
-    kick/drift sweeps, the batched SHAKE/RATTLE cluster sweeps with the
+    kick/drift sweeps, the SHAKE/RATTLE cluster sweeps with the
     constraint velocity fold, the thermostat sweeps (Langevin O-step,
     velocity rescale), the decomposition scans, service-scheduler batches
     and the bare collective — on a pool created with

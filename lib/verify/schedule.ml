@@ -5,34 +5,14 @@ type plan = {
   pl_name : string;
   pl_n_constraints : int;
   pl_units : T.cluster array;
-  pl_colors : int array;
-  pl_batches : int array array;
 }
 
-let plan ?(fuse = true) ~name (topo : T.t) =
-  let units =
-    if fuse then T.constraint_clusters topo
-    else
-      (* One unit per constraint: the interference graph keeps its edges
-         (a rigid water becomes a triangle) instead of fusing them away —
-         the mode that actually exercises the coloring. *)
-      Array.mapi
-        (fun k (c : T.constraint_) ->
-          {
-            T.cl_constraints = [| k |];
-            cl_atoms =
-              (if c.ci <= c.cj then [| c.ci; c.cj |] else [| c.cj; c.ci |]);
-          })
-        topo.constraints
-  in
-  let adj = T.cluster_adjacency units in
-  let colors = Coloring.dsatur ~n:(Array.length units) ~adj in
+(* The list the SHAKE/RATTLE sweeps run, read off the solver itself. *)
+let plan ~name (topo : T.t) =
   {
     pl_name = name;
     pl_n_constraints = Array.length topo.constraints;
-    pl_units = units;
-    pl_colors = colors;
-    pl_batches = Coloring.classes colors;
+    pl_units = Mdsp_md.Constraints.(clusters (create topo));
   }
 
 type certificate = {
@@ -45,43 +25,48 @@ type certificate = {
 
 let cert_ok c = c.crt_proper && c.crt_once && c.crt_disjoint
 
+(* [claims p ~key ~clash] hands each atom to the first unit whose
+   footprint holds it, under that unit's [key] (its own id, or its slot);
+   a later unit under another key that holds the atom too is reported as
+   [clash atom k0 k]. One atom -> key map, linear in the footprints. *)
+let claims p ~key ~clash =
+  let owner = Hashtbl.create 1024 in
+  Array.iteri
+    (fun u unit_ ->
+      let k = key u in
+      Array.iter
+        (fun a ->
+          match Hashtbl.find_opt owner a with
+          | Some k0 when k0 <> k -> clash a k0 k
+          | Some _ -> ()
+          | None -> Hashtbl.add owner a k)
+        unit_.T.cl_atoms)
+    p.pl_units
+
 (* The certificate re-derives everything from the units' atom footprints —
-   it never trusts the plan's own adjacency or the fusion step. *)
+   it never trusts the fusion step that produced them. *)
 let certify ?(slots = [ 1; 2; 4 ]) p =
   let violations = ref [] in
   let note fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
-  (* Proper coloring: recomputed adjacency, no edge within a color. *)
-  let adj = T.cluster_adjacency p.pl_units in
+  (* Proper: no atom belongs to two units — one atom -> unit map. *)
   let proper = ref true in
-  Array.iteri
-    (fun i ns ->
-      List.iter
-        (fun j ->
-          if i < j && p.pl_colors.(i) = p.pl_colors.(j) then begin
-            proper := false;
-            note
-              "units %d and %d share an atom but both landed in batch %d" i
-              j p.pl_colors.(i)
-          end)
-        ns)
-    adj;
-  (* Exactly-once cover: the batches partition the constraint set. *)
+  claims p ~key:Fun.id ~clash:(fun atom u0 u ->
+      proper := false;
+      note "units %d and %d share atom %d" u0 u atom);
+  (* Exactly-once cover: the units partition the constraint set. *)
   let seen = Array.make p.pl_n_constraints 0 in
   let in_range = ref true in
-  Array.iter
-    (fun batch ->
+  Array.iteri
+    (fun u unit_ ->
       Array.iter
-        (fun u ->
-          Array.iter
-            (fun k ->
-              if k < 0 || k >= p.pl_n_constraints then begin
-                in_range := false;
-                note "unit %d names constraint %d outside the topology" u k
-              end
-              else seen.(k) <- seen.(k) + 1)
-            p.pl_units.(u).T.cl_constraints)
-        batch)
-    p.pl_batches;
+        (fun k ->
+          if k < 0 || k >= p.pl_n_constraints then begin
+            in_range := false;
+            note "unit %d names constraint %d outside the topology" u k
+          end
+          else seen.(k) <- seen.(k) + 1)
+        unit_.T.cl_constraints)
+    p.pl_units;
   let once = ref !in_range in
   Array.iteri
     (fun k c ->
@@ -90,37 +75,26 @@ let certify ?(slots = [ 1; 2; 4 ]) p =
         note "constraint %d scheduled %d times" k c
       end)
     seen;
-  (* Per-batch slot disjointness: tile each batch the way the solver will
-     at every slot count and demand the tiles' atom footprints (read and
+  (* Slot disjointness: tile the unit list the way the solver will at
+     every slot count and demand the tiles' atom footprints (read and
      written alike — SHAKE/RATTLE read-modify-write their cluster atoms)
      never intersect across slots. *)
   let disjoint = ref true in
   List.iter
     (fun nslots ->
+      let tiles =
+        Exec.tile_bounds ~total:(Array.length p.pl_units) ~ntiles:nslots
+      in
+      let slot_of = Array.make (Array.length p.pl_units) 0 in
       Array.iteri
-        (fun b batch ->
-          let tiles =
-            Exec.tile_bounds ~total:(Array.length batch) ~ntiles:nslots
-          in
-          let owner = Hashtbl.create 64 in
-          Array.iteri
-            (fun s (lo, hi) ->
-              for k = lo to hi - 1 do
-                Array.iter
-                  (fun a ->
-                    match Hashtbl.find_opt owner a with
-                    | Some s0 when s0 <> s ->
-                        disjoint := false;
-                        note
-                          "batch %d at %d slots: atom %d touched by slots \
-                           %d and %d"
-                          b nslots a s0 s
-                    | Some _ -> ()
-                    | None -> Hashtbl.add owner a s)
-                  p.pl_units.(batch.(k)).T.cl_atoms
-              done)
-            tiles)
-        p.pl_batches)
+        (fun s (lo, hi) -> Array.fill slot_of lo (hi - lo) s)
+        tiles;
+      claims p
+        ~key:(fun u -> slot_of.(u))
+        ~clash:(fun atom s0 s ->
+          disjoint := false;
+          note "at %d slots: atom %d touched by slots %d and %d" nslots atom
+            s0 s))
     slots;
   {
     crt_proper = !proper;
@@ -130,30 +104,24 @@ let certify ?(slots = [ 1; 2; 4 ]) p =
     crt_violations = List.rev !violations;
   }
 
-(* A plan the certifier must reject: two single-constraint units sharing an
-   atom, planted in the same batch. Exercises both the proper-coloring and
-   the slot-disjointness branches. *)
+(* A plan the certifier must reject: two single-constraint units sharing
+   atom 1. Exercises both the proper and (from 2 slots up) the
+   slot-disjointness branches. *)
 let seed_conflict_plan () =
-  let b = T.Builder.create () in
-  T.Builder.set_lj_types b [| (0.1, 1.0) |];
-  for _ = 1 to 3 do
-    ignore (T.Builder.add_atom b ~mass:1. ~charge:0. ~type_id:0 ~name:"X")
-  done;
-  T.Builder.add_constraint b ~i:0 ~j:1 ~dist:1.;
-  T.Builder.add_constraint b ~i:1 ~j:2 ~dist:1.;
-  let topo = T.Builder.finish b in
-  let p = plan ~fuse:false ~name:"seeded-conflict" topo in
   {
-    p with
-    pl_colors = Array.map (fun _ -> 0) p.pl_colors;
-    pl_batches = [| Array.init (Array.length p.pl_units) Fun.id |];
+    pl_name = "seeded-conflict";
+    pl_n_constraints = 2;
+    pl_units =
+      [|
+        { T.cl_constraints = [| 0 |]; cl_atoms = [| 0; 1 |] };
+        { T.cl_constraints = [| 1 |]; cl_atoms = [| 1; 2 |] };
+      |];
   }
 
 type report = {
   rp_name : string;
   rp_n_constraints : int;
   rp_n_clusters : int;
-  rp_n_batches : int;
   rp_max_cluster : int;  (* constraints in the largest cluster *)
   rp_max_cluster_atoms : int;
   rp_cert : certificate;
@@ -163,15 +131,14 @@ type report = {
 
 let report_ok r = cert_ok r.rp_cert && r.rp_env_ok
 
-(* Registered constraint envelopes (ROADMAP maintenance rule): the cluster
-   decomposition a workload is allowed to have. A bigger cluster or an
-   extra batch after a topology change is a schedule regression the gate
-   should catch, exactly like the pair-budget pins in [Check]. *)
+(* Registered constraint envelopes (ROADMAP maintenance rule): the largest
+   cluster a workload is allowed to have. A bigger cluster after a
+   topology change is a schedule regression the gate should catch,
+   exactly like the pair-budget pins in [Check]. *)
 type envelope = {
   env_name : string;
   env_topo : unit -> T.t;
   env_max_cluster_size : int;
-  env_n_batches : int;
 }
 
 let builtin_envelopes () =
@@ -183,9 +150,8 @@ let builtin_envelopes () =
           (Mdsp_workload.Workloads.water_box ~n_side:13 ())
             .Mdsp_workload.Workloads.topo);
       (* Rigid SPC/E water: 3 constraints per molecule, fused into one
-         3-atom cluster; clusters are disjoint, so one batch. *)
+         3-atom cluster. *)
       env_max_cluster_size = 3;
-      env_n_batches = 1;
     };
     {
       env_name = "chain10k";
@@ -196,7 +162,6 @@ let builtin_envelopes () =
       (* Flexible chain + solvent: no constraints at all — the certificate
          is the (exactly-once, vacuously proper) empty schedule. *)
       env_max_cluster_size = 0;
-      env_n_batches = 0;
     };
   ]
 
@@ -212,34 +177,24 @@ let report_of_plan ?slots ?(env : envelope option) p =
       (fun acc u -> max acc (Array.length u.T.cl_atoms))
       0 p.pl_units
   in
-  let n_batches = Array.length p.pl_batches in
-  let env_ok, env_notes =
+  let env_notes =
     match env with
-    | None -> (true, [])
-    | Some e ->
-        let notes = ref [] in
-        if max_cluster > e.env_max_cluster_size then
-          notes :=
-            Printf.sprintf
-              "largest cluster has %d constraints, envelope allows %d"
-              max_cluster e.env_max_cluster_size
-            :: !notes;
-        if n_batches > e.env_n_batches then
-          notes :=
-            Printf.sprintf "schedule needs %d batches, envelope allows %d"
-              n_batches e.env_n_batches
-            :: !notes;
-        (!notes = [], List.rev !notes)
+    | Some e when max_cluster > e.env_max_cluster_size ->
+        [
+          Printf.sprintf
+            "largest cluster has %d constraints, envelope allows %d"
+            max_cluster e.env_max_cluster_size;
+        ]
+    | _ -> []
   in
   {
     rp_name = p.pl_name;
     rp_n_constraints = p.pl_n_constraints;
     rp_n_clusters = Array.length p.pl_units;
-    rp_n_batches = n_batches;
     rp_max_cluster = max_cluster;
     rp_max_cluster_atoms = max_cluster_atoms;
     rp_cert = cert;
-    rp_env_ok = env_ok;
+    rp_env_ok = env_notes = [];
     rp_env_notes = env_notes;
   }
 
@@ -259,11 +214,10 @@ let ok reports = List.for_all report_ok reports
 
 let pp_report fmt r =
   Format.fprintf fmt
-    "constraints %s: %d constraints, %d clusters (max %d cons / %d atoms), \
-     %d batch%s: %s@,"
+    "constraints %s: %d constraints, %d clusters (max %d cons / %d atoms): \
+     %s@,"
     r.rp_name r.rp_n_constraints r.rp_n_clusters r.rp_max_cluster
-    r.rp_max_cluster_atoms r.rp_n_batches
-    (if r.rp_n_batches = 1 then "" else "es")
+    r.rp_max_cluster_atoms
     (if report_ok r then "certified"
      else "FAILED " ^ String.concat "; " (r.rp_cert.crt_violations @ r.rp_env_notes));
   if not (cert_ok r.rp_cert) then
@@ -285,29 +239,3 @@ let json_rows reports =
            (Printf.sprintf "constraints.%s.envelope" r.rp_name, r.rp_env_ok);
          ])
        reports
-
-(* Graphviz rendering of the interference graph, batch as color class.
-   Deterministic: units and edges in index order. *)
-let dot p =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "graph \"constraints:%s\" {\n" p.pl_name);
-  Array.iteri
-    (fun i u ->
-      Buffer.add_string buf
-        (Printf.sprintf "  u%d [label=\"u%d b%d (%dc/%da)\"];\n" i i
-           p.pl_colors.(i)
-           (Array.length u.T.cl_constraints)
-           (Array.length u.T.cl_atoms)))
-    p.pl_units;
-  let adj = T.cluster_adjacency p.pl_units in
-  Array.iteri
-    (fun i ns ->
-      List.iter
-        (fun j ->
-          if i < j then
-            Buffer.add_string buf (Printf.sprintf "  u%d -- u%d;\n" i j))
-        ns)
-    adj;
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf

@@ -128,10 +128,11 @@ if dune exec bin/mdsp.exe -- check --seed-cycle --slots 1 >/dev/null 2>&1; then
   exit 1
 fi
 
-# Constraint-schedule gate: plan and certify the coloring schedules the
-# parallel SHAKE/RATTLE sweeps run (proper coloring, exactly-once cover,
-# cross-slot footprint disjointness, registered cluster/batch envelopes),
-# and require the planted same-batch conflict to fail certification.
+# Constraint-schedule gate: certify the fused cluster list the parallel
+# SHAKE/RATTLE sweeps run, read off the solver itself (no two clusters
+# share an atom, exactly-once cover, cross-slot footprint disjointness,
+# registered largest-cluster envelopes), and require the planted pair of
+# units sharing an atom to fail certification.
 dune exec bin/mdsp.exe -- check --constraints --slots 1 \
   --json /tmp/mdsp-constraints.json >/dev/null
 test -s /tmp/mdsp-constraints.json
@@ -196,6 +197,22 @@ grep -q '"e_total":' /tmp/mdsp-serve.out
 dune exec bin/mdsp.exe -- jobs --dir "$SPOOL" | grep -q "^$JOB_ID  *done"
 dune exec bin/mdsp.exe -- jobs --dir "$SPOOL" --check \
   | grep -q 'spool clean: no orphans'
+rm -rf "$SPOOL"
+
+# Torn-record gate: a .state record cut short must leave its job failed,
+# never read back as a runnable pending job, and `mdsp jobs --check` must
+# exit 1 naming the file.
+SPOOL="$(mktemp -d /tmp/mdsp-spool.XXXXXX)"
+JOB_ID="$(dune exec bin/mdsp.exe -- submit --dir "$SPOOL" -p lj64 \
+  --steps 120 -t 120 --porcelain)"
+head -n 2 "$SPOOL/$JOB_ID.state" > /tmp/mdsp-torn.state
+mv /tmp/mdsp-torn.state "$SPOOL/$JOB_ID.state"
+dune exec bin/mdsp.exe -- jobs --dir "$SPOOL" | grep -q "^$JOB_ID  *failed"
+status=0
+dune exec bin/mdsp.exe -- jobs --dir "$SPOOL" --check \
+  > /tmp/mdsp-torn.out || status=$?
+test "$status" -eq 1
+grep -q "^orphan: $JOB_ID\.state: unreadable" /tmp/mdsp-torn.out
 rm -rf "$SPOOL"
 
 # e24 drives the scheduler under a 16-client burst at 1/2/4 slots; every

@@ -29,13 +29,14 @@ let test_tile_bounds () =
       check_true "balanced" (mx - mn <= 1))
     [ (0, 1); (0, 4); (1, 4); (7, 3); (100, 7); (156944, 4) ]
 
-let test_reduce_tree () =
+let test_sum_tree () =
   let a = Array.init 13 (fun i -> float_of_int (i + 1)) in
-  check_float ~eps:1e-12 "tree sum" 91. (Exec.reduce_tree ( +. ) a);
-  check_true "sum_tree matches reduce_tree"
-    (Exec.reduce_tree ( +. ) a = Exec.sum_tree a);
-  check_true "max via tree"
-    (Exec.reduce_tree max [| 3; 1; 4; 1; 5; 9; 2; 6 |] = 9)
+  check_float ~eps:1e-12 "tree sum" 91. (Exec.sum_tree a);
+  check_true "single element" (Exec.sum_tree [| 2.5 |] = 2.5);
+  (* The shape is pinned: neighbours first, (a + b) + c, where the halving
+     tree of the force and grid reductions would give a + (b + c) = 1. *)
+  check_true "pairs neighbours first"
+    (Exec.sum_tree [| 1.; 1e17; -1e17 |] = 0.)
 
 let test_parallel_run_covers_slots () =
   let pool = Exec.create (Exec.Domains { n = 4 }) in
@@ -1092,6 +1093,30 @@ let test_clock_serial_shared () =
   E.run eng 3;
   check_true "Exec.serial charges nothing" (Exec.phase_times Exec.serial = [])
 
+(* Minimization runs SHAKE on the engine's own executor: a pool charges
+   it to the clock, and a created serial executor minimizes bitwise like
+   the shared one. *)
+let test_clock_minimize () =
+  let minimized exec =
+    let eng =
+      Mdsp_workload.Workloads.make_engine ~seed:3 ~exec
+        (Mdsp_workload.Workloads.water_box ~n_side:2 ())
+    in
+    Exec.reset_phase_times exec;
+    E.minimize eng ~steps:5;
+    (Array.copy (E.state eng).Mdsp_md.State.positions, Exec.phase_times exec)
+  in
+  let pool = Exec.create (Exec.Domains { n = 2 }) in
+  Fun.protect ~finally:(fun () -> Exec.shutdown pool) (fun () ->
+      let _, phases = minimized pool in
+      check_true "2-slot pool: constraints.shake charged"
+        (List.mem_assoc "constraints.shake" phases));
+  let x_created, phases = minimized (Exec.create Exec.Serial) in
+  check_true "created serial: constraints.shake charged"
+    (List.mem_assoc "constraints.shake" phases);
+  let x_shared, _ = minimized Exec.serial in
+  check_true "created serial = Exec.serial, bitwise" (x_created = x_shared)
+
 let test_resource_rows_measured () =
   (* Every mapped row of a pooled GSE run is measured, so a misspelt
      phase name in the mapping shows up as an unmeasured row; only sync
@@ -1179,7 +1204,7 @@ let () =
         [
           Alcotest.test_case "tile_bounds static partition" `Quick
             test_tile_bounds;
-          Alcotest.test_case "tree reduction" `Quick test_reduce_tree;
+          Alcotest.test_case "tree reduction" `Quick test_sum_tree;
           Alcotest.test_case "pool covers all slots" `Quick
             test_parallel_run_covers_slots;
           Alcotest.test_case "exceptions propagate" `Quick
@@ -1261,6 +1286,8 @@ let () =
             test_clock_chain14;
           Alcotest.test_case "Exec.serial keeps no clock" `Quick
             test_clock_serial_shared;
+          Alcotest.test_case "minimize charges SHAKE to the clock" `Quick
+            test_clock_minimize;
           Alcotest.test_case "resource rows of a pooled GSE run" `Quick
             test_resource_rows_measured;
           Alcotest.test_case "model vs measured resource rows" `Quick

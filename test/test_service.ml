@@ -452,6 +452,145 @@ let test_torn_ckpt_fails_job () =
     ((Option.get (Q.find q2 (Job.id b))).Q.status = Q.Done);
   rm_rf dir
 
+(* --- torn spool records ---
+
+   Every spool record is replaced atomically, but a file can still be
+   damaged outside the service (a copy cut short, a disk error, a hand
+   edit). A damaged record must never be read as a default: a cancelled
+   job whose .state is cut must not come back as pending and run. *)
+
+let write_file path text =
+  let oc = open_out_bin path in
+  output_string oc text;
+  close_out oc
+
+(* [cuts text] are the proper prefixes of a record: cut at every line
+   boundary (the empty file included) and in the middle of every line. *)
+let cuts text =
+  let lines = String.split_on_char '\n' text in
+  (* [text] ends with a newline: drop the empty piece after it. *)
+  let lines = List.filteri (fun i _ -> i < List.length lines - 1) lines in
+  let _, out =
+    List.fold_left
+      (fun (before, acc) line ->
+        let half = before ^ String.sub line 0 (String.length line / 2) in
+        (before ^ line ^ "\n", half :: before :: acc))
+      ("", []) lines
+  in
+  List.rev out
+
+let replace_line ~prefix ~by text =
+  String.split_on_char '\n' text
+  |> List.map (fun l -> if String.starts_with ~prefix l then by else l)
+  |> String.concat "\n"
+
+let names_file f = List.exists (fun o -> contains ~needle:f o)
+
+let test_torn_spool_records () =
+  let dir = Atomic_file.fresh_dir ~prefix:"mdsp_test_spool" () in
+  let q = Q.create ~dir in
+  let spec = lj_spec ~label:"cancelled" ~steps:20 ~seed:51 () in
+  let id = (Result.get_ok (Q.submit q spec)).Q.id in
+  ignore (Result.get_ok (Q.cancel q id));
+  let state = Filename.concat dir (id ^ ".state") in
+  let intact = read_file state in
+  let damaged =
+    cuts intact
+    @ [ replace_line ~prefix:"status " ~by:"status resurrected" intact ]
+  in
+  List.iteri
+    (fun k text ->
+      write_file state text;
+      let label =
+        Printf.sprintf "state variant %d (%d bytes)" k (String.length text)
+      in
+      let q = Q.create ~dir in
+      let e = Option.get (Q.find q id) in
+      check_true (label ^ ": never runnable") (Q.runnable q = []);
+      (match e.Q.status with
+      | Q.Failed msg ->
+          check_true (label ^ ": status names the file")
+            (contains ~needle:(id ^ ".state") msg)
+      | st -> Alcotest.failf "%s: job reads %s" label (Q.status_to_string st));
+      check_true (label ^ ": orphans name the file")
+        (names_file (id ^ ".state") (Q.orphans ~dir));
+      Sch.drain (Sch.create ~quantum:40 ~exec:Exec.serial q);
+      check_true (label ^ ": no result written")
+        (not (Sys.file_exists (Filename.concat dir (id ^ ".result"))));
+      check_true (label ^ ": record left as found") (read_file state = text))
+    damaged;
+  (* Deleting the named record requeues the job; the intact record keeps
+     it cancelled. *)
+  Sys.remove state;
+  check_true "no record: pending"
+    ((Option.get (Q.find (Q.create ~dir) id)).Q.status = Q.Pending);
+  write_file state intact;
+  check_true "intact record: cancelled"
+    ((Option.get (Q.find (Q.create ~dir) id)).Q.status = Q.Failed "cancelled");
+  check_true "intact record: no orphans" (Q.orphans ~dir = []);
+  (* A .job cut mid-line or with a garbage field is not listed. The remd
+     spec cut inside its last field still decodes, but not to its id. *)
+  let remd =
+    {
+      spec with
+      Job.label = "ladder";
+      kind =
+        Job.Remd { replicas = 2; temp_min = 120.; temp_max = 140.; stride = 25 };
+    }
+  in
+  List.iter
+    (fun s ->
+      let jid = Job.id s in
+      let job = Filename.concat dir (jid ^ ".job") in
+      let text = Job.encode s in
+      let n = String.length text in
+      List.iter
+        (fun damaged ->
+          write_file job damaged;
+          check_true "damaged .job not listed"
+            (Q.find (Q.create ~dir) jid = None);
+          check_true "orphans name the .job"
+            (names_file (jid ^ ".job") (Q.orphans ~dir)))
+        [
+          String.sub text 0 (n / 2);
+          String.sub text 0 (n - 2);
+          replace_line ~prefix:"steps " ~by:"steps many" text;
+        ];
+      Sys.remove job)
+    [ lj_spec ~label:"single" ~seed:52 (); remd ];
+  (* A stranded staging file next to a good record is ignored by create
+     and named by orphans. *)
+  write_file (state ^ Atomic_file.tmp_suffix) "mdsp-job-state 1\nid ";
+  check_true "staging file ignored"
+    ((Option.get (Q.find (Q.create ~dir) id)).Q.status = Q.Failed "cancelled");
+  check_true "orphans name the staging file"
+    (names_file (id ^ ".state" ^ Atomic_file.tmp_suffix) (Q.orphans ~dir));
+  Sys.remove (state ^ Atomic_file.tmp_suffix);
+  (* A .result cut mid-line: the result request answers with an error. *)
+  let done_spec = lj_spec ~label:"done" ~steps:20 ~seed:53 () in
+  let q = Q.create ~dir in
+  let done_id = (Result.get_ok (Q.submit q done_spec)).Q.id in
+  Sch.drain (Sch.create ~quantum:40 ~exec:Exec.serial q);
+  let result = Filename.concat dir (done_id ^ ".result") in
+  let line = read_file result in
+  write_file result (String.sub line 0 (String.length line / 2));
+  let in_path = Filename.temp_file "mdsp_serve" ".in" in
+  write_file in_path (P.encode_request (P.Result done_id) ^ "\n");
+  let out_path = Filename.temp_file "mdsp_serve" ".out" in
+  let input = Unix.openfile in_path [ Unix.O_RDONLY ] 0 in
+  let output = open_out out_path in
+  Server.serve ~quantum:40 ~dir ~input ~output ();
+  Unix.close input;
+  close_out output;
+  (match P.decode_response (String.trim (read_file out_path)) with
+  | Ok (P.Error msg) ->
+      check_true "corrupt result reported"
+        (contains ~needle:"corrupt result record" msg)
+  | _ -> Alcotest.fail "a cut .result should answer an error");
+  Sys.remove in_path;
+  Sys.remove out_path;
+  rm_rf dir
+
 let () =
   Alcotest.run "service"
     [
@@ -477,6 +616,8 @@ let () =
         [
           Alcotest.test_case "persistence across restart" `Quick
             test_queue_restart;
+          Alcotest.test_case "torn spool records" `Quick
+            test_torn_spool_records;
         ] );
       ( "scheduler",
         [

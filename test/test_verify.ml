@@ -549,47 +549,34 @@ let test_schedule_builtins_certified () =
   let water = List.find (fun r -> r.Sched.rp_name = "water6k") reports in
   check_true "water6k fuses into 3-constraint clusters"
     (water.Sched.rp_max_cluster = 3);
-  check_true "fused water clusters are atom-disjoint: one batch"
-    (water.Sched.rp_n_batches = 1);
+  check_true "fused water clusters share no atom"
+    water.Sched.rp_cert.Sched.crt_proper;
   check_true "every constraint clustered"
     (water.Sched.rp_n_constraints = 3 * water.Sched.rp_n_clusters);
   let chain = List.find (fun r -> r.Sched.rp_name = "chain10k") reports in
   check_true "chain10k has the empty schedule"
-    (chain.Sched.rp_n_constraints = 0 && chain.Sched.rp_n_batches = 0)
-
-let test_schedule_water_triangle () =
-  (* Unfused, every rigid water is a triangle: three mutually adjacent
-     single-constraint units per molecule, so DSATUR needs exactly three
-     batches — disjoint triangles all reuse the same three colors. *)
-  let topo =
-    (Mdsp_workload.Workloads.water_box ~n_side:2 ())
-      .Mdsp_workload.Workloads.topo
-  in
-  let p = Sched.plan ~fuse:false ~name:"water8" topo in
-  check_true "one unit per constraint"
-    (Array.length p.Sched.pl_units = Array.length topo.TP.constraints);
-  check_true "three batches" (Array.length p.Sched.pl_batches = 3);
-  check_true "certified" (Sched.cert_ok (Sched.certify p));
-  let d = Sched.dot p in
-  check_true "DOT names the triangle edge" (contains_sub ~sub:"u0 -- u1" d)
+    (chain.Sched.rp_n_constraints = 0 && chain.Sched.rp_n_clusters = 0)
 
 let test_schedule_seed_conflict_fails () =
   let c = Sched.certify (Sched.seed_conflict_plan ()) in
-  check_true "planted same-batch neighbors fail the proper check"
+  check_true "units sharing an atom fail the proper check"
     (not c.Sched.crt_proper);
   check_true "and the cross-slot footprint check"
     (not c.Sched.crt_disjoint);
   check_true "certificate fails" (not (Sched.cert_ok c));
-  check_true "violations name the batch"
-    (List.exists (contains_sub ~sub:"batch") c.Sched.crt_violations)
+  check_true "violations name the shared atom"
+    (List.exists (contains_sub ~sub:"atom 1") c.Sched.crt_violations);
+  let c1 = Sched.certify ~slots:[ 1 ] (Sched.seed_conflict_plan ()) in
+  check_true "one slot: still not proper, but one tile is disjoint"
+    ((not c1.Sched.crt_proper) && c1.Sched.crt_disjoint)
 
-(* Random constraint topologies: the unfused coloring is always proper
-   over the recomputed adjacency, and both the unfused and the fused
-   (production) plans pass the full certificate. *)
+(* Random constraint topologies: the plan the solver runs (its own cluster
+   list) passes the full certificate, and the same plan with one of its
+   units appended a second time fails it. *)
 let prop_schedule_certified =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:100
-       ~name:"random topologies: coloring proper, plans certified"
+       ~name:"random topologies: solver plan certified, duplicate fails"
        QCheck.(
          pair (int_range 3 24)
            (small_list (pair (int_range 0 23) (int_range 0 23))))
@@ -612,11 +599,24 @@ let prop_schedule_certified =
            (fun (i, j) -> TP.Builder.add_constraint b ~i ~j ~dist:1.)
            edges;
          let topo = TP.Builder.finish b in
-         let p = Sched.plan ~fuse:false ~name:"prop" topo in
-         let adj = TP.cluster_adjacency p.Sched.pl_units in
-         Mdsp_util.Coloring.proper ~adj p.Sched.pl_colors
+         let p = Sched.plan ~name:"prop" topo in
+         let units = p.Sched.pl_units in
+         let duplicated =
+           match units with
+           | [||] -> true
+           | _ ->
+               let u = units.(Array.length units / 2) in
+               not
+                 (Sched.cert_ok
+                    (Sched.certify
+                       {
+                         p with
+                         Sched.pl_units = Array.append units [| u |];
+                       }))
+         in
+         units = Mdsp_md.Constraints.(clusters (create topo))
          && Sched.cert_ok (Sched.certify p)
-         && Sched.cert_ok (Sched.certify (Sched.plan ~name:"prop-fused" topo))))
+         && duplicated))
 
 (* --- the registry --- *)
 
@@ -857,8 +857,6 @@ let () =
         [
           Alcotest.test_case "builtin envelopes certified" `Quick
             test_schedule_builtins_certified;
-          Alcotest.test_case "unfused water is a 3-color triangle" `Quick
-            test_schedule_water_triangle;
           Alcotest.test_case "seeded conflict fails the certificate" `Quick
             test_schedule_seed_conflict_fails;
           prop_schedule_certified;
