@@ -161,9 +161,9 @@ let analyze ?(exec = Exec.serial) t positions =
   let unit_tiles = Exec.tile_bounds ~total:units ~ntiles:pair_tiles in
   let counts = Array.init slots (fun _ -> Array.make nn 0) in
   let viol = Array.make slots 0 in
-  let r2 = t.cutoff *. t.cutoff in
   (* The pair scan walks the whole cell structure, both endpoints of
-     arbitrary pairs and every atom's resident set. *)
+     arbitrary pairs and every atom's resident set. [iter_within] keeps the
+     pairs with [Pbc.dist2 <= cutoff²] on the wrapped copy's bits. *)
   Exec.sweep ~phase:"decomp.pairs" ~writes:[ "decomp.pairs" ]
     ~whole:
       [ ("cell.bin", n); ("decomp.positions", n); ("decomp.resident", n) ]
@@ -171,13 +171,11 @@ let analyze ?(exec = Exec.serial) t positions =
       let c = counts.(s) in
       for tile = tlo to thi - 1 do
         let ulo, uhi = unit_tiles.(tile) in
-        Cell_list.iter_range_pairs cell ulo uhi (fun i j ->
-            if Pbc.dist2 t.box wp.(i) wp.(j) <= r2 then begin
-              let v = pair_owner t wp.(i) wp.(j) in
-              c.(v) <- c.(v) + 1;
-              if not (mem v atom_nodes.(i) && mem v atom_nodes.(j)) then
-                viol.(s) <- viol.(s) + 1
-            end)
+        Cell_list.iter_within cell ulo uhi (fun i j ->
+            let v = pair_owner t wp.(i) wp.(j) in
+            c.(v) <- c.(v) + 1;
+            if not (mem v atom_nodes.(i) && mem v atom_nodes.(j)) then
+              viol.(s) <- viol.(s) + 1)
       done);
   let pairs_per_node = Array.make nn 0 in
   for s = 0 to slots - 1 do
@@ -191,8 +189,7 @@ let analyze ?(exec = Exec.serial) t positions =
   (* Independent serial recount of interacting pairs on the calling
      domain: the single-node reference the assignment must reproduce. *)
   let singlenode_pairs = ref 0 in
-  Cell_list.iter_pairs cell (fun i j ->
-      if Pbc.dist2 t.box wp.(i) wp.(j) <= r2 then incr singlenode_pairs);
+  Cell_list.iter_within cell 0 units (fun _ _ -> incr singlenode_pairs);
   let singlenode_pairs = !singlenode_pairs in
   {
     nodes = dims t;

@@ -165,12 +165,22 @@ let[@inline] erfc x =
   let ans = t *. exp ((-.z *. z) +. poly) in
   if x >= 0. then ans else 2. -. ans
 
+(* Pbc's minimum image, expression for expression, for the same reason:
+   bit for bit [d -. l *. Float.round (d /. l)], with the rounding call
+   only for |d / l| >= 1.5. *)
+let[@inline] mi1 l d =
+  let q = d /. l in
+  if q > -0.5 && q < 0.5 then d +. 0.
+  else if q >= 0.5 && q < 1.5 then d -. l
+  else if q <= -0.5 && q > -1.5 then d +. l
+  else d -. (l *. Float.round q)
+
 (* ------------------------------------------------------------------ *)
 (* Pair kernels: one specialized allocation-free loop per elec kind.   *)
 (* ------------------------------------------------------------------ *)
 
 (* Each loop body mirrors Pair_interactions.apply_pair + the evaluator:
-   min_image via Pbc.mi1 components, norm2 left-associated, the r2 < rc2
+   min_image via the [mi1] copy above, norm2 left-associated, the r2 < rc2
    gate, LJ with the hoisted type-pair constants, the qq = 0 gate, then
    energy / force add-sub / virial in the boxed order. The literal [+. 0.]
    in the LJ-only path is the boxed [e_lj +. e_c] with e_c = 0 — do not
@@ -187,12 +197,9 @@ let pair_range_none pp (box : Pbc.t) (s : Soa.t) ~(is : int array)
   let sig2 = pp.sig2 and shift = pp.shift in
   for k = lo to hi - 1 do
     let i = is.(k) and j = js.(k) in
-    let dx0 = x.{i} -. x.{j} in
-    let dy0 = y.{i} -. y.{j} in
-    let dz0 = z.{i} -. z.{j} in
-    let dx = dx0 -. (lx *. Float.round (dx0 /. lx)) in
-    let dy = dy0 -. (ly *. Float.round (dy0 /. ly)) in
-    let dz = dz0 -. (lz *. Float.round (dz0 /. lz)) in
+    let dx = mi1 lx (x.{i} -. x.{j}) in
+    let dy = mi1 ly (y.{i} -. y.{j}) in
+    let dz = mi1 lz (z.{i} -. z.{j}) in
     let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) in
     if r2 < rc2 then begin
       let tij = (type_of.(i) * ntypes) + type_of.(j) in
@@ -227,12 +234,9 @@ let pair_range_cutoff pp (box : Pbc.t) (s : Soa.t) ~(is : int array)
   let q = pp.q and cq = pp.cq in
   for k = lo to hi - 1 do
     let i = is.(k) and j = js.(k) in
-    let dx0 = x.{i} -. x.{j} in
-    let dy0 = y.{i} -. y.{j} in
-    let dz0 = z.{i} -. z.{j} in
-    let dx = dx0 -. (lx *. Float.round (dx0 /. lx)) in
-    let dy = dy0 -. (ly *. Float.round (dy0 /. ly)) in
-    let dz = dz0 -. (lz *. Float.round (dz0 /. lz)) in
+    let dx = mi1 lx (x.{i} -. x.{j}) in
+    let dy = mi1 ly (y.{i} -. y.{j}) in
+    let dz = mi1 lz (z.{i} -. z.{j}) in
     let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) in
     if r2 < rc2 then begin
       let tij = (type_of.(i) * ntypes) + type_of.(j) in
@@ -271,12 +275,9 @@ let pair_range_rf pp ~krf ~crf (box : Pbc.t) (s : Soa.t) ~(is : int array)
   let q = pp.q and cq = pp.cq in
   for k = lo to hi - 1 do
     let i = is.(k) and j = js.(k) in
-    let dx0 = x.{i} -. x.{j} in
-    let dy0 = y.{i} -. y.{j} in
-    let dz0 = z.{i} -. z.{j} in
-    let dx = dx0 -. (lx *. Float.round (dx0 /. lx)) in
-    let dy = dy0 -. (ly *. Float.round (dy0 /. ly)) in
-    let dz = dz0 -. (lz *. Float.round (dz0 /. lz)) in
+    let dx = mi1 lx (x.{i} -. x.{j}) in
+    let dy = mi1 ly (y.{i} -. y.{j}) in
+    let dz = mi1 lz (z.{i} -. z.{j}) in
     let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) in
     if r2 < rc2 then begin
       let tij = (type_of.(i) * ntypes) + type_of.(j) in
@@ -320,12 +321,9 @@ let pair_range_ewald pp ~beta (box : Pbc.t) (s : Soa.t) ~(is : int array)
   let q = pp.q and cq = pp.cq in
   for k = lo to hi - 1 do
     let i = is.(k) and j = js.(k) in
-    let dx0 = x.{i} -. x.{j} in
-    let dy0 = y.{i} -. y.{j} in
-    let dz0 = z.{i} -. z.{j} in
-    let dx = dx0 -. (lx *. Float.round (dx0 /. lx)) in
-    let dy = dy0 -. (ly *. Float.round (dy0 /. ly)) in
-    let dz = dz0 -. (lz *. Float.round (dz0 /. lz)) in
+    let dx = mi1 lx (x.{i} -. x.{j}) in
+    let dy = mi1 ly (y.{i} -. y.{j}) in
+    let dz = mi1 lz (z.{i} -. z.{j}) in
     let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) in
     if r2 < rc2 then begin
       let tij = (type_of.(i) * ntypes) + type_of.(j) in
@@ -375,12 +373,9 @@ let eval_range (ev : Pair_interactions.evaluator) (box : Pbc.t) (s : Soa.t)
   let rc2 = ev.Pair_interactions.cutoff *. ev.Pair_interactions.cutoff in
   for k = lo to hi - 1 do
     let i = is.(k) and j = js.(k) in
-    let dx0 = x.{i} -. x.{j} in
-    let dy0 = y.{i} -. y.{j} in
-    let dz0 = z.{i} -. z.{j} in
-    let dx = dx0 -. (lx *. Float.round (dx0 /. lx)) in
-    let dy = dy0 -. (ly *. Float.round (dy0 /. ly)) in
-    let dz = dz0 -. (lz *. Float.round (dz0 /. lz)) in
+    let dx = mi1 lx (x.{i} -. x.{j}) in
+    let dy = mi1 ly (y.{i} -. y.{j}) in
+    let dz = mi1 lz (z.{i} -. z.{j}) in
     let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) in
     if r2 < rc2 then begin
       let e, fr = eval i j r2 in
@@ -453,12 +448,9 @@ let pairs14_range pp (box : Pbc.t) (s : Soa.t) lo hi (sc : scratch) =
   let p14i = pp.p14i and p14j = pp.p14j in
   for k = lo to hi - 1 do
     let i = p14i.(k) and j = p14j.(k) in
-    let dx0 = x.{i} -. x.{j} in
-    let dy0 = y.{i} -. y.{j} in
-    let dz0 = z.{i} -. z.{j} in
-    let dx = dx0 -. (lx *. Float.round (dx0 /. lx)) in
-    let dy = dy0 -. (ly *. Float.round (dy0 /. ly)) in
-    let dz = dz0 -. (lz *. Float.round (dz0 /. lz)) in
+    let dx = mi1 lx (x.{i} -. x.{j}) in
+    let dy = mi1 ly (y.{i} -. y.{j}) in
+    let dz = mi1 lz (z.{i} -. z.{j}) in
     let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) in
     if r2 < rc2 then begin
       let tij = (type_of.(i) * ntypes) + type_of.(j) in

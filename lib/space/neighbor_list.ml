@@ -1,99 +1,100 @@
 open Mdsp_util
 
+(* A growable pair buffer; pairs are stored as (min, max). *)
+type buf = { mutable bi : int array; mutable bj : int array; mutable cnt : int }
+
+let make_buf () = { bi = [||]; bj = [||]; cnt = 0 }
+
+(* Grow [b] to hold at least [need] pairs, keeping its first [cnt]. *)
+let reserve b need =
+  let cap = Array.length b.bi in
+  if need > cap then begin
+    let cap' = max need (max 64 (cap * 2)) in
+    let bi' = Array.make cap' 0 and bj' = Array.make cap' 0 in
+    Array.blit b.bi 0 bi' 0 b.cnt;
+    Array.blit b.bj 0 bj' 0 b.cnt;
+    b.bi <- bi';
+    b.bj <- bj'
+  end
+
+let push b i j =
+  let k = b.cnt in
+  if k >= Array.length b.bi then reserve b (k + 1);
+  b.bi.(k) <- (if i < j then i else j);
+  b.bj.(k) <- (if i < j then j else i);
+  b.cnt <- k + 1
+
 type t = {
   cutoff : float;
   skin : float;
   exclusions : Exclusions.t option;
   exec : Exec.t;
   mutable box : Pbc.t;
-  mutable ref_positions : Vec3.t array; (* snapshot at last rebuild *)
-  mutable is : int array;
-  mutable js : int array;
-  mutable npairs : int;
+  cells : Cell_list.t;  (* binned at the last rebuild, storage reused *)
+  (* The positions at the last rebuild, as columns in atom order. *)
+  mutable nref : int;
+  mutable rx : float array;
+  mutable ry : float array;
+  mutable rz : float array;
+  pairs : buf;  (* the list; slot 0 of a rebuild appends here directly *)
+  spill : buf array;  (* slot s >= 1 appends to [spill.(s - 1)] *)
   mutable rebuilds : int;
 }
 
 (* The pair generation is cut into a fixed number of tiles — contiguous
    ranges of Cell_list tiling units — chosen independently of the executor
-   width. Each tile fills its own buffer; buffers are concatenated in tile
-   order. The resulting pair list is therefore a pure function of the
-   positions: bitwise identical whether the build ran serial or on 1, 2 or
-   4 pool slots (slots just own contiguous tile ranges). *)
+   width, as the load-balancing grain. [Exec.sweep] hands each slot a
+   contiguous run of tiles, slot 0 the first, so appending slot 1's buffer,
+   then slot 2's, ... to slot 0's reproduces the serial scan order: the
+   list, content and order, is a pure function of the positions at any
+   slot count. *)
 let max_build_tiles = 64
-
-(* One tile's growable pair buffer. *)
-type buf = { mutable bi : int array; mutable bj : int array; mutable cnt : int }
-
-let buf_push b i j =
-  let cap = Array.length b.bi in
-  if b.cnt >= cap then begin
-    let cap' = max 64 (cap * 2) in
-    let bi' = Array.make cap' 0 and bj' = Array.make cap' 0 in
-    Array.blit b.bi 0 bi' 0 b.cnt;
-    Array.blit b.bj 0 bj' 0 b.cnt;
-    b.bi <- bi';
-    b.bj <- bj'
-  end;
-  b.bi.(b.cnt) <- (if i < j then i else j);
-  b.bj.(b.cnt) <- (if i < j then j else i);
-  b.cnt <- b.cnt + 1
 
 let do_build t positions =
   let r = t.cutoff +. t.skin in
-  let r2 = r *. r in
   let exec = t.exec in
-  let cl = Cell_list.build ~exec t.box positions ~cutoff:r in
+  let cl = t.cells in
+  Cell_list.update ~exec cl t.box positions ~cutoff:r;
   let units = Cell_list.tile_units cl in
   let ntiles = max 1 (min units max_build_tiles) in
-  let tile_ranges = Cell_list.tile_bounds cl ~ntiles in
-  let lx = t.box.Pbc.lx and ly = t.box.Pbc.ly and lz = t.box.Pbc.lz in
-  let bufs =
-    Array.init ntiles (fun _ -> { bi = [||]; bj = [||]; cnt = 0 })
-  in
   let n = Array.length positions in
-  (* Each slot owns a contiguous run of tile buffers. The pair scan walks
-     the whole CSR cell structure and, through it, arbitrary positions. *)
+  t.pairs.cnt <- 0;
+  Array.iter (fun b -> b.cnt <- 0) t.spill;
+  (* The scan walks the whole CSR cell structure and, through it, arbitrary
+     positions; each slot writes its own buffer. *)
   Exec.sweep ~phase:"nbuild" ~writes:[ "nlist.tiles" ]
     ~whole:[ ("cell.bin", n); ("state.positions", n) ]
-    exec ~total:ntiles (fun _ tlo thi ->
-      for tile = tlo to thi - 1 do
-        let b = bufs.(tile) in
-        let lo, hi = tile_ranges.(tile) in
-        Cell_list.iter_range_pairs cl lo hi (fun i j ->
-            (* [Pbc.dist2], inlined on the fields so that no [Vec3] is
-               allocated per candidate. *)
-            let pi = positions.(i) and pj = positions.(j) in
-            let dx0 = pi.Vec3.x -. pj.Vec3.x in
-            let dy0 = pi.Vec3.y -. pj.Vec3.y in
-            let dz0 = pi.Vec3.z -. pj.Vec3.z in
-            let dx = dx0 -. (lx *. Float.round (dx0 /. lx)) in
-            let dy = dy0 -. (ly *. Float.round (dy0 /. ly)) in
-            let dz = dz0 -. (lz *. Float.round (dz0 /. lz)) in
-            if (dx *. dx) +. (dy *. dy) +. (dz *. dz) <= r2 then begin
-              let skip =
-                match t.exclusions with
-                | Some ex -> Exclusions.excluded ex i j
-                | None -> false
-              in
-              if not skip then buf_push b i j
-            end)
-      done);
-  (* Concatenate in tile order (serial: a handful of blits). *)
-  let total = Array.fold_left (fun a b -> a + b.cnt) 0 bufs in
-  if Array.length t.is < total then begin
-    let cap = max 64 total in
-    t.is <- Array.make cap 0;
-    t.js <- Array.make cap 0
-  end;
-  let off = ref 0 in
+    exec ~total:ntiles (fun s tlo thi ->
+      let b = if s = 0 then t.pairs else t.spill.(s - 1) in
+      let lo = Cell_list.tile_start cl ~ntiles tlo
+      and hi = Cell_list.tile_start cl ~ntiles thi in
+      match t.exclusions with
+      | None -> Cell_list.iter_within cl lo hi (fun i j -> push b i j)
+      | Some ex ->
+          Cell_list.iter_within cl lo hi (fun i j ->
+              if not (Exclusions.excluded ex i j) then push b i j));
+  (* Append the other slots' pairs in slot order (serial: a few blits). *)
+  let b0 = t.pairs in
+  reserve b0 (Array.fold_left (fun a b -> a + b.cnt) b0.cnt t.spill);
   Array.iter
     (fun b ->
-      Array.blit b.bi 0 t.is !off b.cnt;
-      Array.blit b.bj 0 t.js !off b.cnt;
-      off := !off + b.cnt)
-    bufs;
-  t.npairs <- total;
-  t.ref_positions <- Array.copy positions;
+      Array.blit b.bi 0 b0.bi b0.cnt b.cnt;
+      Array.blit b.bj 0 b0.bj b0.cnt b.cnt;
+      b0.cnt <- b0.cnt + b.cnt)
+    t.spill;
+  if Array.length t.rx < n then begin
+    t.rx <- Array.make n 0.;
+    t.ry <- Array.make n 0.;
+    t.rz <- Array.make n 0.
+  end;
+  let rx = t.rx and ry = t.ry and rz = t.rz in
+  for i = 0 to n - 1 do
+    let p = positions.(i) in
+    rx.(i) <- p.Vec3.x;
+    ry.(i) <- p.Vec3.y;
+    rz.(i) <- p.Vec3.z
+  done;
+  t.nref <- n;
   t.rebuilds <- t.rebuilds + 1
 
 let create ?exclusions ?(exec = Exec.serial) ~cutoff ~skin box positions =
@@ -106,48 +107,69 @@ let create ?exclusions ?(exec = Exec.serial) ~cutoff ~skin box positions =
       exclusions;
       exec;
       box;
-      ref_positions = [||];
-      is = [||];
-      js = [||];
-      npairs = 0;
+      cells = Cell_list.create ();
+      nref = 0;
+      rx = [||];
+      ry = [||];
+      rz = [||];
+      pairs = make_buf ();
+      spill = Array.init (Exec.n_slots exec - 1) (fun _ -> make_buf ());
       rebuilds = -1;
     }
   in
   do_build t positions;
   t
 
-let pairs t = Array.init t.npairs (fun k -> (t.is.(k), t.js.(k)))
-let length t = t.npairs
-let raw_pairs t = (t.is, t.js)
+let pairs t = Array.init t.pairs.cnt (fun k -> (t.pairs.bi.(k), t.pairs.bj.(k)))
+let length t = t.pairs.cnt
+let raw_pairs t = (t.pairs.bi, t.pairs.bj)
 
 let iter t f =
-  for k = 0 to t.npairs - 1 do
-    f t.is.(k) t.js.(k)
+  for k = 0 to t.pairs.cnt - 1 do
+    f t.pairs.bi.(k) t.pairs.bj.(k)
   done
 
-let tiles t ~ntiles = Exec.tile_bounds ~total:t.npairs ~ntiles
+let tiles t ~ntiles = Exec.tile_bounds ~total:t.pairs.cnt ~ntiles
 
 let iter_range t lo hi f =
-  if lo < 0 || hi > t.npairs || lo > hi then
+  if lo < 0 || hi > t.pairs.cnt || lo > hi then
     invalid_arg "Neighbor_list.iter_range";
   for k = lo to hi - 1 do
-    f t.is.(k) t.js.(k)
+    f t.pairs.bi.(k) t.pairs.bj.(k)
   done
 
+(* Copy of [Pbc]'s minimum image, bit for bit, so that it inlines here
+   (see Cell_list): the skin check then allocates nothing. *)
+let[@inline] mi1 l d =
+  let q = d /. l in
+  if q > -0.5 && q < 0.5 then d +. 0.
+  else if q >= 0.5 && q < 1.5 then d -. l
+  else if q <= -0.5 && q > -1.5 then d +. l
+  else d -. (l *. Float.round q)
+
+(* [Pbc.dist2 box positions.(i) ref.(i) > limit2] for some [i], on the same
+   bits. *)
 let needs_rebuild t positions =
-  let limit2 = t.skin *. t.skin /. 4. in
   let n = Array.length positions in
-  if n <> Array.length t.ref_positions then true
-  else begin
-    let moved = ref false in
-    let i = ref 0 in
-    while (not !moved) && !i < n do
-      if Pbc.dist2 t.box positions.(!i) t.ref_positions.(!i) > limit2 then
-        moved := true;
-      incr i
-    done;
-    !moved
-  end
+  n <> t.nref
+  || begin
+       let limit2 = t.skin *. t.skin /. 4. in
+       let lx = t.box.Pbc.lx and ly = t.box.Pbc.ly and lz = t.box.Pbc.lz in
+       let rx = t.rx and ry = t.ry and rz = t.rz in
+       let i = ref 0 in
+       while
+         !i < n
+         &&
+         let p = positions.(!i) in
+         let dx = mi1 lx (p.Vec3.x -. rx.(!i)) in
+         let dy = mi1 ly (p.Vec3.y -. ry.(!i)) in
+         let dz = mi1 lz (p.Vec3.z -. rz.(!i)) in
+         not ((dx *. dx) +. (dy *. dy) +. (dz *. dz) > limit2)
+       do
+         incr i
+       done;
+       !i < n
+     end
 
 let rebuild ?box t positions =
   (match box with Some b -> t.box <- b | None -> ());
@@ -167,7 +189,8 @@ let maybe_rebuild ?box t positions =
   else false
 
 let rebuild_count t = t.rebuilds
-let ref_positions t = Array.copy t.ref_positions
+let ref_positions t =
+  Array.init t.nref (fun i -> Vec3.make t.rx.(i) t.ry.(i) t.rz.(i))
 let cutoff t = t.cutoff
 let skin t = t.skin
 let box t = t.box

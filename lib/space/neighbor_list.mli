@@ -5,15 +5,25 @@
     rebuild, at which point [maybe_rebuild] rebuilds it. This is the standard
     trade-off the A3 ablation experiment sweeps.
 
-    The rebuild is a tiled cluster-pair build: bin (CSR counting sort in
-    {!Cell_list}), then per-tile candidate-pair generation with the cutoff
-    and exclusion filters, each tile filling its own buffer, concatenated in
-    tile order. The tile count is fixed (independent of the executor width),
-    so the stored pair list is a pure function of the positions — bitwise
-    identical across serial and any pool size — while the work runs as a
-    sanitized parallel [Exec] phase (resources ["cell.bin"] and
-    ["nlist.tiles"]). The executor's phase clock times a rebuild as its
-    [cell.bin] and [nbuild] phases. *)
+    A rebuild bins the positions ({!Cell_list.update}: CSR counting sort
+    plus cell-sorted coordinate columns), then runs {!Cell_list.iter_within}
+    over a fixed number of tiles of home cells — the load-balancing grain,
+    independent of the executor width. The scan reads the flat columns
+    without a call per candidate; only the pairs within [cutoff + skin]
+    reach the exclusion check and the append. [Exec.sweep] hands each slot
+    a contiguous run of tiles, slot 0 the first: slot 0 appends straight
+    into the list's own arrays, every other slot into a private buffer,
+    and those are appended in slot order after the sweep. The result is the
+    serial scan order, so the stored pair list (content and order) is a
+    pure function of the positions — bitwise identical across serial and
+    any pool size — while the work runs as sanitized parallel [Exec] phases
+    (resources ["cell.bin"] and ["nlist.tiles"]). The executor's phase
+    clock times a rebuild as its [cell.bin] and [nbuild] phases.
+
+    The cell structure, the coordinate columns, the reference positions
+    and the pair buffers are kept across rebuilds, so a rebuild on a system
+    whose list does not grow allocates no storage, and {!needs_rebuild}
+    allocates nothing. *)
 
 open Mdsp_util
 
@@ -53,7 +63,9 @@ val tiles : t -> ntiles:int -> (int * int) array
     in [lo, hi) — one tile of {!tiles}. *)
 val iter_range : t -> int -> int -> (int -> int -> unit) -> unit
 
-(** True if some particle moved more than skin/2 since the last build. *)
+(** True if some particle moved more than skin/2 since the last build:
+    [Pbc.dist2] against the reference positions, on the same bits.
+    Allocates nothing. *)
 val needs_rebuild : t -> Vec3.t array -> bool
 
 (** Rebuild unconditionally for the given positions (and possibly new box,
@@ -66,10 +78,11 @@ val maybe_rebuild : ?box:Pbc.t -> t -> Vec3.t array -> bool
 (** Total rebuild count (for the ablation bench). *)
 val rebuild_count : t -> int
 
-(** Copy of the positions the list was last built from. Checkpoints record
-    these so a restart can {!rebuild} from the same reference and reproduce
-    both the pair list (content and order) and the displacement tracking of
-    the interrupted run exactly. *)
+(** A fresh array of the positions the list was last built from (the list
+    keeps them as flat columns). Checkpoints record these so a restart can
+    {!rebuild} from the same reference and reproduce both the pair list
+    (content and order) and the displacement tracking of the interrupted
+    run exactly. *)
 val ref_positions : t -> Vec3.t array
 
 val cutoff : t -> float

@@ -16,7 +16,20 @@ let wrap1 l x =
 let wrap b (v : Vec3.t) =
   Vec3.make (wrap1 b.lx v.x) (wrap1 b.ly v.y) (wrap1 b.lz v.z)
 
-let mi1 l d = d -. (l *. Float.round (d /. l))
+(* [d -. l *. Float.round (d /. l)] without the [caml_round] call, bit for
+   bit for every [d] and every [l > 0]. [Float.round] rounds half away from
+   zero, so it is +-0 on (-0.5, 0.5), 1 on [0.5, 1.5) and -1 on
+   (-1.5, -0.5]; [l *. 1.] is [l] exactly and [d -. -.l] is [d +. l]
+   exactly. [d -. l *. +-0.] is [d] except that it turns [-0.] into [+0.],
+   which is what [d +. 0.] does. Everything else (|q| >= 1.5, NaN, +-inf)
+   takes the formula itself. Comparing [d] with [l / 2] instead of dividing
+   differs next to the ties and would change which pairs are in range. *)
+let[@inline] mi1 l d =
+  let q = d /. l in
+  if q > -0.5 && q < 0.5 then d +. 0.
+  else if q >= 0.5 && q < 1.5 then d -. l
+  else if q <= -0.5 && q > -1.5 then d +. l
+  else d -. (l *. Float.round q)
 
 let min_image b (a : Vec3.t) (c : Vec3.t) =
   Vec3.make (mi1 b.lx (a.x -. c.x)) (mi1 b.ly (a.y -. c.y))

@@ -17,7 +17,13 @@ val scale : t -> float -> t
 val wrap : t -> Vec3.t -> Vec3.t
 
 (** Minimum-image displacement [a - b]. Correct for separations up to half
-    the shortest edge. *)
+    the shortest edge. Each component is [d -. l *. Float.round (d /. l)]
+    with [d] the raw difference and [l] the edge, bit for bit for every
+    float [d] (signed zeros, ties at [+-l/2], NaN and infinities included);
+    the common cases [|d / l| < 1.5] take a branch instead of the rounding
+    call. The flat pair loops and the neighbor search compute the same
+    expression on unboxed coordinates, so every path agrees on which pairs
+    are in range. *)
 val min_image : t -> Vec3.t -> Vec3.t -> Vec3.t
 
 (** Minimum-image squared distance. *)

@@ -145,6 +145,24 @@ if dune exec bin/mdsp.exe -- check --seed-conflict --slots 1 >/dev/null 2>&1; th
   echo "ci: mdsp check --seed-conflict unexpectedly passed" >&2
   exit 1
 fi
+# The same gate at two slots. At one slot the unit list is a single tile,
+# so cross-slot footprint disjointness holds trivially; at two it is
+# checked on a real cut, and the planted pair must also be reported as an
+# atom two slots touch.
+dune exec bin/mdsp.exe -- check --constraints --slots 2 \
+  --json /tmp/mdsp-constraints-2.json >/dev/null
+test -s /tmp/mdsp-constraints-2.json
+grep -q '"constraints\.ok": 1' /tmp/mdsp-constraints-2.json
+grep -q '"constraints\.water6k\.ok": 1' /tmp/mdsp-constraints-2.json
+grep -q '"constraints\.water6k\.disjoint": 1' /tmp/mdsp-constraints-2.json
+grep -q '"constraints\.water6k\.envelope": 1' /tmp/mdsp-constraints-2.json
+grep -q '"constraints\.chain10k\.ok": 1' /tmp/mdsp-constraints-2.json
+if dune exec bin/mdsp.exe -- check --seed-conflict --slots 2 \
+    >/tmp/mdsp-seed-conflict-2.txt 2>&1; then
+  echo "ci: mdsp check --seed-conflict --slots 2 unexpectedly passed" >&2
+  exit 1
+fi
+grep -q 'touched by slots 0 and 1' /tmp/mdsp-seed-conflict-2.txt
 
 # Datapath certifier self-test: a deliberately narrowed force format must
 # be rejected, with the offending accumulators named in the JSON verdicts.

@@ -786,6 +786,45 @@ let test_soa_pair_loop_zero_alloc () =
         PI.Ewald_real { beta = 0.35 });
     ]
 
+let test_rebuild_allocation () =
+  (* A repeat rebuild reuses the cell list, the coordinate columns and the
+     pair buffers: fewer minor words than atoms (what is left is the
+     closures and tile bookkeeping of the two sweeps). The skin check on
+     unmoved positions scans every atom and allocates nothing. *)
+  let module Nl = Mdsp_space.Neighbor_list in
+  List.iter
+    (fun (label, (sys : Mdsp_workload.Workloads.system)) ->
+      let box = sys.Mdsp_workload.Workloads.box in
+      let x = sys.Mdsp_workload.Workloads.positions in
+      let n = Array.length x in
+      let nl =
+        Nl.create
+          ~exclusions:sys.Mdsp_workload.Workloads.topo.Mdsp_ff.Topology.exclusions
+          ~cutoff:(0.45 *. Pbc.min_edge box) ~skin:1. box x
+      in
+      ignore (Nl.rebuild nl x);
+      let w0 = Gc.minor_words () in
+      ignore (Nl.rebuild nl x);
+      let w1 = Gc.minor_words () in
+      check_true "the list has pairs" (Nl.length nl > 0);
+      check_true
+        (Printf.sprintf "%s: a repeat rebuild allocates %.0f minor words, \
+                         fewer than the %d atoms"
+           label (w1 -. w0) n)
+        (w1 -. w0 < float_of_int n);
+      let w0 = Gc.minor_words () in
+      let stale = Nl.needs_rebuild nl x in
+      let w1 = Gc.minor_words () in
+      check_true (label ^ ": unmoved positions need no rebuild") (not stale);
+      check_true
+        (Printf.sprintf "%s: the skin check allocates nothing (got %.0f)"
+           label (w1 -. w0))
+        (w1 -. w0 = 0.))
+    [
+      ("water n_side 5", Mdsp_workload.Workloads.water_box ~n_side:5 ());
+      ("scaled 1-4 chain", scaled14_chain ());
+    ]
+
 let test_soa_phases_race_free () =
   (* The flat parallel phases under the write-set sanitizer at 2 and 4
      slots: pair tiles, 1-4 pairs, the four bonded terms, the per-atom
@@ -1263,6 +1302,8 @@ let () =
             test_soa_parallel_determinism;
           Alcotest.test_case "pair loop allocation-free" `Quick
             test_soa_pair_loop_zero_alloc;
+          Alcotest.test_case "rebuild and skin check allocation" `Quick
+            test_rebuild_allocation;
           Alcotest.test_case "sanitized SoA phases race-free" `Quick
             test_soa_phases_race_free;
           Alcotest.test_case "sanitized one slot = production bitwise" `Quick

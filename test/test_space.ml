@@ -20,30 +20,51 @@ let norm_pair (i, j) = if i < j then (i, j) else (j, i)
 
 (* --- Cell_list --- *)
 
+(* Every pair the in-range scan yields over all units, as (min, max) in
+   scan order. *)
+let scan_pairs cl =
+  let acc = ref [] in
+  Cell_list.iter_within cl 0 (Cell_list.tile_units cl) (fun i j ->
+      acc := norm_pair (i, j) :: !acc);
+  List.rev !acc
+
+(* The scan yields each pair within the cutoff exactly once, and no other:
+   its pairs, deduplicated, are the brute-force set, and there are no more
+   of them than that set has members. *)
+let check_scan_is_brute_force label cl box positions cutoff =
+  let scanned = scan_pairs cl in
+  let seen = Hashtbl.create 1024 in
+  List.iter
+    (fun ((i, j) as key) ->
+      if Hashtbl.mem seen key then
+        Alcotest.failf "%s: pair (%d,%d) enumerated twice" label i j;
+      Hashtbl.add seen key ())
+    scanned;
+  let brute = brute_force_pairs box positions cutoff in
+  List.iter
+    (fun p ->
+      if not (Hashtbl.mem seen p) then
+        Alcotest.failf "%s: missing pair (%d,%d)" label (fst p) (snd p))
+    brute;
+  Alcotest.(check int)
+    (label ^ ": no pair beyond the cutoff")
+    (List.length brute) (List.length scanned)
+
 let test_cell_list_pair_completeness () =
   let box, positions = random_positions ~seed:21 ~n:150 ~box_l:18. ~min_dist:0.8 in
   let cutoff = 4.0 in
   let cl = Cell_list.build box positions ~cutoff in
-  let seen = Hashtbl.create 1024 in
-  Cell_list.iter_pairs cl (fun i j ->
-      let key = norm_pair (i, j) in
-      if Hashtbl.mem seen key then
-        Alcotest.failf "pair (%d,%d) enumerated twice" i j;
-      Hashtbl.add seen key ());
-  (* Every within-cutoff pair must be among the candidates. *)
-  List.iter
-    (fun p ->
-      if not (Hashtbl.mem seen p) then
-        Alcotest.failf "missing pair (%d,%d)" (fst p) (snd p))
-    (brute_force_pairs box positions cutoff)
+  check_true "cell grid" (not (Cell_list.degenerate cl));
+  check_scan_is_brute_force "4 cells per axis" cl box positions cutoff
 
 let test_cell_list_degenerate_small_box () =
-  (* Box smaller than 3 cutoffs per dim: falls back to all-pairs. *)
+  (* Box smaller than 3 cutoffs per dim: falls back to all-pairs, each
+     unit i scanning the pairs (i, j > i). *)
   let box, positions = random_positions ~seed:22 ~n:30 ~box_l:6. ~min_dist:0.5 in
   let cl = Cell_list.build box positions ~cutoff:2.5 in
-  let count = ref 0 in
-  Cell_list.iter_pairs cl (fun _ _ -> incr count);
-  Alcotest.(check int) "all pairs enumerated" (30 * 29 / 2) !count
+  check_true "degenerate" (Cell_list.degenerate cl);
+  Alcotest.(check int) "one unit per particle" 30 (Cell_list.tile_units cl);
+  check_scan_is_brute_force "all-pairs box" cl box positions 2.5
 
 let test_cell_list_degenerate_tiles_balanced () =
   (* In the all-pairs fallback unit i owns n - 1 - i candidates: the tiles
@@ -53,19 +74,32 @@ let test_cell_list_degenerate_tiles_balanced () =
   let cl = Cell_list.build box positions ~cutoff:10. in
   check_true "degenerate" (Cell_list.degenerate cl);
   let ntiles = 64 in
-  let tiles = Cell_list.tile_bounds cl ~ntiles in
-  Alcotest.(check int) "tile count" ntiles (Array.length tiles);
+  let start = Cell_list.tile_start cl ~ntiles in
+  Alcotest.(check int) "first tile starts at unit 0" 0 (start 0);
+  Alcotest.(check int) "covers every unit" n (start ntiles);
   let share = n * (n - 1) / 2 / ntiles in
-  Array.iteri
-    (fun k (lo, hi) ->
-      Alcotest.(check int) "contiguous" (if k = 0 then 0 else snd tiles.(k - 1)) lo;
-      let owned = ref 0 in
-      Cell_list.iter_range_pairs cl lo hi (fun _ _ -> incr owned);
-      check_true
-        (Printf.sprintf "tile %d owns %d candidates (share %d)" k !owned share)
-        (abs (!owned - share) < n))
-    tiles;
-  Alcotest.(check int) "covers every unit" n (snd tiles.(ntiles - 1))
+  for k = 0 to ntiles - 1 do
+    let lo = start k and hi = start (k + 1) in
+    check_true "contiguous, in order" (lo <= hi);
+    (* Unit i owns the candidates (i, j > i). *)
+    let owned = ref 0 in
+    for i = lo to hi - 1 do
+      owned := !owned + (n - 1 - i)
+    done;
+    check_true
+      (Printf.sprintf "tile %d owns %d candidates (share %d)" k !owned share)
+      (abs (!owned - share) < n)
+  done;
+  (* The tiles partition the scan: their pairs, concatenated in tile
+     order, are the whole scan's, and the brute-force set. *)
+  let tiled = ref [] in
+  for k = 0 to ntiles - 1 do
+    Cell_list.iter_within cl (start k) (start (k + 1)) (fun i j ->
+        tiled := norm_pair (i, j) :: !tiled)
+  done;
+  check_true "tiles concatenate to the whole scan"
+    (List.rev !tiled = scan_pairs cl);
+  check_scan_is_brute_force "all-pairs box" cl box positions 10.
 
 let test_cell_list_neighbors_include_all () =
   let box, positions = random_positions ~seed:23 ~n:120 ~box_l:16. ~min_dist:0.7 in
@@ -87,12 +121,9 @@ let prop_cell_list_counts_match =
         random_positions ~seed:(n * 7) ~n ~box_l:15. ~min_dist:0.6
       in
       let cl = Cell_list.build box positions ~cutoff in
-      let candidates = Hashtbl.create 256 in
-      Cell_list.iter_pairs cl (fun i j ->
-          Hashtbl.replace candidates (norm_pair (i, j)) ());
-      List.for_all
-        (fun p -> Hashtbl.mem candidates p)
-        (brute_force_pairs box positions cutoff))
+      (* The scan yields exactly the in-range pairs, so the superset is the
+         brute-force set itself. *)
+      List.sort compare (scan_pairs cl) = brute_force_pairs box positions cutoff)
 
 let test_cell_list_out_of_box_coordinates () =
   (* Atoms just outside the primary box (negative coordinates and beyond
@@ -115,18 +146,7 @@ let test_cell_list_out_of_box_coordinates () =
         positions.(i) <- make (p.x -. (Float.min p.x 0.4) -. 0.05) p.y p.z)
     positions;
   let cl = Cell_list.build box positions ~cutoff in
-  let seen = Hashtbl.create 1024 in
-  Cell_list.iter_pairs cl (fun i j ->
-      let key = norm_pair (i, j) in
-      if Hashtbl.mem seen key then
-        Alcotest.failf "pair (%d,%d) enumerated twice" i j;
-      Hashtbl.add seen key ());
-  List.iter
-    (fun p ->
-      if not (Hashtbl.mem seen p) then
-        Alcotest.failf "missing pair (%d,%d) with out-of-box coordinates"
-          (fst p) (snd p))
-    (brute_force_pairs box positions cutoff)
+  check_scan_is_brute_force "out-of-box coordinates" cl box positions cutoff
 
 let test_cell_list_parallel_bin_matches_serial () =
   let box, positions =
@@ -137,13 +157,8 @@ let test_cell_list_parallel_bin_matches_serial () =
   let pool = Exec.create (Exec.Domains { n = 4 }) in
   let parallel = Cell_list.build ~exec:pool box positions ~cutoff in
   Exec.shutdown pool;
-  let collect cl =
-    let acc = ref [] in
-    Cell_list.iter_pairs cl (fun i j -> acc := norm_pair (i, j) :: !acc);
-    List.sort compare !acc
-  in
-  check_true "parallel binning yields the identical candidate set"
-    (collect serial = collect parallel)
+  check_true "parallel binning yields the identical pairs, in order"
+    (scan_pairs serial = scan_pairs parallel)
 
 (* --- Exclusions --- *)
 
@@ -261,11 +276,12 @@ let prop_neighbor_list_skin_sweep =
         (brute_force_pairs box positions cutoff))
 
 let test_neighbor_list_parallel_rebuild_identical () =
-  (* The tiled rebuild uses a fixed tile count, so the stored pair list —
-     content *and order* — is a pure function of the positions, bitwise
-     identical across executor widths. Checked on a box with four cells per
-     axis and on one with two (the all-pairs fallback, whose tiles are cut
-     at equal candidate shares). *)
+  (* Each slot scans a contiguous run of the fixed tiles and the slots'
+     buffers are joined in slot order, so the stored pair list — content
+     *and order* — is a pure function of the positions, bitwise identical
+     across executor widths. Checked on a box with four cells per axis and
+     on one with two (the all-pairs fallback, whose tiles are cut at equal
+     candidate shares). *)
   List.iter
     (fun (label, box_l, n, degenerate) ->
       let box, positions =
@@ -300,6 +316,139 @@ let test_neighbor_list_parallel_rebuild_identical () =
             (is = ref_is && js = ref_js))
         [ 2; 3; 4 ])
     [ ("4 cells per axis", 20., 300, false); ("all-pairs box", 12., 150, true) ]
+
+(* The rebuild's reference enumeration, written out over the boxed
+   positions: bin with [Cell_list.dims]/[cell_of]; walk the home cells in
+   order, intra-cell pairs first, then the 13 half-space neighbor cells, in
+   ascending particle index within each cell — or, with fewer than 3 cells
+   on some axis, all pairs (i, j > i); keep the pairs with
+   [Pbc.dist2 <= r²] that are not excluded, each as (min, max). *)
+let oracle_pairs ?exclusions box positions ~r =
+  let cl = Cell_list.build box positions ~cutoff:r in
+  let n = Array.length positions in
+  let r2 = r *. r in
+  let acc = ref [] in
+  let keep i j =
+    let excluded =
+      match exclusions with
+      | Some ex -> Exclusions.excluded ex i j
+      | None -> false
+    in
+    if Pbc.dist2 box positions.(i) positions.(j) <= r2 && not excluded then
+      acc := (min i j, max i j) :: !acc
+  in
+  if Cell_list.degenerate cl then
+    for i = 0 to n - 1 do
+      for j = i + 1 to n - 1 do
+        keep i j
+      done
+    done
+  else begin
+    let nx, ny, nz = Cell_list.dims cl in
+    let members = Array.make (nx * ny * nz) [] in
+    for i = n - 1 downto 0 do
+      let c = Cell_list.cell_of cl i in
+      members.(c) <- i :: members.(c)
+    done;
+    let wrap v m = ((v mod m) + m) mod m in
+    let rec intra = function
+      | [] -> ()
+      | i :: rest ->
+          List.iter (keep i) rest;
+          intra rest
+    in
+    for c = 0 to (nx * ny * nz) - 1 do
+      let cx = c mod nx and cy = c / nx mod ny and cz = c / (nx * ny) in
+      intra members.(c);
+      List.iter
+        (fun (dx, dy, dz) ->
+          let c' =
+            wrap (cx + dx) nx + (nx * (wrap (cy + dy) ny + (ny * wrap (cz + dz) nz)))
+          in
+          List.iter (fun i -> List.iter (keep i) members.(c')) members.(c))
+        [ (1, 0, 0); (-1, 1, 0); (0, 1, 0); (1, 1, 0); (-1, -1, 1);
+          (0, -1, 1); (1, -1, 1); (-1, 0, 1); (0, 0, 1); (1, 0, 1);
+          (-1, 1, 1); (0, 1, 1); (1, 1, 1) ]
+    done
+  end;
+  List.rev !acc
+
+let list_pairs nl =
+  let is, js = Neighbor_list.raw_pairs nl in
+  List.init (Neighbor_list.length nl) (fun k -> (is.(k), js.(k)))
+
+let test_neighbor_list_matches_oracle () =
+  (* The stored list, content and order, is the reference enumeration at
+     every slot count; then the same list is rebuilt on compressed
+     positions (more pairs) and expanded ones (fewer), since its buffers
+     are reused across rebuilds. *)
+  let grid_box, grid = random_positions ~seed:41 ~n:300 ~box_l:20. ~min_dist:0.7 in
+  let gas_box, gas = random_positions ~seed:42 ~n:150 ~box_l:12. ~min_dist:0.7 in
+  let water = Mdsp_workload.Workloads.water_box ~n_side:5 () in
+  let wbox = water.Mdsp_workload.Workloads.box in
+  let rng = Rng.create 43 in
+  let shift () = float_of_int (Rng.int rng 7 - 3) *. 20. in
+  let displaced =
+    Array.map
+      (fun (p : Vec3.t) -> Vec3.make (p.x +. shift ()) (p.y +. shift ()) (p.z +. shift ()))
+      grid
+  in
+  let wcut = 0.45 *. Pbc.min_edge wbox in
+  check_true "water n_side 5: cutoff + skin exceeds half the box"
+    (wcut +. 1. > Pbc.min_edge wbox /. 2.);
+  let cases =
+    [
+      ("4 cells per axis", grid_box, grid, None, 4.);
+      ("all-pairs box", gas_box, gas, None, 4.);
+      ( "water n_side 5",
+        wbox,
+        water.Mdsp_workload.Workloads.positions,
+        Some water.Mdsp_workload.Workloads.topo.Mdsp_ff.Topology.exclusions,
+        wcut );
+      ("displaced by whole boxes", grid_box, displaced, None, 4.);
+    ]
+  in
+  List.iter
+    (fun (label, box, positions, exclusions, cutoff) ->
+      let r = cutoff +. 1. in
+      let expect = oracle_pairs ?exclusions box positions ~r in
+      check_true (label ^ ": oracle finds pairs") (expect <> []);
+      (* Positions and box scaled together, as a barostat does. *)
+      let scaled f = (Pbc.scale box f, Array.map (Vec3.scale f) positions) in
+      let cbox, compressed = scaled 0.9 and ebox, expanded = scaled 1.1 in
+      let more = oracle_pairs ?exclusions cbox compressed ~r in
+      let fewer = oracle_pairs ?exclusions ebox expanded ~r in
+      check_true (label ^ ": compressed has more pairs, expanded fewer")
+        (List.length more > List.length expect
+        && List.length fewer < List.length expect);
+      List.iter
+        (fun slots ->
+          let exec =
+            if slots = 1 then Exec.serial
+            else Exec.create (Exec.Domains { n = slots })
+          in
+          let check_list what want nl =
+            let got = list_pairs nl in
+            Alcotest.(check int)
+              (Printf.sprintf "%s, %d slots, %s: length" label slots what)
+              (List.length want) (List.length got);
+            check_true
+              (Printf.sprintf "%s, %d slots, %s: the oracle's pairs in order"
+                 label slots what)
+              (got = want)
+          in
+          let nl =
+            Neighbor_list.create ?exclusions ~exec ~cutoff ~skin:1. box
+              positions
+          in
+          check_list "first build" expect nl;
+          ignore (Neighbor_list.rebuild ~box:cbox nl compressed);
+          check_list "compressed" more nl;
+          ignore (Neighbor_list.rebuild ~box:ebox nl expanded);
+          check_list "expanded" fewer nl;
+          if slots > 1 then Exec.shutdown exec)
+        [ 1; 2; 3; 4 ])
+    cases
 
 let test_neighbor_list_parallel_rebuild_race_free () =
   (* The rebuild's parallel phases ("cell.bin", "nlist.tiles") under the
@@ -361,6 +510,8 @@ let () =
           Alcotest.test_case "box change" `Quick test_neighbor_list_box_change;
           Alcotest.test_case "parallel rebuild bitwise at 1/2/4 slots" `Quick
             test_neighbor_list_parallel_rebuild_identical;
+          Alcotest.test_case "list = reference enumeration at 1-4 slots"
+            `Quick test_neighbor_list_matches_oracle;
           Alcotest.test_case "sanitized parallel rebuild race-free" `Quick
             test_neighbor_list_parallel_rebuild_race_free;
           prop_neighbor_list_skin_sweep;

@@ -88,6 +88,51 @@ let test_pbc_fractional_roundtrip () =
   let q = Pbc.of_fractional b f in
   check_true "roundtrip" (Vec3.equal_eps ~eps:1e-9 p q)
 
+(* [Pbc.min_image] takes a branch instead of [Float.round] for |d / l| <
+   1.5; it must still be the rounding formula bit for bit. The reference
+   is compared as bit patterns, so a [-0.] against a [+0.] fails: for
+   [d = -0.] the formula gives [-0. -. l *. -0. = +0.], which is why the
+   branch for |d / l| < 0.5 returns [d +. 0.] and not [d]. *)
+let min_image_bits l d =
+  let b = Pbc.cubic l in
+  let got = (Pbc.min_image b (Vec3.make d 0. 0.) Vec3.zero).Vec3.x in
+  let want = d -. (l *. Float.round (d /. l)) in
+  (Int64.bits_of_float got, Int64.bits_of_float want)
+
+let test_pbc_min_image_bitwise () =
+  (* [d] and two float neighbours on each side. *)
+  let near d =
+    [ Float.pred (Float.pred d); Float.pred d; d; Float.succ d;
+      Float.succ (Float.succ d) ]
+  in
+  List.iter
+    (fun l ->
+      let at =
+        List.concat_map
+          (fun u -> near (u *. l) @ near (-.(u *. l)))
+          [ 0.; 0.5; 1.; 1.5; 2.5 ]
+      in
+      let special =
+        [ Float.nan; Float.infinity; Float.neg_infinity; Float.min_float;
+          -.Float.min_float; 4.9e-324; -4.9e-324; Float.max_float;
+          -.Float.max_float; 0.; -0. ]
+      in
+      List.iter
+        (fun d ->
+          let got, want = min_image_bits l d in
+          if got <> want then
+            Alcotest.failf "l = %h, d = %h: min image %Lx, formula %Lx" l d
+              got want)
+        (at @ special))
+    [ 1e-300; 0.1; 1.; Float.pi; 27.93; 1e300 ]
+
+let prop_min_image_bitwise =
+  qtest "min image is the rounding formula, bit for bit" ~count:2000
+    QCheck.(pair (float_range 1e-3 1e3) (float_range (-3.) 3.))
+    (fun (l, u) ->
+      let got, want = min_image_bits l (u *. l) in
+      got = want)
+
 let prop_min_image_symmetric =
   qtest "min image antisymmetric"
     QCheck.(pair vec_gen vec_gen)
@@ -594,6 +639,9 @@ let () =
         [
           Alcotest.test_case "wrap" `Quick test_pbc_wrap;
           Alcotest.test_case "min image" `Quick test_pbc_min_image;
+          Alcotest.test_case "min image = Float.round formula, bitwise"
+            `Quick test_pbc_min_image_bitwise;
+          prop_min_image_bitwise;
           Alcotest.test_case "volume/scale" `Quick test_pbc_volume_scale;
           Alcotest.test_case "fractional roundtrip" `Quick
             test_pbc_fractional_roundtrip;
