@@ -22,14 +22,14 @@ let rec tree_force slots i lo hi =
     Vec3.add (tree_force slots i lo mid) (tree_force slots i mid hi)
   end
 
-let reduce_slots ?(exec = Exec.serial) ?(reads = []) ~into slots =
+let reduce_slots ?(exec = Exec.serial) ?(reads = []) ~phase ~into slots =
   let nslots = Array.length slots in
   (* This phase writes the *shared* accumulator, so the declared resource
      is the atom index space itself: each slot read-modifies its own tile
      of it after reading every slot's partials — [reads] names the
      iteration-space resources the producing phase declared. It runs at
      every slot count; with no private partials it folds nothing. *)
-  Exec.sweep ~phase:"bonded.reduce" ~reads:[ "bonded.reduce" ]
+  Exec.sweep ~phase ~reads:[ "bonded.reduce" ]
     ~writes:[ "bonded.reduce" ] ~whole:reads exec
     ~total:(Array.length into.forces) (fun _ lo hi ->
       if nslots > 0 then
@@ -245,7 +245,7 @@ let all ?(exec = Exec.serial) box (topo : Topology.t) positions acc =
         let e_d = dihedrals_range box topo positions a lo hi in
         let lo, hi = i_tiles.(s) in
         ed.(s) <- e_d +. impropers_range box topo positions a lo hi);
-    reduce_slots ~exec
+    reduce_slots ~exec ~phase:"bonded.reduce"
       ~reads:
         [
           ("bonded.bonds", Array.length topo.bonds);

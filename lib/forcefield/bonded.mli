@@ -17,19 +17,21 @@ type accum = {
 val make_accum : int -> accum
 val reset : accum -> unit
 
-(** [reduce_slots ?exec ~into slots] adds every slot's forces and virial
-    into [into] using a fixed-shape pairwise tree over the slots, so the
-    result is deterministic for a given slot count. The per-atom sums are
-    themselves parallelized over [exec] (disjoint atom tiles), as the
-    ["bonded.reduce"] phase. Slot contents are left untouched. [reads]
-    lists the (resource, extent) iteration spaces whose per-slot partials
-    this reduction consumes, so the happens-before graph gets a producer →
-    reduce edge. The phase runs at every slot count: with no slots (the
-    private partials of a one-slot phase, see {!slot_accums}) it folds
-    nothing and leaves [into] alone. *)
+(** [reduce_slots ?exec ~phase ~into slots] adds every slot's forces and
+    virial into [into] using a fixed-shape pairwise tree over the slots, so
+    the result is deterministic for a given slot count. The per-atom sums
+    are themselves parallelized over [exec] (disjoint atom tiles), as the
+    phase [phase]: ["bonded.reduce"] for {!all}, ["pair.reduce"] for the
+    boxed pair kernels. Either phase read-modify-writes the accumulator's
+    atom space (resource ["bonded.reduce"]). Slot contents are left
+    untouched. [reads] lists the (resource, extent) iteration spaces whose
+    per-slot partials this reduction consumes, so the happens-before graph
+    gets a producer → reduce edge. The phase runs at every slot count:
+    with no slots (the private partials of a one-slot phase, see
+    {!slot_accums}) it folds nothing and leaves [into] alone. *)
 val reduce_slots :
-  ?exec:Exec.t -> ?reads:(string * int) list -> into:accum -> accum array ->
-  unit
+  ?exec:Exec.t -> ?reads:(string * int) list -> phase:string ->
+  into:accum -> accum array -> unit
 
 (** [slot_accums exec acc] is what each slot of a pool phase accumulates
     into, and the private partials {!reduce_slots} folds into [acc]: at one
@@ -50,11 +52,14 @@ val dihedrals : Pbc.t -> Topology.t -> Vec3.t array -> accum -> float
 (** Evaluate all harmonic improper torsions. *)
 val impropers : Pbc.t -> Topology.t -> Vec3.t array -> accum -> float
 
-(** All bonded terms. Returns (bond_e, angle_e, dihedral_e + improper_e).
-    Each term array is cut into static contiguous tiles, one per slot of
-    [exec]; each slot accumulates into its {!slot_accums} accumulator, and
-    the private partials are tree-reduced into [acc] deterministically
-    (none at one slot, where slot 0 accumulates into [acc]). *)
+(** All bonded terms, the kernel every force calculation runs. Returns
+    (bond_e, angle_e, dihedral_e + improper_e). Each term array is cut
+    into static contiguous tiles, one per slot of [exec] (phase
+    ["bonded"]); each slot accumulates into its {!slot_accums}
+    accumulator, and the private partials are tree-reduced into [acc]
+    deterministically (phase ["bonded.reduce"]; nothing to fold at one
+    slot, where slot 0 accumulates into [acc]). A topology without bonded
+    terms runs no phase. *)
 val all :
   ?exec:Exec.t -> Pbc.t -> Topology.t -> Vec3.t array -> accum ->
   float * float * float

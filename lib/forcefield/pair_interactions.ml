@@ -103,8 +103,9 @@ let compute ?(exec = Exec.serial) evaluator box nlist positions acc =
       Mdsp_space.Neighbor_list.iter_range nlist lo hi (fun i j ->
           apply_pair evaluator box positions a energy i j);
       energies.(s) <- !energy);
-  Bonded.reduce_slots ~exec ~reads:[ ("pair.tiles", total) ] ~into:acc
-    privates;
+  Bonded.reduce_slots ~exec ~phase:"pair.reduce"
+    ~reads:[ ("pair.tiles", total) ]
+    ~into:acc privates;
   Exec.sum_tree energies
 
 let apply_pair14 (topo : Topology.t) ~charges ~types ~cutoff box positions
@@ -157,8 +158,9 @@ let compute_pairs14 ?(exec = Exec.serial) (topo : Topology.t) ~cutoff
           apply_pair14 topo ~charges ~types ~cutoff box positions a energy i j
         done;
         energies.(s) <- !energy);
-    Bonded.reduce_slots ~exec ~reads:[ ("pair.pairs14", npairs) ] ~into:acc
-      privates;
+    Bonded.reduce_slots ~exec ~phase:"pair.reduce"
+      ~reads:[ ("pair.pairs14", npairs) ]
+      ~into:acc privates;
     Exec.sum_tree energies
   end
 

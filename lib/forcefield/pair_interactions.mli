@@ -61,7 +61,8 @@ val of_topology :
     ({!Mdsp_space.Neighbor_list.tiles}); each slot accumulates into its
     {!Bonded.slot_accums} accumulator, and the private partial
     forces/virial/energy are tree-reduced into [acc] deterministically
-    (none at one slot, where slot 0 accumulates into [acc]). *)
+    (phase ["pair.reduce"]; nothing to fold at one slot, where slot 0
+    accumulates into [acc]). *)
 val compute :
   ?exec:Exec.t ->
   evaluator -> Pbc.t -> Mdsp_space.Neighbor_list.t -> Vec3.t array ->
@@ -72,7 +73,8 @@ val compute :
     Coulomb scaled by [topo.scale14_coul]. Returns the energy; forces and
     virial go into the accumulator. On the machine these terms run with the
     bonded work on the programmable cores. Parallelizes over [exec] like
-    {!compute}, tiling the 1-4 pair array. *)
+    {!compute}, tiling the 1-4 pair array, with the same ["pair.reduce"]
+    fold. *)
 val compute_pairs14 :
   ?exec:Exec.t ->
   Topology.t -> cutoff:float -> Pbc.t -> Vec3.t array -> Bonded.accum -> float

@@ -29,26 +29,79 @@ type result = {
 
 let formats_used ?(format = Fixed.force_format) () = (format, Fixed.widen format)
 
-let compute_forces ?perm ?(format = Fixed.force_format) ts ~types ~charges
-    ~cutoff box nlist positions =
-  let n = Array.length positions in
-  let fmt, efmt = formats_used ~format () in
-  (* Per-atom, per-component fixed-point accumulators. *)
-  let fx = Array.make n 0L in
-  let fy = Array.make n 0L in
-  let fz = Array.make n 0L in
-  let e_acc = ref 0L in
-  let sats = ref 0 in
-  let conv f x =
-    let v, s = Fixed.of_float_checked f x in
-    if s then incr sats;
-    v
-  in
-  let acc f a b =
-    let v, s = Fixed.add_checked f a b in
-    if s then incr sats;
-    v
-  in
+(* One node's fixed-point accumulators: per-atom force components in
+   [fmt], the energy in [efmt], and the clamps they hit. *)
+type accum = {
+  fmt : Fixed.format;
+  efmt : Fixed.format;
+  ax : int64 array;
+  ay : int64 array;
+  az : int64 array;
+  mutable e : int64;
+  mutable sats : int;
+}
+
+let make_accum ?format n =
+  let fmt, efmt = formats_used ?format () in
+  let z () = Array.make n 0L in
+  { fmt; efmt; ax = z (); ay = z (); az = z (); e = 0L; sats = 0 }
+
+let conv a f x =
+  let v, s = Fixed.of_float_checked f x in
+  if s then a.sats <- a.sats + 1;
+  v
+
+let add a f x y =
+  let v, s = Fixed.add_checked f x y in
+  if s then a.sats <- a.sats + 1;
+  v
+
+let add_pair ts ~types ~charges ~cutoff box positions a i j =
+  let d = Pbc.min_image box positions.(i) positions.(j) in
+  let r2 = Vec3.norm2 d in
+  if r2 < cutoff *. cutoff then begin
+    let e, f_over_r = eval_pair ts types charges i j r2 in
+    (* The pipeline emits the pair force; accumulation is exact fixed
+       point, hence order-independent. *)
+    let fmt = a.fmt in
+    let gx = conv a fmt (f_over_r *. d.Vec3.x) in
+    let gy = conv a fmt (f_over_r *. d.Vec3.y) in
+    let gz = conv a fmt (f_over_r *. d.Vec3.z) in
+    a.ax.(i) <- add a fmt a.ax.(i) gx;
+    a.ay.(i) <- add a fmt a.ay.(i) gy;
+    a.az.(i) <- add a fmt a.az.(i) gz;
+    a.ax.(j) <- add a fmt a.ax.(j) (Int64.neg gx);
+    a.ay.(j) <- add a fmt a.ay.(j) (Int64.neg gy);
+    a.az.(j) <- add a fmt a.az.(j) (Int64.neg gz);
+    a.e <- add a a.efmt a.e (conv a a.efmt e)
+  end
+
+let merge ~into b =
+  let fmt = into.fmt in
+  for k = 0 to Array.length into.ax - 1 do
+    into.ax.(k) <- add into fmt into.ax.(k) b.ax.(k);
+    into.ay.(k) <- add into fmt into.ay.(k) b.ay.(k);
+    into.az.(k) <- add into fmt into.az.(k) b.az.(k)
+  done;
+  into.e <- add into into.efmt into.e b.e;
+  into.sats <- into.sats + b.sats
+
+let totals a =
+  let fmt = a.fmt in
+  {
+    forces =
+      Array.init (Array.length a.ax) (fun i ->
+          Vec3.make
+            (Fixed.to_float fmt a.ax.(i))
+            (Fixed.to_float fmt a.ay.(i))
+            (Fixed.to_float fmt a.az.(i)));
+    energy = Fixed.to_float a.efmt a.e;
+    saturations = a.sats;
+  }
+
+let compute_forces ?perm ?format ts ~types ~charges ~cutoff box nlist
+    positions =
+  let a = make_accum ?format (Array.length positions) in
   let pairs = Mdsp_space.Neighbor_list.pairs nlist in
   let order =
     match perm with
@@ -58,36 +111,12 @@ let compute_forces ?perm ?(format = Fixed.force_format) ts ~types ~charges
         p
     | None -> Array.init (Array.length pairs) Fun.id
   in
-  let rc2 = cutoff *. cutoff in
   Array.iter
     (fun k ->
       let i, j = pairs.(k) in
-      let d = Pbc.min_image box positions.(i) positions.(j) in
-      let r2 = Vec3.norm2 d in
-      if r2 < rc2 then begin
-        let e, f_over_r = eval_pair ts types charges i j r2 in
-        (* The pipeline emits the pair force; accumulation is exact fixed
-           point, hence order-independent. *)
-        let gx = conv fmt (f_over_r *. d.Vec3.x) in
-        let gy = conv fmt (f_over_r *. d.Vec3.y) in
-        let gz = conv fmt (f_over_r *. d.Vec3.z) in
-        fx.(i) <- acc fmt fx.(i) gx;
-        fy.(i) <- acc fmt fy.(i) gy;
-        fz.(i) <- acc fmt fz.(i) gz;
-        fx.(j) <- acc fmt fx.(j) (Int64.neg gx);
-        fy.(j) <- acc fmt fy.(j) (Int64.neg gy);
-        fz.(j) <- acc fmt fz.(j) (Int64.neg gz);
-        e_acc := acc efmt !e_acc (conv efmt e)
-      end)
+      add_pair ts ~types ~charges ~cutoff box positions a i j)
     order;
-  let forces =
-    Array.init n (fun i ->
-        Vec3.make
-          (Fixed.to_float fmt fx.(i))
-          (Fixed.to_float fmt fy.(i))
-          (Fixed.to_float fmt fz.(i)))
-  in
-  { forces; energy = Fixed.to_float efmt !e_acc; saturations = !sats }
+  totals a
 
 let cycles cfg ~pairs =
   float_of_int pairs

@@ -38,6 +38,28 @@ val formats_used :
   ?format:Mdsp_util.Fixed.format -> unit ->
   Mdsp_util.Fixed.format * Mdsp_util.Fixed.format
 
+(** One node's fixed-point accumulators: per-atom forces in the force
+    format and the energy in the widened one ({!formats_used}), with the
+    count of clamps they hit. [make_accum ?format n] is a zeroed one for
+    [n] atoms. *)
+type accum
+
+val make_accum : ?format:Mdsp_util.Fixed.format -> int -> accum
+
+(** [add_pair ts ~types ~charges ~cutoff box positions a i j] runs one pair
+    through the pipeline into [a]: within the cutoff, its table force and
+    energy convert to fixed point and accumulate (+ on [i], - on [j]). *)
+val add_pair :
+  table_set -> types:int array -> charges:float array -> cutoff:float ->
+  Pbc.t -> Vec3.t array -> accum -> int -> int -> unit
+
+(** [merge ~into a] adds [a]'s forces, energy and clamps into [into] in
+    fixed point: one combine of the network reduction. *)
+val merge : into:accum -> accum -> unit
+
+(** The accumulated forces, energy and clamp count. *)
+val totals : accum -> result
+
 (** [compute_forces ?perm ?format ts ~types ~charges ~cutoff box nlist
     positions] evaluates all neighbor-list pairs in the order given by
     [perm] (a permutation of pair indices; identity if omitted) and
@@ -46,7 +68,7 @@ val formats_used :
     ablation) and the energy in [Fixed.widen format]. Because fixed-point
     addition is exact, the forces are bitwise identical for every [perm] —
     the determinism property. [result.saturations] counts every silent
-    clamp the run hit. *)
+    clamp the run hit. It is {!add_pair} over the list on one {!accum}. *)
 val compute_forces :
   ?perm:int array ->
   ?format:Mdsp_util.Fixed.format ->

@@ -488,7 +488,9 @@ let step t =
       Virtual_sites.spread_forces t.vsites t.acc;
       kick ~phase:"integrate.kick2" t t.acc (dt /. 2.);
       rattle t;
-      (* Record combined energies: recompute fast part at final positions. *)
+      (* Record combined energies: recompute fast part at final positions.
+         The pair term is the fast 1-4 energy plus the slow list pairs, in
+         the order a full evaluation adds them. *)
       let fast =
         Force_calc.compute_class t.fc `Fast t.st.State.box
           t.st.State.positions t.fast_acc
@@ -499,6 +501,7 @@ let step t =
           bond = fast.Force_calc.bond;
           angle = fast.Force_calc.angle;
           dihedral = fast.Force_calc.dihedral;
+          pair = fast.Force_calc.pair +. slow.Force_calc.pair;
           bias = fast.Force_calc.bias;
         };
       (match t.cfg.thermostat with

@@ -42,8 +42,8 @@ type transform = {
 
 module K = Soa_kernels
 
-(* The flat particle store every force phase runs on, and what each slot
-   of a pool phase accumulates into. At one slot, slot 0's store and
+(* The flat particle store the 1-4 and pair phases run on, and what each
+   slot of a pool phase accumulates into. At one slot, slot 0's store and
    scratch are [store] and [sc] themselves, so no private partial exists.
    At two or more, slot stores share the position columns with [store]
    and own their force columns, the private partials the reduction folds
@@ -61,9 +61,6 @@ type flat = {
      before any read. *)
   slot_energy : float array;
   slot_virial : float array;
-  eb : float array;
-  ea : float array;
-  ed : float array;
 }
 
 let make_flat ~exec natoms =
@@ -92,9 +89,6 @@ let make_flat ~exec natoms =
     slot_fz = Array.map (fun s -> s.Soa.fz) privates;
     slot_energy = Array.make ns 0.;
     slot_virial = Array.make ns 0.;
-    eb = Array.make ns 0.;
-    ea = Array.make ns 0.;
-    ed = Array.make ns 0.;
   }
 
 type t = {
@@ -240,72 +234,6 @@ let slot_phase t ~phase ~reads body =
     ctx.sc;
   Exec.sum_tree ctx.slot_energy
 
-(* The four bonded terms over the given ranges, each energy accumulated
-   from zero (dihedrals and impropers summed). *)
-let bonded_terms box topo store sc (b_lo, b_hi) (a_lo, a_hi) (d_lo, d_hi)
-    (i_lo, i_hi) =
-  sc.K.energy <- 0.;
-  K.bonds_range box topo store b_lo b_hi sc;
-  let eb = sc.K.energy in
-  sc.K.energy <- 0.;
-  K.angles_range box topo store a_lo a_hi sc;
-  let ea = sc.K.energy in
-  sc.K.energy <- 0.;
-  K.dihedrals_range box topo store d_lo d_hi sc;
-  let e_d = sc.K.energy in
-  sc.K.energy <- 0.;
-  K.impropers_range box topo store i_lo i_hi sc;
-  (eb, ea, e_d +. sc.K.energy)
-
-(* Bonded terms on the flat store: the same per-term tilings, declares and
-   reduction tree as Bonded.all, so both the sanitizer view and the
-   accumulated bits match the boxed oracle. A topology without bonded
-   terms runs no phase, but still charges [bonded]. *)
-let bonded t box =
-  let topo = t.topo in
-  let ctx = t.flat in
-  let nb = Array.length topo.Mdsp_ff.Topology.bonds in
-  let na = Array.length topo.Mdsp_ff.Topology.angles in
-  let nd = Array.length topo.Mdsp_ff.Topology.dihedrals in
-  let ni = Array.length topo.Mdsp_ff.Topology.impropers in
-  if Mdsp_ff.Bonded.term_count topo = 0 then
-    Exec.timed ~phase:"bonded" t.exec (fun () -> (0., 0., 0.))
-  else begin
-    let ns = Exec.n_slots t.exec in
-    let terms =
-      [|
-        ("bonded.bonds", nb);
-        ("bonded.angles", na);
-        ("bonded.dihedrals", nd);
-        ("bonded.impropers", ni);
-      |]
-    in
-    let tiles =
-      Array.map (fun (_, n) -> Exec.tile_bounds ~total:n ~ntiles:ns) terms
-    in
-    let eb = ctx.eb and ea = ctx.ea and ed = ctx.ed in
-    let natoms = Soa.n ctx.store in
-    ignore
-      (slot_phase t ~phase:"bonded" ~reads:(Array.to_list terms)
-         (fun s sst ssc ->
-           Array.iteri
-             (fun k (resource, total) ->
-               let lo, hi = tiles.(k).(s) in
-               Exec.declare_write ~slot:s ~resource ~total ~lo ~hi t.exec)
-             terms;
-           (* Each term reads arbitrary atoms via its index tuples. *)
-           Exec.declare_read ~slot:s ~resource:"soa.positions" ~lo:0
-             ~hi:natoms t.exec;
-           let b, a, d =
-             bonded_terms box topo sst ssc tiles.(0).(s) tiles.(1).(s)
-               tiles.(2).(s) tiles.(3).(s)
-           in
-           eb.(s) <- b;
-           ea.(s) <- a;
-           ed.(s) <- d));
-    (Exec.sum_tree eb, Exec.sum_tree ea, Exec.sum_tree ed)
-  end
-
 (* Scaled 1-4 terms at the evaluator's cutoff, the mirror of
    Pair_interactions.compute_pairs14 (same skip condition, same tiling). *)
 let pairs14 t box =
@@ -342,13 +270,14 @@ let pair t box =
         t.exec;
       K.kernel_range t.kernel box sst ~is ~js lo hi ssc)
 
-(* Load positions into the flat store and reset its accumulators: the
-   ["soa.load"] phase. *)
-let load t box positions =
+(* Load positions into the flat store and seed its accumulators with
+   [acc]'s forces and virial — the bonded terms — so the 1-4 and pair
+   phases accumulate on top of them: the ["soa.load"] phase. *)
+let load t box positions acc =
   let store = t.flat.store in
   store.Soa.box <- box;
-  Soa.sync_load ~exec:t.exec store positions;
-  K.reset_scratch t.flat.sc
+  Soa.sync_load ~exec:t.exec ~forces:acc.Mdsp_ff.Bonded.forces store positions;
+  t.flat.sc.K.virial <- acc.Mdsp_ff.Bonded.virial
 
 (* Flush the flat force sums and the virial into the boxed accumulator.
    Plain overwrite: the kernels accumulated in the boxed order, so this
@@ -359,17 +288,23 @@ let flush t acc =
   Soa.sync_store ~exec:t.exec t.flat.store acc;
   acc.Mdsp_ff.Bonded.virial <- t.flat.sc.K.virial
 
-(* The one force sequence: load, bonded, 1-4, pair, flush, long-range,
-   bias. The class selects the terms — [`Fast] the bonded, 1-4 and bias
-   terms, [`Slow] the list rebuild, the pairs and long-range, [`All]
-   every term plus the transform. *)
+(* The one force sequence: bonded into [acc], load, 1-4, pair, flush,
+   long-range, bias. The class selects the terms — [`Fast] the bonded,
+   1-4 and bias terms, [`Slow] the list rebuild, the pairs and
+   long-range, [`All] every term plus the transform. A topology without
+   bonded terms runs no bonded phase, but still charges [bonded]. *)
 let evaluate t cls box positions acc =
   let fast = cls <> `Slow and slow = cls <> `Fast in
   Mdsp_ff.Bonded.reset acc;
   if slow then
     ignore (Mdsp_space.Neighbor_list.maybe_rebuild ~box t.nlist positions);
-  load t box positions;
-  let bond, angle, dihedral = if fast then bonded t box else (0., 0., 0.) in
+  let bond, angle, dihedral =
+    if not fast then (0., 0., 0.)
+    else if Mdsp_ff.Bonded.term_count t.topo = 0 then
+      Exec.timed ~phase:"bonded" t.exec (fun () -> (0., 0., 0.))
+    else Mdsp_ff.Bonded.all ~exec:t.exec box t.topo positions acc
+  in
+  load t box positions acc;
   let pair14 = if fast then pairs14 t box else 0. in
   let pair = if slow then pair14 +. pair t box else pair14 in
   flush t acc;

@@ -53,14 +53,16 @@ type t
     Every phase runs under its registered name on [exec], whose phase
     clock ({!Mdsp_util.Exec.phase_times}) times it, through one body at
     every slot count: at one slot, slot 0 accumulates straight into the
-    store and the fold ([soa.reduce]) has nothing to add; at two or more,
-    each slot keeps private force columns and scratch that the fold
-    tree-reduces into the store. The serial bias and transform pass
+    shared accumulator and the fold ([bonded.reduce], [soa.reduce]) has
+    nothing to add; at two or more, each slot keeps private partials that
+    the fold tree-reduces into it. The serial bias and transform pass
     charges [bias], and a topology without bonded terms still charges
     [bonded].
 
-    The bonded, 1-4 and short-range pair phases run the {!Soa_kernels}
-    loops over a {!Soa} store; the pair loop is the one
+    The bonded terms run {!Mdsp_ff.Bonded.all} into the boxed
+    accumulator; [soa.load] then seeds a {!Soa} store's force columns and
+    the running virial with them, and the 1-4 and short-range pair phases
+    run the {!Soa_kernels} loops on top; the pair loop is the one
     {!Soa_kernels.pair_kernel} selects for [evaluator]. Results are bitwise
     identical to the boxed reference kernels ({!Mdsp_ff.Bonded.all},
     {!Mdsp_ff.Pair_interactions.compute_pairs14} at the evaluator's cutoff,

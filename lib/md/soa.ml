@@ -49,24 +49,40 @@ let clear_forces t =
   Bigarray.Array1.fill t.fz 0.
 
 (* The four syncs are per-atom sweeps of plain float moves, so their
-   result does not depend on the slot count. [sync_store] overwrites
-   (does not add): the SoA kernels accumulate the bonded + 1-4 + pair
-   force sums in the flat arrays in exactly the boxed accumulation order,
-   so writing them into a freshly reset accumulator reproduces the boxed
-   accumulator state bit for bit at the phase boundary. *)
-let sync_load ?(exec = Exec.serial) t (positions : Vec3.t array) =
-  if Array.length positions <> t.n then
-    invalid_arg "Soa.sync_load: length mismatch";
-  Exec.sweep ~phase:"soa.load" ~reads:[ "state.positions" ]
-    ~writes:[ "soa.positions"; "soa.forces" ] exec ~total:t.n (fun _ lo hi ->
+   result does not depend on the slot count. [sync_load ~forces] seeds the
+   force columns with the boxed forces the bonded phase accumulated, and
+   [sync_store] overwrites (does not add): the 1-4 and pair kernels then
+   accumulate on top of the seed in the boxed order, so writing the
+   columns into the accumulator reproduces the boxed accumulator state bit
+   for bit at the phase boundary. *)
+let sync_load ?(exec = Exec.serial) ?forces t (positions : Vec3.t array) =
+  let mismatch () = invalid_arg "Soa.sync_load: length mismatch" in
+  if Array.length positions <> t.n then mismatch ();
+  let seed, reads =
+    match forces with
+    | None -> ([||], [ "state.positions" ])
+    | Some f when Array.length f = t.n ->
+        (f, [ "state.positions"; "state.forces" ])
+    | Some _ -> mismatch ()
+  in
+  Exec.sweep ~phase:"soa.load" ~reads ~writes:[ "soa.positions"; "soa.forces" ]
+    exec ~total:t.n (fun _ lo hi ->
       for i = lo to hi - 1 do
         let p = positions.(i) in
         t.x.{i} <- p.Vec3.x;
         t.y.{i} <- p.Vec3.y;
         t.z.{i} <- p.Vec3.z;
-        t.fx.{i} <- 0.;
-        t.fy.{i} <- 0.;
-        t.fz.{i} <- 0.
+        if Array.length seed = 0 then begin
+          t.fx.{i} <- 0.;
+          t.fy.{i} <- 0.;
+          t.fz.{i} <- 0.
+        end
+        else begin
+          let f = seed.(i) in
+          t.fx.{i} <- f.Vec3.x;
+          t.fy.{i} <- f.Vec3.y;
+          t.fz.{i} <- f.Vec3.z
+        end
       done)
 
 let sync_store ?(exec = Exec.serial) t (acc : Mdsp_ff.Bonded.accum) =

@@ -3,7 +3,7 @@
     The boxed {!State.t} ([Vec3.t array]) stays the checkpoint and ensemble
     representation; this module holds the same data as unboxed
     [(float, float64_elt, c_layout) Bigarray.Array1.t] columns, which the
-    tiled pair/bonded kernels ({!Soa_kernels}) walk without allocating.
+    tiled 1-4 and pair kernels ({!Soa_kernels}) walk without allocating.
     Synchronization between the two domains is explicit — load at a phase
     entry, store at a phase exit — and {!of_state}/{!to_state} round-trip
     exactly (every copy is a plain float move, no arithmetic). *)
@@ -41,13 +41,17 @@ val n : t -> int
 (** Zero the force columns. *)
 val clear_forces : t -> unit
 
-(** [sync_load ?exec t positions] copies boxed positions into the flat
-    columns and zeroes the force columns — the phase-entry sync. It runs
-    as the {!Exec.sweep} phase ["soa.load"] (reads ["state.positions"],
-    writes ["soa.positions"] and ["soa.forces"], tiled over atoms); every
-    copy is a plain float move, so the result is the same at any slot
-    count. *)
-val sync_load : ?exec:Exec.t -> t -> Vec3.t array -> unit
+(** [sync_load ?exec ?forces t positions] copies boxed positions into the
+    flat columns and seeds the force columns — the phase-entry sync. With
+    [forces] the columns get a copy of it (the bonded forces the flat 1-4
+    and pair phases accumulate on top of); without, zeros. It runs as the
+    {!Exec.sweep} phase ["soa.load"] (reads ["state.positions"], and
+    ["state.forces"] when [forces] is given; writes ["soa.positions"] and
+    ["soa.forces"]; tiled over atoms); every copy is a plain float move,
+    so the result is the same at any slot count. Raises [Invalid_argument]
+    if [positions] or [forces] is not [n t] long. *)
+val sync_load :
+  ?exec:Exec.t -> ?forces:Vec3.t array -> t -> Vec3.t array -> unit
 
 (** [sync_store ?exec t acc] overwrites the accumulator's forces with the
     flat force columns — the phase-exit sync, phase ["soa.store"] (reads

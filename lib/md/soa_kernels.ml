@@ -4,7 +4,7 @@ module Nonbonded = Mdsp_ff.Nonbonded
 module Pair_interactions = Mdsp_ff.Pair_interactions
 
 (* Every kernel in this file is an expression-for-expression mirror of the
-   boxed path (Pair_interactions / Bonded / Nonbonded): same parse trees,
+   boxed path (Pair_interactions / Nonbonded): same parse trees,
    same association, same guards, same accumulation order. That is the whole
    contract — SoA results must be bitwise identical to the boxed results, so
    nothing here is "mathematically equal", it is operation-equal. Keep it
@@ -475,160 +475,6 @@ let pairs14_range pp (box : Pbc.t) (s : Soa.t) lo hi (sc : scratch) =
       fz.{j} <- fz.{j} -. gz;
       sc.virial <- sc.virial +. ((gx *. dx) +. (gy *. dy) +. (gz *. dz))
     end
-  done
-
-(* ------------------------------------------------------------------ *)
-(* Bonded terms over flat columns (mirrors of Bonded.*_range).         *)
-(* ------------------------------------------------------------------ *)
-
-(* The bonded kernels use Vec3 internally exactly like Bonded does — they
-   are not allocation-gated (term counts are tiny next to the pair list) and
-   reusing the Vec3/Pbc ops verbatim is what guarantees the bitwise match.
-   Only the loads and the force stores go through the flat columns. *)
-
-let bonds_range (box : Pbc.t) (topo : Topology.t) (s : Soa.t) lo hi
-    (sc : scratch) =
-  let x = s.Soa.x and y = s.Soa.y and z = s.Soa.z in
-  let fx = s.Soa.fx and fy = s.Soa.fy and fz = s.Soa.fz in
-  for t = lo to hi - 1 do
-    let b = topo.bonds.(t) in
-    let i = b.Topology.i and j = b.Topology.j in
-    let pi = Vec3.make x.{i} y.{i} z.{i} in
-    let pj = Vec3.make x.{j} y.{j} z.{j} in
-    let d = Pbc.min_image box pi pj in
-    let r = Vec3.norm d in
-    let dr = r -. b.Topology.r0 in
-    sc.energy <- sc.energy +. (b.Topology.k *. dr *. dr);
-    let fmag = -2. *. b.Topology.k *. dr /. r in
-    let f = Vec3.scale fmag d in
-    fx.{i} <- fx.{i} +. f.Vec3.x;
-    fy.{i} <- fy.{i} +. f.Vec3.y;
-    fz.{i} <- fz.{i} +. f.Vec3.z;
-    let nf = Vec3.neg f in
-    fx.{j} <- fx.{j} +. nf.Vec3.x;
-    fy.{j} <- fy.{j} +. nf.Vec3.y;
-    fz.{j} <- fz.{j} +. nf.Vec3.z;
-    sc.virial <- sc.virial +. Vec3.dot f d
-  done
-
-let angles_range (box : Pbc.t) (topo : Topology.t) (s : Soa.t) lo hi
-    (sc : scratch) =
-  let x = s.Soa.x and y = s.Soa.y and z = s.Soa.z in
-  let fx = s.Soa.fx and fy = s.Soa.fy and fz = s.Soa.fz in
-  let add i (f : Vec3.t) =
-    fx.{i} <- fx.{i} +. f.Vec3.x;
-    fy.{i} <- fy.{i} +. f.Vec3.y;
-    fz.{i} <- fz.{i} +. f.Vec3.z
-  in
-  for t = lo to hi - 1 do
-    let a = topo.angles.(t) in
-    let ai = a.Topology.i and aj = a.Topology.j and ak = a.Topology.k in
-    let pi = Vec3.make x.{ai} y.{ai} z.{ai} in
-    let pj = Vec3.make x.{aj} y.{aj} z.{aj} in
-    let pk = Vec3.make x.{ak} y.{ak} z.{ak} in
-    let rij = Pbc.min_image box pi pj in
-    let rkj = Pbc.min_image box pk pj in
-    let nij = Vec3.norm rij and nkj = Vec3.norm rkj in
-    let cos_t =
-      Float.max (-1.) (Float.min 1. (Vec3.dot rij rkj /. (nij *. nkj)))
-    in
-    let theta = acos cos_t in
-    let dtheta = theta -. a.Topology.theta0 in
-    sc.energy <- sc.energy +. (a.Topology.k_theta *. dtheta *. dtheta);
-    let du_dtheta = 2. *. a.Topology.k_theta *. dtheta in
-    let sin_t = Float.max 1e-8 (sqrt (1. -. (cos_t *. cos_t))) in
-    let coeff = du_dtheta /. sin_t in
-    let fi =
-      Vec3.scale (coeff /. nij)
-        (Vec3.sub (Vec3.scale (1. /. nkj) rkj) (Vec3.scale (cos_t /. nij) rij))
-    in
-    let fk =
-      Vec3.scale (coeff /. nkj)
-        (Vec3.sub (Vec3.scale (1. /. nij) rij) (Vec3.scale (cos_t /. nkj) rkj))
-    in
-    let fj = Vec3.neg (Vec3.add fi fk) in
-    add ai fi;
-    add aj fj;
-    add ak fk;
-    sc.virial <- sc.virial +. Vec3.dot fi rij +. Vec3.dot fk rkj
-  done
-
-(* Blondel-Karplus torsion gradients, mirroring Bonded.torsion. *)
-let torsion (box : Pbc.t) x y z fx fy fz ~i ~j ~k ~l ~du_dphi_of
-    (sc : scratch) =
-  let add a (f : Vec3.t) =
-    Bigarray.Array1.set fx a (Bigarray.Array1.get fx a +. f.Vec3.x);
-    Bigarray.Array1.set fy a (Bigarray.Array1.get fy a +. f.Vec3.y);
-    Bigarray.Array1.set fz a (Bigarray.Array1.get fz a +. f.Vec3.z)
-  in
-  let pos a = Vec3.make (Bigarray.Array1.get x a) (Bigarray.Array1.get y a)
-      (Bigarray.Array1.get z a)
-  in
-  let pi = pos i and pj = pos j and pk = pos k and pl = pos l in
-  let b1 = Pbc.min_image box pj pi in
-  let b2 = Pbc.min_image box pk pj in
-  let b3 = Pbc.min_image box pl pk in
-  let n1 = Vec3.cross b1 b2 in
-  let n2 = Vec3.cross b2 b3 in
-  let n1n = Vec3.norm n1 and n2n = Vec3.norm n2 in
-  if n1n <= 1e-10 || n2n <= 1e-10 then ()
-  else begin
-    let b2n = Vec3.norm b2 in
-    let m1 = Vec3.cross n1 (Vec3.scale (1. /. b2n) b2) in
-    let xc = Vec3.dot n1 n2 /. (n1n *. n2n) in
-    let yc = Vec3.dot m1 n2 /. (n1n *. n2n) in
-    let phi = atan2 yc xc in
-    let du_dphi = du_dphi_of phi in
-    let fi = Vec3.scale (-.du_dphi *. b2n /. (n1n *. n1n)) n1 in
-    let fl = Vec3.scale (du_dphi *. b2n /. (n2n *. n2n)) n2 in
-    let p = -.(Vec3.dot b1 b2) /. (b2n *. b2n) in
-    let q = -.(Vec3.dot b3 b2) /. (b2n *. b2n) in
-    let sv = Vec3.sub (Vec3.scale p fi) (Vec3.scale q fl) in
-    let fj = Vec3.sub sv fi in
-    let fk = Vec3.neg (Vec3.add sv fl) in
-    add i fi;
-    add j fj;
-    add k fk;
-    add l fl;
-    let rij = Vec3.neg b1 in
-    let rkj = b2 in
-    let rlj = Vec3.add b2 b3 in
-    sc.virial <-
-      sc.virial +. Vec3.dot fi rij +. Vec3.dot fk rkj +. Vec3.dot fl rlj
-  end
-
-let dihedrals_range (box : Pbc.t) (topo : Topology.t) (s : Soa.t) lo hi
-    (sc : scratch) =
-  let x = s.Soa.x and y = s.Soa.y and z = s.Soa.z in
-  let fx = s.Soa.fx and fy = s.Soa.fy and fz = s.Soa.fz in
-  for t = lo to hi - 1 do
-    let d = topo.dihedrals.(t) in
-    torsion box x y z fx fy fz ~i:d.Topology.i ~j:d.Topology.j
-      ~k:d.Topology.k ~l:d.Topology.l sc ~du_dphi_of:(fun phi ->
-        let arg = (float_of_int d.Topology.mult *. phi) -. d.Topology.phase in
-        sc.energy <- sc.energy +. (d.Topology.k_phi *. (1. +. cos arg));
-        -.d.Topology.k_phi *. float_of_int d.Topology.mult *. sin arg)
-  done
-
-(* Same wrap as Bonded.wrap_angle (module-internal there). *)
-let wrap_angle v =
-  let two_pi = 2. *. Float.pi in
-  let v = Float.rem v two_pi in
-  if v > Float.pi then v -. two_pi
-  else if v <= -.Float.pi then v +. two_pi
-  else v
-
-let impropers_range (box : Pbc.t) (topo : Topology.t) (s : Soa.t) lo hi
-    (sc : scratch) =
-  let x = s.Soa.x and y = s.Soa.y and z = s.Soa.z in
-  let fx = s.Soa.fx and fy = s.Soa.fy and fz = s.Soa.fz in
-  for t = lo to hi - 1 do
-    let im = topo.impropers.(t) in
-    torsion box x y z fx fy fz ~i:im.Topology.ii ~j:im.Topology.ij
-      ~k:im.Topology.ik ~l:im.Topology.il sc ~du_dphi_of:(fun phi ->
-        let dxi = wrap_angle (phi -. im.Topology.xi0) in
-        sc.energy <- sc.energy +. (im.Topology.k_xi *. dxi *. dxi);
-        2. *. im.Topology.k_xi *. dxi)
   done
 
 (* ------------------------------------------------------------------ *)

@@ -1,8 +1,10 @@
-(** Flat (SoA) force kernels: batched per-tile loops over {!Soa} columns.
-    They are the only kernels {!Force_calc} runs.
+(** Flat (SoA) pair kernels: batched per-tile loops over {!Soa} columns.
+    {!Force_calc} runs them for the 1-4 and neighbor-list pairs; the
+    bonded terms run {!Mdsp_ff.Bonded.all} on the boxed accumulator, which
+    seeds the flat store.
 
     Each kernel is an expression-for-expression mirror of the boxed
-    reference kernels ({!Mdsp_ff.Pair_interactions}, {!Mdsp_ff.Bonded},
+    reference kernels ({!Mdsp_ff.Pair_interactions},
     {!Mdsp_ff.Nonbonded}): same parse trees, same guards, same accumulation
     order, so the results are bitwise identical to the boxed results — not
     merely close. The boxed kernels are kept as the test oracle for that
@@ -97,23 +99,6 @@ val pairs14_active : pair_params -> bool
 (** [pairs14_range pp box s lo hi sc] runs the scaled 1-4 kernel over
     entries [lo, hi) of the topology's 1-4 pair list. *)
 val pairs14_range : pair_params -> Pbc.t -> Soa.t -> int -> int -> scratch -> unit
-
-(** Bonded terms over index ranges of the topology's term arrays, exactly
-    like [Bonded.*_range] but on flat columns. Energies accumulate into
-    [sc.energy] (zero it between terms to recover per-term energies),
-    virials into [sc.virial]. *)
-
-val bonds_range :
-  Pbc.t -> Mdsp_ff.Topology.t -> Soa.t -> int -> int -> scratch -> unit
-
-val angles_range :
-  Pbc.t -> Mdsp_ff.Topology.t -> Soa.t -> int -> int -> scratch -> unit
-
-val dihedrals_range :
-  Pbc.t -> Mdsp_ff.Topology.t -> Soa.t -> int -> int -> scratch -> unit
-
-val impropers_range :
-  Pbc.t -> Mdsp_ff.Topology.t -> Soa.t -> int -> int -> scratch -> unit
 
 (** [reduce_slots ~exec ~into ~slot_fx ~slot_fy ~slot_fz ~slot_virial sc]
     merges per-slot force columns into [into]'s force columns with the same

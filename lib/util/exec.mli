@@ -81,9 +81,10 @@ exception Race of string
     path serves serial and pooled runs alike, and the sanitized sweep and
     the {!set_observer} dataflow trace see every phase at every slot
     count. No exception remains. The reductions whose pooled form needs
-    per-slot partials and a tree combine ([Mdsp_md.Force_calc]'s bonded,
-    1-4 and pair phases, [Mdsp_ff.Bonded.all],
-    [Mdsp_ff.Pair_interactions.compute] and [compute_pairs14], and
+    per-slot partials and a tree combine ([Mdsp_ff.Bonded.all], the bonded
+    phase every force calculation runs; [Mdsp_md.Force_calc]'s flat 1-4
+    and pair phases; their boxed oracles
+    [Mdsp_ff.Pair_interactions.compute] and [compute_pairs14]; and
     [Mdsp_longrange.Gse]'s charge spread) keep one body too: at one slot,
     slot 0 accumulates straight into the shared accumulator and their fold
     phase runs with nothing to fold; at two or more, each slot keeps

@@ -34,6 +34,7 @@ let expected_phases =
     "nbuild";
     "pair";
     "pair14";
+    "pair.reduce";
     "service.jobs";
     "soa.load";
     "soa.reduce";

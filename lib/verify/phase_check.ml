@@ -14,7 +14,7 @@ module W = Mdsp_workload.Workloads
 
 (* One velocity-Verlet step of a solvated water box with the GSE grid
    solver: the integrator sweeps (kick1 / drift / kick2), the boxed<->flat
-   sync, the flat bonded and pair tiles with their per-atom reduction, and
+   sync, the bonded and flat pair tiles with their per-atom reductions, and
    every grid-pipeline phase (spread / combine / both FFT passes /
    convolve / phi scale / gather). *)
 let step_gse ~exec () =
@@ -39,19 +39,21 @@ let scaled14_chain () =
       };
   }
 
-(* One step of a charged bead chain with scaled 1-4 terms: bond / angle /
-   dihedral tiles, the flat 1-4 and reaction-field pair tiles with their
-   per-atom reduction, the store sync into the second kick, and the
-   integrator sweeps. *)
+(* One step of a charged bead chain with scaled 1-4 terms: Bonded.all's
+   bond / angle / dihedral tiles and their reduction into the accumulator
+   that seeds the flat store, the flat 1-4 and reaction-field pair tiles
+   with their per-atom reduction, the store sync into the second kick, and
+   the integrator sweeps. *)
 let step_chain14 ~exec () =
   let eng = W.make_engine ~seed:5 ~exec (scaled14_chain ()) in
   fun () -> E.step eng
 
-(* The boxed oracle kernels the test suites and the benchmark call, on an
-   engine's evaluator and list: Bonded.all, the 1-4 terms and the
-   neighbor-list pairs on a boxed accumulator, each with its per-atom
-   reduction (bonded.reduce). No engine runs them, but they ship and run
-   on the pool. *)
+(* The boxed kernels the test suites and the benchmark call, on an
+   engine's evaluator and list: Bonded.all (which engines run too, under
+   the step windows), then the boxed 1-4 and neighbor-list pair oracles on
+   the same accumulator, each with its per-atom reduction (bonded.reduce,
+   then pair.reduce). No engine runs the boxed pair kernels, but they ship
+   and run on the pool. *)
 let oracle_forces ~exec () =
   let sys = scaled14_chain () in
   let fc = E.force_calc (W.make_engine ~seed:5 ~exec sys) in

@@ -105,6 +105,9 @@ grep -q '"phases\.ok": 1' /tmp/mdsp-phases.json
 grep -q '"phases\.acyclic": 1' /tmp/mdsp-phases.json
 grep -q '"phases\.invariant": 1' /tmp/mdsp-phases.json
 grep -q '"phases\.coverage": 1' /tmp/mdsp-phases.json
+# The engine's bonded terms run Bonded.all into the boxed accumulator,
+# which seeds the flat store; a flat bonded mirror would drop this edge.
+grep -q '"bonded.reduce" -> "soa.load"' /tmp/mdsp-phases-1.dot
 dune exec bin/mdsp.exe -- check --phases --slots 2 \
   --dot /tmp/mdsp-phases-2.dot >/dev/null
 dune exec bin/mdsp.exe -- check --phases --slots 4 \

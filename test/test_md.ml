@@ -779,6 +779,92 @@ let test_soa_load_clear () =
   check_true "velocity column exact"
     (soa.Soa.vy.{5} = st.State.velocities.(5).Vec3.y)
 
+(* [sync_load ~forces] seeds the force columns with an exact copy of the
+   boxed forces, -0. and subnormals included; without [~forces] it still
+   zeroes them, and forces of the wrong length are rejected. *)
+let test_soa_load_seeded () =
+  let st = random_state ~seed:14 ~n:33 in
+  let x = st.State.positions in
+  let soa = Soa.create ~box:st.State.box 33 in
+  let forces = Array.mapi (fun i p -> Vec3.scale (float_of_int (i - 9)) p) x in
+  forces.(3) <- Vec3.make (-0.) (Float.succ 0.) (-.Float.min_float /. 8.);
+  let bits = Int64.bits_of_float in
+  let columns_are f =
+    let ok = ref true in
+    for i = 0 to 32 do
+      let v = f i in
+      if
+        bits soa.Soa.fx.{i} <> bits v.Vec3.x
+        || bits soa.Soa.fy.{i} <> bits v.Vec3.y
+        || bits soa.Soa.fz.{i} <> bits v.Vec3.z
+      then ok := false
+    done;
+    !ok
+  in
+  Soa.sync_load ~forces soa x;
+  check_true "seeded columns copy the forces bit for bit"
+    (columns_are (fun i -> forces.(i)));
+  check_true "seeded load still copies positions"
+    (soa.Soa.y.{5} = x.(5).Vec3.y);
+  Soa.sync_load soa x;
+  check_true "unseeded load zeroes the columns"
+    (columns_are (fun _ -> Vec3.zero));
+  Alcotest.check_raises "forces of the wrong length"
+    (Invalid_argument "Soa.sync_load: length mismatch") (fun () ->
+      Soa.sync_load ~forces:(Array.sub forces 0 32) soa x)
+
+(* --- allocation budgets --- *)
+
+(* Minor words per step of small stand-ins for the benchmark's MD paths:
+   serial executor, seed 1, Langevin at 300 K with dt 2 fs, 10 warm-up
+   steps, then the mean over 10 steps. The counts repeat to the word in a
+   given build profile; the budgets are the counts under dune's dev
+   profile (the one [dune runtest] builds) plus 64 words, so one more
+   allocation per atom per step fails even on lj256. A change that lowers
+   a count lowers its budget. *)
+let allocation_budgets =
+  [
+    ("lj256", 54_025.2);
+    ("chain2k after 20 minimize steps", 446_750.6);
+    ("water n_side 5, GSE 16^3", 2_069_552.0);
+  ]
+
+let minor_words_per_step ?gse_grid ?(minimize = 0) sys =
+  let config =
+    {
+      E.default_config with
+      dt_fs = 2.;
+      temperature = 300.;
+      thermostat = E.Langevin { gamma_fs = 0.02 };
+    }
+  in
+  let exec = Exec.create Exec.Serial in
+  let eng =
+    Mdsp_workload.Workloads.make_engine ~config ?gse_grid ~seed:1 ~exec sys
+  in
+  if minimize > 0 then E.minimize eng ~steps:minimize;
+  E.run eng 10;
+  let w0 = Gc.minor_words () in
+  E.run eng 10;
+  (Gc.minor_words () -. w0) /. 10.
+
+let test_allocation_budgets () =
+  let module W = Mdsp_workload.Workloads in
+  let counts =
+    [
+      minor_words_per_step (W.lj_fluid ~n:256 ());
+      minor_words_per_step ~minimize:20 (W.of_name "chain2k");
+      minor_words_per_step ~gse_grid:(16, 16, 16) (W.water_box ~n_side:5 ());
+    ]
+  in
+  List.iter2
+    (fun (name, budget) words ->
+      check_true
+        (Printf.sprintf "%s: %.1f minor words per step <= budget %.1f" name
+           words budget)
+        (words <= budget))
+    allocation_budgets counts
+
 let () =
   Alcotest.run "mdsp_md"
     [
@@ -798,6 +884,8 @@ let () =
           Alcotest.test_case "scatter_forces overwrites" `Quick
             test_soa_scatter_overwrites;
           Alcotest.test_case "load/clear columns" `Quick test_soa_load_clear;
+          Alcotest.test_case "seeded load copies forces" `Quick
+            test_soa_load_seeded;
         ] );
       ( "constraints",
         [
@@ -847,6 +935,8 @@ let () =
         [
           Alcotest.test_case "COM removal" `Quick test_com_removal;
           Alcotest.test_case "post-step hooks" `Quick test_post_step_hooks;
+          Alcotest.test_case "allocation budgets" `Quick
+            test_allocation_budgets;
         ] );
       ( "observables",
         [

@@ -678,6 +678,28 @@ let test_soa_respa_classes_match () =
       check_bitwise name flat boxed)
     [ ("fast class", `Fast); ("slow class", `Slow) ]
 
+(* A RESPA step reports the sum of its classes: after two steps, the
+   engine's energies equal a full evaluation at its state bit for bit,
+   the fast class's 1-4 energy included. *)
+let test_respa_energies_match_compute () =
+  let config = { E.default_config with respa_inner = Some 2 } in
+  let eng =
+    Mdsp_workload.Workloads.make_engine ~config ~seed:5 ~exec:Exec.serial
+      (scaled14_chain ())
+  in
+  E.step eng;
+  E.step eng;
+  let st = E.state eng in
+  let acc = Mdsp_ff.Bonded.make_accum (Mdsp_md.State.n st) in
+  let e =
+    FC.compute (E.force_calc eng) st.Mdsp_md.State.box
+      st.Mdsp_md.State.positions acc
+  in
+  check_true
+    (Printf.sprintf "RESPA pair energy %.6f = compute's %.6f"
+       (E.energies eng).FC.pair e.FC.pair)
+    (E.energies eng = e)
+
 let test_soa_trajectory_matches_boxed () =
   (* A trajectory is a function of the forces at the configurations it
      visits, so flat forces equal to the oracle's at every visited
@@ -1296,6 +1318,8 @@ let () =
             test_soa_matches_boxed_gse;
           Alcotest.test_case "RESPA fast/slow classes bitwise" `Quick
             test_soa_respa_classes_match;
+          Alcotest.test_case "RESPA step energies = compute bitwise" `Quick
+            test_respa_energies_match_compute;
           Alcotest.test_case "25-step trajectory bitwise" `Quick
             test_soa_trajectory_matches_boxed;
           Alcotest.test_case "parallel SoA deterministic" `Quick
