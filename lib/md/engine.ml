@@ -46,6 +46,10 @@ type t = {
   vsites : Virtual_sites.t;
   acc : Mdsp_ff.Bonded.accum;
   fast_acc : Mdsp_ff.Bonded.accum; (* RESPA fast-force accumulator *)
+  (* True when [acc] holds the slow class and [fast_acc] the fast class,
+     both at the current positions (a RESPA step leaves them so); false
+     when [acc] holds every class (create, refresh_forces, restore). *)
+  mutable split : bool;
   prev_positions : Vec3.t array; (* scratch for SHAKE *)
   mutable energies : Force_calc.energies;
   rng : Rng.t;
@@ -76,6 +80,7 @@ let create ?(seed = 7) topo fc st cfg =
       vsites = Virtual_sites.create topo;
       acc = Mdsp_ff.Bonded.make_accum n;
       fast_acc = Mdsp_ff.Bonded.make_accum n;
+      split = false;
       prev_positions = Array.make n Vec3.zero;
       energies = Force_calc.zero_energies;
       rng = Rng.create seed;
@@ -114,7 +119,10 @@ let constraints t = t.cons
 
 let pressure_atm t =
   let v = Pbc.volume t.st.State.box in
-  let p = ((2. *. kinetic_energy t) +. t.acc.virial) /. (3. *. v) in
+  let virial =
+    if t.split then t.acc.virial +. t.fast_acc.virial else t.acc.virial
+  in
+  let p = ((2. *. kinetic_energy t) +. virial) /. (3. *. v) in
   Units.pressure_to_atm p
 
 let set_temperature t temp =
@@ -132,7 +140,8 @@ let refresh_forces t =
   Virtual_sites.place t.vsites t.st.State.box t.st.State.positions;
   t.energies <-
     Force_calc.compute t.fc t.st.State.box t.st.State.positions t.acc;
-  Virtual_sites.spread_forces t.vsites t.acc
+  Virtual_sites.spread_forces t.vsites t.acc;
+  t.split <- false
 
 (* --- snapshot / restore --- *)
 
@@ -186,13 +195,17 @@ let restore t s =
      the pair list (content and iteration order) and the skin displacement
      tracking match the interrupted run, then reinstate the forces that were
      in flight instead of recomputing them — the first half-kick after a
-     restore must use exactly the forces the uninterrupted run would. *)
+     restore must use exactly the forces the uninterrupted run would. A
+     RESPA step splits them again: its slow class is a function of the
+     positions and of this list, so it evaluates to the bits the
+     interrupted run held. *)
   ignore
     (Mdsp_space.Neighbor_list.rebuild ~box:s.snap_nlist_box
        (Force_calc.nlist t.fc) s.snap_nlist_ref);
   Array.blit s.snap_forces 0 t.acc.Mdsp_ff.Bonded.forces 0 n;
   t.acc.Mdsp_ff.Bonded.virial <- s.snap_virial;
-  t.energies <- s.snap_energies
+  t.energies <- s.snap_energies;
+  t.split <- false
 
 let add_post_step t ~name fn = t.hooks <- t.hooks @ [ (name, fn) ]
 
@@ -420,12 +433,12 @@ let minimize ?(max_step = 0.2) t ~steps =
 
 let step t =
   let dt = Units.fs t.cfg.dt_fs in
+  (* The thermostat half-steps (NH) bracket either integrator. *)
+  let s = nhc_half t dt in
+  thermo_scale t s;
   (match t.cfg.respa_inner with
-  | None -> begin
-      (* Thermostat half-step (NH). *)
-      let s = nhc_half t dt in
-      thermo_scale t s;
-      (match t.cfg.thermostat with
+  | None -> (
+      match t.cfg.thermostat with
       | Langevin { gamma_fs } ->
           (* BAOAB: B A O A B. gamma_fs is a rate in 1/fs; the internal
              rate is gamma_fs * (fs per internal time unit). *)
@@ -449,52 +462,38 @@ let step t =
             Force_calc.compute t.fc t.st.State.box t.st.State.positions t.acc;
           Virtual_sites.spread_forces t.vsites t.acc;
           kick ~phase:"integrate.kick2" t t.acc (dt /. 2.);
-          rattle t);
-      let s2 = nhc_half t dt in
-      thermo_scale t s2;
-      (match t.cfg.thermostat with
-      | Berendsen { tau_fs } ->
-          let sc = berendsen_scale t dt (Units.fs tau_fs) in
-          thermo_scale t sc
-      | _ -> ())
-    end
+          rattle t)
   | Some k ->
       (* RESPA: slow (nonbonded) forces kick at the outer step, fast
-         (bonded + bias) forces integrate with k inner steps. *)
+         (bonded + bias) forces integrate with k inner steps, evaluated at
+         the step's start and after each drift. *)
       let dt_in = dt /. float_of_int k in
-      (* Outer half-kick with the slow forces currently in t.acc. *)
-      kick t t.acc (dt /. 2.);
-      for _ = 1 to k do
-        let fast =
-          Force_calc.compute_class t.fc `Fast t.st.State.box
-            t.st.State.positions t.fast_acc
+      let eval cls acc =
+        let e =
+          Force_calc.compute_class t.fc cls t.st.State.box
+            t.st.State.positions acc
         in
-        ignore fast;
-        Virtual_sites.spread_forces t.vsites t.fast_acc;
+        Virtual_sites.spread_forces t.vsites acc;
+        e
+      in
+      if not t.split then ignore (eval `Slow t.acc);
+      kick t t.acc (dt /. 2.);
+      let fast = ref (eval `Fast t.fast_acc) in
+      for _ = 1 to k do
         kick t t.fast_acc (dt_in /. 2.);
         drift t dt_in;
-        let _ =
-          Force_calc.compute_class t.fc `Fast t.st.State.box
-            t.st.State.positions t.fast_acc
-        in
-        Virtual_sites.spread_forces t.vsites t.fast_acc;
+        fast := eval `Fast t.fast_acc;
         kick ~phase:"integrate.kick2" t t.fast_acc (dt_in /. 2.);
         rattle t
       done;
-      let slow =
-        Force_calc.compute_class t.fc `Slow t.st.State.box
-          t.st.State.positions t.acc
-      in
-      Virtual_sites.spread_forces t.vsites t.acc;
+      let slow = eval `Slow t.acc in
+      t.split <- true;
       kick ~phase:"integrate.kick2" t t.acc (dt /. 2.);
       rattle t;
-      (* Record combined energies: recompute fast part at final positions.
-         The pair term is the fast 1-4 energy plus the slow list pairs, in
-         the order a full evaluation adds them. *)
-      let fast =
-        Force_calc.compute_class t.fc `Fast t.st.State.box
-          t.st.State.positions t.fast_acc
-      in
+      (* The last inner evaluation ran at the final positions. The pair
+         term is the fast 1-4 energy plus the slow list pairs, in the order
+         a full evaluation adds them. *)
+      let fast = !fast in
       t.energies <-
         {
           slow with
@@ -503,15 +502,18 @@ let step t =
           dihedral = fast.Force_calc.dihedral;
           pair = fast.Force_calc.pair +. slow.Force_calc.pair;
           bias = fast.Force_calc.bias;
-        };
-      (match t.cfg.thermostat with
-      | Berendsen { tau_fs } ->
-          let sc = berendsen_scale t dt (Units.fs tau_fs) in
-          thermo_scale t sc
-      | Langevin { gamma_fs } ->
-          let gamma_internal = gamma_fs *. Units.time_unit_fs in
-          langevin_o t gamma_internal dt
-      | _ -> ()));
+        });
+  let s2 = nhc_half t dt in
+  thermo_scale t s2;
+  (match (t.cfg.thermostat, t.cfg.respa_inner) with
+  | Berendsen { tau_fs }, _ ->
+      let sc = berendsen_scale t dt (Units.fs tau_fs) in
+      thermo_scale t sc
+  | Langevin { gamma_fs }, Some _ ->
+      (* RESPA has no BAOAB splitting: one O-step per outer step. *)
+      let gamma_internal = gamma_fs *. Units.time_unit_fs in
+      langevin_o t gamma_internal dt
+  | _ -> ());
   (* Barostat. *)
   (match t.cfg.barostat with
   | No_barostat -> ()

@@ -32,7 +32,15 @@ type config = {
   barostat : barostat;
   respa_inner : int option;
       (** when [Some k], bonded (fast) forces are integrated with k inner
-          steps per outer step of the nonbonded (slow) forces *)
+          steps per outer step of the nonbonded (slow) forces. A step
+          evaluates the fast class k + 1 times, at its start and after each
+          inner drift, and the slow class once at its end, plus once at its
+          start when the engine was just created, refreshed or restored
+          (its forces then hold every class, which the outer half-kick must
+          not reuse). The Nosé–Hoover half-steps bracket the step as they
+          bracket velocity Verlet; Langevin applies one O-step and
+          Berendsen one rescale per outer step. {!pressure_atm} adds the
+          virials of both classes. *)
   remove_com_interval : int;  (** steps between COM-motion removal; 0 = off *)
 }
 
@@ -121,9 +129,11 @@ val snapshot : t -> snapshot
     with [step]/[run] afterwards reproduces the run the snapshot was taken
     from exactly, step for step and bit for bit, because the forces in
     flight and the neighbor-list reference are reinstated rather than
-    recomputed. [t] must have been built for the same system (atom count,
-    topology, thermostat/barostat configuration). Raises [Invalid_argument]
-    on an atom-count mismatch. *)
+    recomputed. Under RESPA the first step evaluates the slow class again,
+    a function of the restored positions and list, so it reproduces the
+    forces the interrupted run held. [t] must have been built for the same
+    system (atom count, topology, thermostat/barostat configuration).
+    Raises [Invalid_argument] on an atom-count mismatch. *)
 val restore : t -> snapshot -> unit
 
 (** Register a callback run after every completed step. *)

@@ -176,62 +176,38 @@ let[@inline] mi1 l d =
   else d -. (l *. Float.round q)
 
 (* ------------------------------------------------------------------ *)
-(* Pair kernels: one specialized allocation-free loop per elec kind.   *)
+(* The analytic pair loop: one body, specialised at each call site.    *)
 (* ------------------------------------------------------------------ *)
 
-(* Each loop body mirrors Pair_interactions.apply_pair + the evaluator:
+(* The Coulomb form a call site selects. A type of its own, not
+   [elec_kind]: [pp.elec] then cannot be passed where a literal must be. *)
+type coulomb = No_c | Cutoff_c | Rf_c | Ewald_c
+
+(* The body mirrors Pair_interactions.apply_pair + the evaluator:
    min_image via the [mi1] copy above, norm2 left-associated, the r2 < rc2
    gate, LJ with the hoisted type-pair constants, the qq = 0 gate, then
-   energy / force add-sub / virial in the boxed order. The literal [+. 0.]
-   in the LJ-only path is the boxed [e_lj +. e_c] with e_c = 0 — do not
-   "simplify" it away (it normalizes -0. exactly like the boxed path). *)
+   energy / force add-sub / virial in the boxed order. [scaled] is the 1-4
+   form: qq and the LJ terms times the 1-4 scales, as compute_pairs14 has
+   them. The literal [+. 0.] of the LJ-only form is the boxed
+   [e_lj +. e_c] with e_c = 0 — do not "simplify" it away (it normalizes
+   -0. exactly like the boxed path).
 
-let pair_range_none pp (box : Pbc.t) (s : Soa.t) ~(is : int array)
-    ~(js : int array) lo hi (sc : scratch) =
-  let x = s.Soa.x and y = s.Soa.y and z = s.Soa.z in
-  let fx = s.Soa.fx and fy = s.Soa.fy and fz = s.Soa.fz in
-  let lx = box.Pbc.lx and ly = box.Pbc.ly and lz = box.Pbc.lz in
-  let rc2 = pp.rc2 and ntypes = pp.ntypes in
-  let type_of = pp.type_of in
-  let eps4 = pp.eps4 and eps24 = pp.eps24 in
-  let sig2 = pp.sig2 and shift = pp.shift in
-  for k = lo to hi - 1 do
-    let i = is.(k) and j = js.(k) in
-    let dx = mi1 lx (x.{i} -. x.{j}) in
-    let dy = mi1 ly (y.{i} -. y.{j}) in
-    let dz = mi1 lz (z.{i} -. z.{j}) in
-    let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) in
-    if r2 < rc2 then begin
-      let tij = (type_of.(i) * ntypes) + type_of.(j) in
-      let sr2 = sig2.(tij) /. r2 in
-      let sr6 = sr2 *. sr2 *. sr2 in
-      let sr12 = sr6 *. sr6 in
-      let e_lj = (eps4.(tij) *. (sr12 -. sr6)) -. shift.(tij) in
-      let f_lj = eps24.(tij) *. ((2. *. sr12) -. sr6) /. r2 in
-      let e = e_lj +. 0. in
-      let fr = f_lj +. 0. in
-      sc.energy <- sc.energy +. e;
-      let gx = fr *. dx and gy = fr *. dy and gz = fr *. dz in
-      fx.{i} <- fx.{i} +. gx;
-      fy.{i} <- fy.{i} +. gy;
-      fz.{i} <- fz.{i} +. gz;
-      fx.{j} <- fx.{j} -. gx;
-      fy.{j} <- fy.{j} -. gy;
-      fz.{j} <- fz.{j} -. gz;
-      sc.virial <- sc.virial +. ((gx *. dx) +. (gy *. dy) +. (gz *. dz))
-    end
-  done
-
-let pair_range_cutoff pp (box : Pbc.t) (s : Soa.t) ~(is : int array)
+   Every call passes [coulomb] and [scaled] as literals: the compiler
+   inlines the body there and folds their tests, so each call site is the
+   allocation-free loop of its own form and the loop never tests the form
+   per pair. A per-pair [match] on [pp.elec] keeps the bits but costs
+   measured speed. CI fails if any call to [analytic_range] is left. *)
+let[@inline] analytic_range ~coulomb ~scaled ~krf ~crf ~beta pp
+    (shift : float array) (box : Pbc.t) (s : Soa.t) ~(is : int array)
     ~(js : int array) lo hi (sc : scratch) =
   let x = s.Soa.x and y = s.Soa.y and z = s.Soa.z in
   let fx = s.Soa.fx and fy = s.Soa.fy and fz = s.Soa.fz in
   let lx = box.Pbc.lx and ly = box.Pbc.ly and lz = box.Pbc.lz in
   let rc2 = pp.rc2 and ntypes = pp.ntypes and cutoff = pp.cutoff in
   let type_of = pp.type_of in
-  let eps4 = pp.eps4 and eps24 = pp.eps24 in
-  let sig2 = pp.sig2 and shift = pp.shift in
+  let eps4 = pp.eps4 and eps24 = pp.eps24 and sig2 = pp.sig2 in
   let q = pp.q and cq = pp.cq in
+  let s14l = pp.scale14_lj and s14c = pp.scale14_coul in
   for k = lo to hi - 1 do
     let i = is.(k) and j = js.(k) in
     let dx = mi1 lx (x.{i} -. x.{j}) in
@@ -245,103 +221,34 @@ let pair_range_cutoff pp (box : Pbc.t) (s : Soa.t) ~(is : int array)
       let sr12 = sr6 *. sr6 in
       let e_lj = (eps4.(tij) *. (sr12 -. sr6)) -. shift.(tij) in
       let f_lj = eps24.(tij) *. ((2. *. sr12) -. sr6) /. r2 in
-      let qq = cq.(i) *. q.(j) in
-      let r = sqrt r2 in
-      let e_c = if qq = 0. then 0. else (qq /. r) -. (qq /. cutoff) in
-      let f_c = if qq = 0. then 0. else qq /. (r2 *. r) in
-      let e = e_lj +. e_c in
-      let fr = f_lj +. f_c in
-      sc.energy <- sc.energy +. e;
-      let gx = fr *. dx and gy = fr *. dy and gz = fr *. dz in
-      fx.{i} <- fx.{i} +. gx;
-      fy.{i} <- fy.{i} +. gy;
-      fz.{i} <- fz.{i} +. gz;
-      fx.{j} <- fx.{j} -. gx;
-      fy.{j} <- fy.{j} -. gy;
-      fz.{j} <- fz.{j} -. gz;
-      sc.virial <- sc.virial +. ((gx *. dx) +. (gy *. dy) +. (gz *. dz))
-    end
-  done
-
-let pair_range_rf pp ~krf ~crf (box : Pbc.t) (s : Soa.t) ~(is : int array)
-    ~(js : int array) lo hi (sc : scratch) =
-  let x = s.Soa.x and y = s.Soa.y and z = s.Soa.z in
-  let fx = s.Soa.fx and fy = s.Soa.fy and fz = s.Soa.fz in
-  let lx = box.Pbc.lx and ly = box.Pbc.ly and lz = box.Pbc.lz in
-  let rc2 = pp.rc2 and ntypes = pp.ntypes in
-  let type_of = pp.type_of in
-  let eps4 = pp.eps4 and eps24 = pp.eps24 in
-  let sig2 = pp.sig2 and shift = pp.shift in
-  let q = pp.q and cq = pp.cq in
-  for k = lo to hi - 1 do
-    let i = is.(k) and j = js.(k) in
-    let dx = mi1 lx (x.{i} -. x.{j}) in
-    let dy = mi1 ly (y.{i} -. y.{j}) in
-    let dz = mi1 lz (z.{i} -. z.{j}) in
-    let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) in
-    if r2 < rc2 then begin
-      let tij = (type_of.(i) * ntypes) + type_of.(j) in
-      let sr2 = sig2.(tij) /. r2 in
-      let sr6 = sr2 *. sr2 *. sr2 in
-      let sr12 = sr6 *. sr6 in
-      let e_lj = (eps4.(tij) *. (sr12 -. sr6)) -. shift.(tij) in
-      let f_lj = eps24.(tij) *. ((2. *. sr12) -. sr6) /. r2 in
-      let qq = cq.(i) *. q.(j) in
-      let r = sqrt r2 in
-      let e_c =
-        if qq = 0. then 0.
-        else (qq /. r) +. (qq *. krf *. r2) -. (qq *. crf)
+      let e_c, f_c =
+        match coulomb with
+        | No_c -> (0., 0.)
+        | Cutoff_c | Rf_c | Ewald_c -> (
+            let qq =
+              if scaled then (cq.(i) *. q.(j)) *. s14c else cq.(i) *. q.(j)
+            in
+            let r = sqrt r2 in
+            match coulomb with
+            | Cutoff_c | No_c ->
+                ( (if qq = 0. then 0. else (qq /. r) -. (qq /. cutoff)),
+                  if qq = 0. then 0. else qq /. (r2 *. r) )
+            | Rf_c ->
+                ( (if qq = 0. then 0.
+                   else (qq /. r) +. (qq *. krf *. r2) -. (qq *. crf)),
+                  if qq = 0. then 0. else (qq /. (r2 *. r)) -. (2. *. qq *. krf)
+                )
+            | Ewald_c ->
+                let erfc_br = erfc (beta *. r) in
+                let gauss =
+                  two_over_sqrt_pi *. beta *. exp (-.beta *. beta *. r2)
+                in
+                ( (if qq = 0. then 0. else qq *. erfc_br /. r),
+                  if qq = 0. then 0. else qq *. ((erfc_br /. r) +. gauss) /. r2
+                ))
       in
-      let f_c =
-        if qq = 0. then 0. else (qq /. (r2 *. r)) -. (2. *. qq *. krf)
-      in
-      let e = e_lj +. e_c in
-      let fr = f_lj +. f_c in
-      sc.energy <- sc.energy +. e;
-      let gx = fr *. dx and gy = fr *. dy and gz = fr *. dz in
-      fx.{i} <- fx.{i} +. gx;
-      fy.{i} <- fy.{i} +. gy;
-      fz.{i} <- fz.{i} +. gz;
-      fx.{j} <- fx.{j} -. gx;
-      fy.{j} <- fy.{j} -. gy;
-      fz.{j} <- fz.{j} -. gz;
-      sc.virial <- sc.virial +. ((gx *. dx) +. (gy *. dy) +. (gz *. dz))
-    end
-  done
-
-let pair_range_ewald pp ~beta (box : Pbc.t) (s : Soa.t) ~(is : int array)
-    ~(js : int array) lo hi (sc : scratch) =
-  let x = s.Soa.x and y = s.Soa.y and z = s.Soa.z in
-  let fx = s.Soa.fx and fy = s.Soa.fy and fz = s.Soa.fz in
-  let lx = box.Pbc.lx and ly = box.Pbc.ly and lz = box.Pbc.lz in
-  let rc2 = pp.rc2 and ntypes = pp.ntypes in
-  let type_of = pp.type_of in
-  let eps4 = pp.eps4 and eps24 = pp.eps24 in
-  let sig2 = pp.sig2 and shift = pp.shift in
-  let q = pp.q and cq = pp.cq in
-  for k = lo to hi - 1 do
-    let i = is.(k) and j = js.(k) in
-    let dx = mi1 lx (x.{i} -. x.{j}) in
-    let dy = mi1 ly (y.{i} -. y.{j}) in
-    let dz = mi1 lz (z.{i} -. z.{j}) in
-    let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) in
-    if r2 < rc2 then begin
-      let tij = (type_of.(i) * ntypes) + type_of.(j) in
-      let sr2 = sig2.(tij) /. r2 in
-      let sr6 = sr2 *. sr2 *. sr2 in
-      let sr12 = sr6 *. sr6 in
-      let e_lj = (eps4.(tij) *. (sr12 -. sr6)) -. shift.(tij) in
-      let f_lj = eps24.(tij) *. ((2. *. sr12) -. sr6) /. r2 in
-      let qq = cq.(i) *. q.(j) in
-      let r = sqrt r2 in
-      let erfc_br = erfc (beta *. r) in
-      let gauss = two_over_sqrt_pi *. beta *. exp (-.beta *. beta *. r2) in
-      let e_c = if qq = 0. then 0. else qq *. erfc_br /. r in
-      let f_c =
-        if qq = 0. then 0. else qq *. ((erfc_br /. r) +. gauss) /. r2
-      in
-      let e = e_lj +. e_c in
-      let fr = f_lj +. f_c in
+      let e = (if scaled then s14l *. e_lj else e_lj) +. e_c in
+      let fr = (if scaled then s14l *. f_lj else f_lj) +. f_c in
       sc.energy <- sc.energy +. e;
       let gx = fr *. dx and gy = fr *. dy and gz = fr *. dz in
       fx.{i} <- fx.{i} +. gx;
@@ -356,10 +263,18 @@ let pair_range_ewald pp ~beta (box : Pbc.t) (s : Soa.t) ~(is : int array)
 
 let pair_range pp box s ~is ~js lo hi sc =
   match pp.elec with
-  | Ek_none -> pair_range_none pp box s ~is ~js lo hi sc
-  | Ek_cutoff -> pair_range_cutoff pp box s ~is ~js lo hi sc
-  | Ek_rf { krf; crf } -> pair_range_rf pp ~krf ~crf box s ~is ~js lo hi sc
-  | Ek_ewald { beta } -> pair_range_ewald pp ~beta box s ~is ~js lo hi sc
+  | Ek_none ->
+      analytic_range ~coulomb:No_c ~scaled:false ~krf:0. ~crf:0. ~beta:0. pp
+        pp.shift box s ~is ~js lo hi sc
+  | Ek_cutoff ->
+      analytic_range ~coulomb:Cutoff_c ~scaled:false ~krf:0. ~crf:0. ~beta:0.
+        pp pp.shift box s ~is ~js lo hi sc
+  | Ek_rf { krf; crf } ->
+      analytic_range ~coulomb:Rf_c ~scaled:false ~krf ~crf ~beta:0. pp pp.shift
+        box s ~is ~js lo hi sc
+  | Ek_ewald { beta } ->
+      analytic_range ~coulomb:Ewald_c ~scaled:false ~krf:0. ~crf:0. ~beta pp
+        pp.shift box s ~is ~js lo hi sc
 
 (* Any other evaluator (tables, FEP lambdas, Switch, custom forms): the
    mirror of Pair_interactions.apply_pair with the call to [eval] left in,
@@ -435,47 +350,10 @@ let pairs14_count pp = Array.length pp.p14i
 let pairs14_active pp =
   pairs14_count pp > 0 && not (pp.scale14_lj <= 0. && pp.scale14_coul <= 0.)
 
-let pairs14_range pp (box : Pbc.t) (s : Soa.t) lo hi (sc : scratch) =
-  let x = s.Soa.x and y = s.Soa.y and z = s.Soa.z in
-  let fx = s.Soa.fx and fy = s.Soa.fy and fz = s.Soa.fz in
-  let lx = box.Pbc.lx and ly = box.Pbc.ly and lz = box.Pbc.lz in
-  let rc2 = pp.rc2 and ntypes = pp.ntypes and cutoff = pp.cutoff in
-  let type_of = pp.type_of in
-  let eps4 = pp.eps4 and eps24 = pp.eps24 in
-  let sig2 = pp.sig2 and shift14 = pp.shift14 in
-  let q = pp.q and cq = pp.cq in
-  let s14l = pp.scale14_lj and s14c = pp.scale14_coul in
-  let p14i = pp.p14i and p14j = pp.p14j in
-  for k = lo to hi - 1 do
-    let i = p14i.(k) and j = p14j.(k) in
-    let dx = mi1 lx (x.{i} -. x.{j}) in
-    let dy = mi1 ly (y.{i} -. y.{j}) in
-    let dz = mi1 lz (z.{i} -. z.{j}) in
-    let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) in
-    if r2 < rc2 then begin
-      let tij = (type_of.(i) * ntypes) + type_of.(j) in
-      let sr2 = sig2.(tij) /. r2 in
-      let sr6 = sr2 *. sr2 *. sr2 in
-      let sr12 = sr6 *. sr6 in
-      let e_lj = (eps4.(tij) *. (sr12 -. sr6)) -. shift14.(tij) in
-      let f_lj = eps24.(tij) *. ((2. *. sr12) -. sr6) /. r2 in
-      let qq = (cq.(i) *. q.(j)) *. s14c in
-      let r = sqrt r2 in
-      let e_c = if qq = 0. then 0. else (qq /. r) -. (qq /. cutoff) in
-      let f_c = if qq = 0. then 0. else qq /. (r2 *. r) in
-      let e = (s14l *. e_lj) +. e_c in
-      let fr = (s14l *. f_lj) +. f_c in
-      sc.energy <- sc.energy +. e;
-      let gx = fr *. dx and gy = fr *. dy and gz = fr *. dz in
-      fx.{i} <- fx.{i} +. gx;
-      fy.{i} <- fy.{i} +. gy;
-      fz.{i} <- fz.{i} +. gz;
-      fx.{j} <- fx.{j} -. gx;
-      fy.{j} <- fy.{j} -. gy;
-      fz.{j} <- fz.{j} -. gz;
-      sc.virial <- sc.virial +. ((gx *. dx) +. (gy *. dy) +. (gz *. dz))
-    end
-  done
+(* 1-4 terms always use Shift truncation and cutoff Coulomb. *)
+let pairs14_range pp box s lo hi sc =
+  analytic_range ~coulomb:Cutoff_c ~scaled:true ~krf:0. ~crf:0. ~beta:0. pp
+    pp.shift14 box s ~is:pp.p14i ~js:pp.p14j lo hi sc
 
 (* ------------------------------------------------------------------ *)
 (* Deterministic slot reduction (mirror of Bonded.reduce_slots).       *)

@@ -8,9 +8,16 @@
     {!Mdsp_ff.Nonbonded}): same parse trees, same guards, same accumulation
     order, so the results are bitwise identical to the boxed results — not
     merely close. The boxed kernels are kept as the test oracle for that
-    identity. The analytic pair loops additionally allocate nothing on the
-    minor heap per pair (no closures, no boxed floats, no tuples), which
-    [bench e21] asserts.
+    identity.
+
+    The analytic loop is one [[@inline]] body that each call site
+    specialises with literal selectors: {!pair_range} has one call per
+    electrostatics kind, {!pairs14_range} one for the scaled 1-4 form. The
+    compiler inlines every call and folds the selector tests, so each call
+    site is an allocation-free loop of its own form (no closures, no boxed
+    floats, no tuples, no per-pair test of the form). [test_parallel] meters
+    the allocation, [bench e21] asserts it, and [scripts/ci.sh] fails if a
+    call to the body is left in the object code.
 
     Kernels accumulate energy and virial into a caller-owned {!scratch} and
     forces into flat columns; the caller (Force_calc) owns phase ordering,
@@ -43,7 +50,9 @@ val pair_params_of_topology :
 (** [pair_range pp box s ~is ~js lo hi sc] runs the nonbonded pair kernel
     over pair-list entries [lo, hi) of the flat index arrays [is]/[js]
     (from {!Mdsp_space.Neighbor_list.raw_pairs}), reading positions from and
-    accumulating forces into [s]'s columns. Allocation-free. *)
+    accumulating forces into [s]'s columns. It selects the analytic loop's
+    specialisation for [pp]'s electrostatics kind once per call, not per
+    pair. Allocation-free. *)
 val pair_range :
   pair_params ->
   Pbc.t ->
@@ -97,7 +106,10 @@ val pairs14_count : pair_params -> int
 val pairs14_active : pair_params -> bool
 
 (** [pairs14_range pp box s lo hi sc] runs the scaled 1-4 kernel over
-    entries [lo, hi) of the topology's 1-4 pair list. *)
+    entries [lo, hi) of the topology's 1-4 pair list: the analytic loop
+    with Shift-truncated LJ and cutoff Coulomb, both times the topology's
+    1-4 scales, as [Pair_interactions.compute_pairs14] evaluates them.
+    Allocation-free. *)
 val pairs14_range : pair_params -> Pbc.t -> Soa.t -> int -> int -> scratch -> unit
 
 (** [reduce_slots ~exec ~into ~slot_fx ~slot_fy ~slot_fz ~slot_virial sc]

@@ -6,6 +6,29 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 dune build @all
+
+# Inlining gate: the analytic pair loop is one [@inline] body that each
+# call site in Soa_kernels specialises with literal selectors. Its speed
+# and its zero allocation hold only if every call is inlined and its
+# selector tests folded, which no runtime test sees; a call left in the
+# object code leaves a relocation to the body's symbol. Gated on objdump
+# being installed, like the odoc gate below.
+if command -v objdump >/dev/null 2>&1; then
+  kernels_o=_build/default/lib/md/.mdsp_md.objs/native/mdsp_md__Soa_kernels.o
+  test -s "$kernels_o"
+  # grep -c reads all of objdump's output: grep -q could exit first and
+  # fail the pipeline with SIGPIPE under pipefail, passing the gate.
+  calls=$(objdump -dr "$kernels_o" \
+    | grep -Ec 'R_[A-Z0-9_]+[[:space:]]+camlMdsp_md__Soa_kernels\.analytic_range_' \
+    || true)
+  if [ "$calls" -ne 0 ]; then
+    echo "ci: $calls calls to Soa_kernels.analytic_range were not inlined" >&2
+    exit 1
+  fi
+else
+  echo "ci: objdump not installed, skipping the inlining gate"
+fi
+
 dune runtest
 
 # e21 exercises the Domains backend end to end and writes the phase

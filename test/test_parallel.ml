@@ -555,6 +555,29 @@ let scaled14_chain () =
     label = sys.Mdsp_workload.Workloads.label;
   }
 
+(* The stock chain charges every fourth bead, so no 1-4 pair (i, i + 3) is
+   charged at both ends and the scaled 1-4 Coulomb term is always zero.
+   Charging each of the 16 beads (they come first), alternately +0.4 and
+   -0.4, keeps the system neutral and makes it run; charges that are not
+   powers of two let a change of association in qq show in the bits. *)
+let charged14_chain () =
+  let sys = scaled14_chain () in
+  let topo = sys.Mdsp_workload.Workloads.topo in
+  {
+    sys with
+    Mdsp_workload.Workloads.topo =
+      {
+        topo with
+        Mdsp_ff.Topology.atoms =
+          Array.mapi
+            (fun i (a : Mdsp_ff.Topology.atom) ->
+              if i < 16 then
+                { a with charge = (if i mod 2 = 0 then 0.4 else -0.4) }
+              else a)
+            topo.Mdsp_ff.Topology.atoms;
+      };
+  }
+
 (* The GSE handle [make_engine ~gse_grid] installs: beta = 3 / cutoff. *)
 let oracle_gse fc grid box =
   let cutoff = (FC.evaluator fc).PI.cutoff in
@@ -700,6 +723,122 @@ let test_respa_energies_match_compute () =
        (E.energies eng).FC.pair e.FC.pair)
     (E.energies eng = e)
 
+let respa_engine ?(thermostat = E.No_thermostat) ?cutoff ~inner sys =
+  let config = { E.default_config with thermostat; respa_inner = inner } in
+  Mdsp_workload.Workloads.make_engine ~config ?cutoff ~seed:5
+    ~exec:Exec.serial sys
+
+let respa_chain () =
+  Mdsp_workload.Workloads.bead_chain ~n_beads:16 ~n_total:256 ()
+
+(* Positions, velocities and energies as bit patterns, so a -0. against a
+   +0. differs too. *)
+let trajectory_bits eng =
+  let bits x = Int64.bits_of_float x in
+  let vec_bits (v : Vec3.t) = (bits v.Vec3.x, bits v.Vec3.y, bits v.Vec3.z) in
+  let st = E.state eng in
+  ( Array.map vec_bits st.Mdsp_md.State.positions,
+    Array.map vec_bits st.Mdsp_md.State.velocities,
+    bits (E.potential_energy eng) )
+
+(* A RESPA step evaluates the fast class once per position set it visits:
+   at its start and after each of its k drifts. A bias (a fast term)
+   counts the evaluations of the second step. *)
+let test_respa_fast_evaluations () =
+  List.iter
+    (fun k ->
+      let eng = respa_engine ~inner:(Some k) (respa_chain ()) in
+      let calls = ref 0 in
+      FC.add_bias (E.force_calc eng)
+        {
+          FC.bias_name = "count";
+          bias_compute =
+            (fun _ _ _ ->
+              incr calls;
+              0.);
+        };
+      E.step eng;
+      calls := 0;
+      E.step eng;
+      check_true
+        (Printf.sprintf "k = %d: %d fast evaluations per step, want %d" k
+           !calls (k + 1))
+        (!calls = k + 1))
+    [ 2; 4 ]
+
+(* With no list pair in range the slow class is exactly zero, so RESPA with
+   one inner step is velocity Verlet bit for bit: its outer kicks add
+   nothing, its one inner step is the Verlet step, and the Nosé–Hoover
+   half-steps bracket both. The chain alone, uncharged, at a cutoff below
+   every pair distance. *)
+let test_respa_one_inner_is_verlet () =
+  let sys () =
+    Mdsp_workload.Workloads.bead_chain ~charged:false ~n_beads:16 ~n_total:16
+      ()
+  in
+  let cutoff = 0.5 in
+  let probe = respa_engine ~cutoff ~inner:(Some 1) (sys ()) in
+  let st = E.state probe in
+  let acc = Mdsp_ff.Bonded.make_accum (Mdsp_md.State.n st) in
+  ignore
+    (FC.compute_class (E.force_calc probe) `Slow st.Mdsp_md.State.box
+       st.Mdsp_md.State.positions acc);
+  check_true "the slow class is exactly zero"
+    (Array.for_all (fun f -> f = Vec3.zero) acc.Mdsp_ff.Bonded.forces);
+  List.iter
+    (fun (label, thermostat) ->
+      let run inner =
+        let eng = respa_engine ~thermostat ~cutoff ~inner (sys ()) in
+        E.run eng 10;
+        trajectory_bits eng
+      in
+      check_true
+        (label ^ ": RESPA k = 1 equals velocity Verlet bitwise after 10 steps")
+        (run (Some 1) = run None))
+    [
+      ("no thermostat", E.No_thermostat);
+      ("Nosé–Hoover", E.Nose_hoover { tau_fs = 100. });
+    ]
+
+(* After RESPA steps the pressure reads the virial of both classes: a full
+   evaluation's at the same state, to rounding. *)
+let test_respa_pressure_full_virial () =
+  let eng = respa_engine ~inner:(Some 2) (respa_chain ()) in
+  E.run eng 3;
+  let st = E.state eng in
+  let box = st.Mdsp_md.State.box in
+  let acc = Mdsp_ff.Bonded.make_accum (Mdsp_md.State.n st) in
+  ignore (FC.compute (E.force_calc eng) box st.Mdsp_md.State.positions acc);
+  let full =
+    Units.pressure_to_atm
+      (((2. *. E.kinetic_energy eng) +. acc.Mdsp_ff.Bonded.virial)
+      /. (3. *. Pbc.volume box))
+  in
+  let p = E.pressure_atm eng in
+  let rel = abs_float (p -. full) /. abs_float full in
+  check_true
+    (Printf.sprintf "pressure %.4f atm = full-virial %.4f atm (rel %.1e)" p
+       full rel)
+    (rel <= 1e-12)
+
+(* A restored engine holds the snapshot's forces unsplit; its first RESPA
+   step evaluates the slow class again, at the snapshot's positions and
+   list, and continues the uninterrupted run bit for bit. *)
+let test_respa_restore_exact () =
+  let make () =
+    respa_engine ~thermostat:(E.Langevin { gamma_fs = 0.02 }) ~inner:(Some 2)
+      (respa_chain ())
+  in
+  let straight = make () in
+  E.run straight 7;
+  let first = make () in
+  E.run first 3;
+  let resumed = make () in
+  E.restore resumed (E.snapshot first);
+  E.run resumed 4;
+  check_true "3 + 4 resumed RESPA steps equal 7 straight ones bitwise"
+    (trajectory_bits resumed = trajectory_bits straight)
+
 let test_soa_trajectory_matches_boxed () =
   (* A trajectory is a function of the forces at the configurations it
      visits, so flat forces equal to the oracle's at every visited
@@ -806,6 +945,8 @@ let test_soa_pair_loop_zero_alloc () =
       ("water, Ewald real space", water, PI.Ewald_real { beta = 0.35 });
       ("charged 1-4 chain, Ewald real space", chain,
         PI.Ewald_real { beta = 0.35 });
+      ("chain with charged 1-4 pairs, reaction field", charged14_chain (),
+        PI.Reaction_field { epsilon_rf = 78. });
     ]
 
 let test_rebuild_allocation () =
@@ -916,11 +1057,18 @@ let test_sanitized_one_slot_is_production () =
    bitwise like the specialised loops do, at 1 slot and on a 3-slot pool.
    [install] swaps the evaluator on an engine built by make_engine. *)
 
-let on_slots f =
-  f ~exec:Exec.serial "1 slot";
-  let pool = Exec.create (Exec.Domains { n = 3 }) in
-  Fun.protect ~finally:(fun () -> Exec.shutdown pool) (fun () ->
-      f ~exec:pool "3 slots")
+let on_widths widths f =
+  List.iter
+    (fun n ->
+      if n = 1 then f ~exec:Exec.serial "1 slot"
+      else begin
+        let pool = Exec.create (Exec.Domains { n }) in
+        Fun.protect ~finally:(fun () -> Exec.shutdown pool) (fun () ->
+            f ~exec:pool (Printf.sprintf "%d slots" n))
+      end)
+    widths
+
+let on_slots f = on_widths [ 1; 3 ] f
 
 let check_installed ?(classes = [ `All ]) ~exec label sys install =
   let eng = Mdsp_workload.Workloads.make_engine ~seed:5 ~exec sys in
@@ -981,34 +1129,60 @@ let test_flat_switch_matches_oracle () =
             ~elec))
 
 let test_flat_analytic_kinds_match_oracle () =
-  (* The specialised loops for the electrostatics and truncations the
-     seed workloads leave out: cutoff Coulomb under Shift, Ewald real
-     space under Truncate, and the bead chain without Coulomb under
-     Truncate. Built from the calculator's own topology, so the analytic
-     loop (not the generic one) runs. *)
+  (* Every specialisation of the analytic loop against the oracle: each
+     electrostatics kind under Shift and Truncate on water (the list
+     forms), the chain with charged 1-4 pairs under each kind (the 1-4
+     form next to the list form), and the bead chain without Coulomb
+     under Truncate. Built from the calculator's own topology, so the
+     analytic loop (not the generic one) runs. *)
   let analytic ~trunc ~elec sys ev =
     PI.of_topology sys.Mdsp_workload.Workloads.topo ~cutoff:ev.PI.cutoff
       ~trunc ~elec
   in
-  on_slots (fun ~exec slots ->
+  let kinds =
+    [
+      ("no Coulomb", PI.No_coulomb);
+      ("cutoff Coulomb", PI.Cutoff_coulomb);
+      ("reaction field", PI.Reaction_field { epsilon_rf = 78.5 });
+      ("Ewald real space", PI.Ewald_real { beta = 0.35 });
+    ]
+  in
+  let truncs =
+    [
+      ("Shift", Mdsp_ff.Nonbonded.Shift);
+      ("Truncate", Mdsp_ff.Nonbonded.Truncate);
+    ]
+  in
+  let water = Mdsp_workload.Workloads.water_box ~n_side:3 () in
+  let chain = charged14_chain () in
+  let cases =
+    List.concat_map
+      (fun (kind, elec) ->
+        List.map
+          (fun (tname, trunc) ->
+            (Printf.sprintf "water, %s, %s" kind tname, water, trunc, elec))
+          truncs)
+      kinds
+    @ List.map
+        (fun (kind, elec) ->
+          ( "chain with charged 1-4 pairs, " ^ kind,
+            chain,
+            Mdsp_ff.Nonbonded.Shift,
+            elec ))
+        kinds
+    @ [
+        ( "bead chain, no Coulomb, Truncate",
+          Mdsp_workload.Workloads.bead_chain ~n_beads:16 ~n_total:256 (),
+          Mdsp_ff.Nonbonded.Truncate,
+          PI.No_coulomb );
+      ]
+  in
+  on_widths [ 1; 2; 3; 4 ] (fun ~exec slots ->
       List.iter
         (fun (label, sys, trunc, elec) ->
           check_installed ~exec (label ^ ", " ^ slots) sys
             (analytic ~trunc ~elec))
-        [
-          ( "water, cutoff Coulomb, Shift",
-            Mdsp_workload.Workloads.water_box ~n_side:3 (),
-            Mdsp_ff.Nonbonded.Shift,
-            PI.Cutoff_coulomb );
-          ( "water, Ewald real space, Truncate",
-            Mdsp_workload.Workloads.water_box ~n_side:3 (),
-            Mdsp_ff.Nonbonded.Truncate,
-            PI.Ewald_real { beta = 0.35 } );
-          ( "bead chain, no Coulomb, Truncate",
-            Mdsp_workload.Workloads.bead_chain ~n_beads:16 ~n_total:256 (),
-            Mdsp_ff.Nonbonded.Truncate,
-            PI.No_coulomb );
-        ])
+        cases)
 
 let test_flat_chain14_tables_match_oracle () =
   (* Tables at a cutoff below the list's: the flat 1-4 kernel must take
@@ -1320,6 +1494,14 @@ let () =
             test_soa_respa_classes_match;
           Alcotest.test_case "RESPA step energies = compute bitwise" `Quick
             test_respa_energies_match_compute;
+          Alcotest.test_case "RESPA fast evaluations per step" `Quick
+            test_respa_fast_evaluations;
+          Alcotest.test_case "RESPA k = 1 is velocity Verlet bitwise" `Quick
+            test_respa_one_inner_is_verlet;
+          Alcotest.test_case "RESPA pressure has the full virial" `Quick
+            test_respa_pressure_full_virial;
+          Alcotest.test_case "RESPA restore continues bitwise" `Quick
+            test_respa_restore_exact;
           Alcotest.test_case "25-step trajectory bitwise" `Quick
             test_soa_trajectory_matches_boxed;
           Alcotest.test_case "parallel SoA deterministic" `Quick
