@@ -52,8 +52,12 @@ let slot_accums exec acc =
 
 (* --- bonded terms, over an index range so tiles can run in parallel --- *)
 
+(* Each range sums its virial in a local seeded from [acc] and stores it
+   once at the end, the same additions in the same order: a slot's
+   accumulator record sits next to the other slots', and a store per term
+   into it makes the slots of the phase fight over one cache line. *)
 let bonds_range box (topo : Topology.t) positions acc lo hi =
-  let e = ref 0. in
+  let e = ref 0. and w = ref acc.virial in
   for t = lo to hi - 1 do
     let b = topo.bonds.(t) in
     let d = Pbc.min_image box positions.(b.i) positions.(b.j) in
@@ -65,15 +69,16 @@ let bonds_range box (topo : Topology.t) positions acc lo hi =
     let f = Vec3.scale fmag d in
     add_force acc b.i f;
     add_force acc b.j (Vec3.neg f);
-    acc.virial <- acc.virial +. Vec3.dot f d
+    w := !w +. Vec3.dot f d
   done;
+  acc.virial <- !w;
   !e
 
 let bonds box topo positions acc =
   bonds_range box topo positions acc 0 (Array.length topo.Topology.bonds)
 
 let angles_range box (topo : Topology.t) positions acc lo hi =
-  let e = ref 0. in
+  let e = ref 0. and w = ref acc.virial in
   for t = lo to hi - 1 do
     let a = topo.angles.(t) in
     (* Vectors from the central atom j to i and k. *)
@@ -106,8 +111,9 @@ let angles_range box (topo : Topology.t) positions acc lo hi =
     add_force acc a.j fj;
     add_force acc a.k fk;
     (* Virial with atom j as local origin; forces sum to zero. *)
-    acc.virial <- acc.virial +. Vec3.dot fi rij +. Vec3.dot fk rkj
+    w := !w +. Vec3.dot fi rij +. Vec3.dot fk rkj
   done;
+  acc.virial <- !w;
   !e
 
 let angles box topo positions acc =
@@ -115,9 +121,10 @@ let angles box topo positions acc =
 
 (* Shared torsion machinery: computes the dihedral angle phi of the atom
    quadruple (i, j, k, l) and applies the Blondel-Karplus gradients for a
-   caller-supplied dU/dphi. Returns the angle, or None for degenerate
-   (collinear) geometry. *)
-let torsion box positions acc ~i ~j ~k ~l ~du_dphi_of =
+   caller-supplied dU/dphi, adding the virial into the caller's running
+   sum [w]. Returns the angle, or None for degenerate (collinear)
+   geometry. *)
+let torsion box positions acc w ~i ~j ~k ~l ~du_dphi_of =
   let b1 = Pbc.min_image box positions.(j) positions.(i) in
   let b2 = Pbc.min_image box positions.(k) positions.(j) in
   let b3 = Pbc.min_image box positions.(l) positions.(k) in
@@ -152,17 +159,16 @@ let torsion box positions acc ~i ~j ~k ~l ~du_dphi_of =
     let rij = Vec3.neg b1 in
     let rkj = b2 in
     let rlj = Vec3.add b2 b3 in
-    acc.virial <-
-      acc.virial +. Vec3.dot fi rij +. Vec3.dot fk rkj +. Vec3.dot fl rlj;
+    w := !w +. Vec3.dot fi rij +. Vec3.dot fk rkj +. Vec3.dot fl rlj;
     Some phi
   end
 
 let dihedrals_range box (topo : Topology.t) positions acc lo hi =
-  let e = ref 0. in
+  let e = ref 0. and w = ref acc.virial in
   for t = lo to hi - 1 do
     let d = topo.dihedrals.(t) in
     match
-      torsion box positions acc ~i:d.i ~j:d.j ~k:d.k ~l:d.l
+      torsion box positions acc w ~i:d.i ~j:d.j ~k:d.k ~l:d.l
         ~du_dphi_of:(fun phi ->
           let arg = (float_of_int d.mult *. phi) -. d.phase in
           e := !e +. (d.k_phi *. (1. +. cos arg));
@@ -170,6 +176,7 @@ let dihedrals_range box (topo : Topology.t) positions acc lo hi =
     with
     | Some _ | None -> ()
   done;
+  acc.virial <- !w;
   !e
 
 let dihedrals box topo positions acc =
@@ -185,11 +192,11 @@ let wrap_angle x =
   else x
 
 let impropers_range box (topo : Topology.t) positions acc lo hi =
-  let e = ref 0. in
+  let e = ref 0. and w = ref acc.virial in
   for t = lo to hi - 1 do
     let im = topo.impropers.(t) in
     match
-      torsion box positions acc ~i:im.ii ~j:im.ij ~k:im.ik ~l:im.il
+      torsion box positions acc w ~i:im.ii ~j:im.ij ~k:im.ik ~l:im.il
         ~du_dphi_of:(fun phi ->
           let dxi = wrap_angle (phi -. im.xi0) in
           e := !e +. (im.k_xi *. dxi *. dxi);
@@ -197,6 +204,7 @@ let impropers_range box (topo : Topology.t) positions acc lo hi =
     with
     | Some _ | None -> ()
   done;
+  acc.virial <- !w;
   !e
 
 let impropers box topo positions acc =
@@ -207,11 +215,20 @@ let term_count (topo : Topology.t) =
   Array.length topo.bonds + Array.length topo.angles
   + Array.length topo.dihedrals + Array.length topo.impropers
 
-let all ?(exec = Exec.serial) box (topo : Topology.t) positions acc =
+let all ?(exec = Exec.serial) ?slots box (topo : Topology.t) positions acc =
   if term_count topo = 0 then (0., 0., 0.)
   else begin
     let ns = Exec.n_slots exec in
-    let slots, privates = slot_accums exec acc in
+    (* Caller-kept private partials are zeroed by their own slot. *)
+    let slots, privates, kept =
+      match slots with
+      | Some p when ns > 1 ->
+          if Array.length p <> ns then invalid_arg "Bonded.all: slots";
+          (p, p, true)
+      | _ ->
+          let s, p = slot_accums exec acc in
+          (s, p, false)
+    in
     let b_tiles = Exec.tile_bounds ~total:(Array.length topo.bonds) ~ntiles:ns in
     let a_tiles = Exec.tile_bounds ~total:(Array.length topo.angles) ~ntiles:ns in
     let d_tiles =
@@ -225,6 +242,7 @@ let all ?(exec = Exec.serial) box (topo : Topology.t) positions acc =
     let natoms = Array.length positions in
     Exec.parallel_run ~phase:"bonded" exec (fun s ->
         let a = slots.(s) in
+        if kept then reset a;
         let declare resource tiles total =
           let lo, hi = tiles in
           Exec.declare_write ~slot:s ~resource ~total ~lo ~hi exec

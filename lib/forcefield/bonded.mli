@@ -58,11 +58,18 @@ val impropers : Pbc.t -> Topology.t -> Vec3.t array -> accum -> float
     ["bonded"]); each slot accumulates into its {!slot_accums}
     accumulator, and the private partials are tree-reduced into [acc]
     deterministically (phase ["bonded.reduce"]; nothing to fold at one
-    slot, where slot 0 accumulates into [acc]). A topology without bonded
-    terms runs no phase. *)
+    slot, where slot 0 accumulates into [acc]). At two or more slots,
+    [slots] (one accumulator per slot, each as long as [acc] and none of
+    them [acc]) are the private partials, zeroed by their slot at the
+    start of the phase, so a caller that keeps them allocates none per
+    call; without it, every call makes fresh ones. At one slot [slots] is
+    ignored. Each term range sums its virial in a local and stores it
+    into its slot's accumulator once. A topology without bonded terms
+    runs no phase. Raises [Invalid_argument] when [slots] holds a number
+    of accumulators other than the slot count. *)
 val all :
-  ?exec:Exec.t -> Pbc.t -> Topology.t -> Vec3.t array -> accum ->
-  float * float * float
+  ?exec:Exec.t -> ?slots:accum array -> Pbc.t -> Topology.t -> Vec3.t array ->
+  accum -> float * float * float
 
 (** Count of bonded interactions, used by the machine performance model. *)
 val term_count : Topology.t -> int

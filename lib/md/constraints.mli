@@ -9,7 +9,17 @@
     proves the very list {!clusters} returns race-free. Each cluster is
     solved by Gauss–Seidel iteration to its own convergence; clusters share
     no atoms, so the list tiles over the pool and the parallel sweep is
-    bitwise identical to the serial one. *)
+    bitwise identical to the serial one.
+
+    {!create} flattens the clusters into index and length columns in sweep
+    order. A solver call copies each cluster's coordinates into a float
+    scratch (one per tile of the sweep), iterates there on unboxed floats
+    with the expressions of the per-atom boxed solver in its order, and
+    writes each atom of the cluster back once, as a fresh vector, when
+    anything in the cluster moved. So a call allocates 4 words per
+    written-back atom plus a fixed overhead (the sweep's closures and one
+    scratch per tile), and leaves the bits the boxed solver left, including
+    when it raises. *)
 
 open Mdsp_util
 
@@ -53,6 +63,9 @@ val unconverged_message : unconverged -> string
 (** [shake t box ~prev positions] adjusts [positions] so all constraints
     hold, applying displacements inversely weighted by mass along the
     constraint direction of the *previous* (pre-step) geometry [prev].
+    [prev] must be a different array from [positions]: it is read while
+    the moved coordinates are still in the scratch. Raises
+    [Invalid_argument] when it is the same array.
     [exec] (default serial) tiles the cluster list over the pool with
     {!Mdsp_util.Exec.sweep} — bitwise identical at any slot count, with
     declared [cons.prev]/[cons.pos] read/write sets under phase

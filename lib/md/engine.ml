@@ -159,8 +159,12 @@ type snapshot = {
   snap_nlist_ref : Vec3.t array;
 }
 
+(* A split engine holds its forces and virial in two classes; the
+   snapshot stores their sums, the forces and virial of a full evaluation
+   to rounding, as [pressure_atm] adds them. *)
 let snapshot t =
   let nlist = Force_calc.nlist t.fc in
+  let acc = t.acc and fast = t.fast_acc in
   {
     snap_state = State.copy t.st;
     snap_steps = t.nsteps;
@@ -169,8 +173,14 @@ let snapshot t =
     snap_nhc = Option.map (fun c -> (c.v1, c.v2)) t.nhc;
     snap_mc_baro = (t.mc_baro_accept, t.mc_baro_try);
     snap_energies = t.energies;
-    snap_forces = Array.copy t.acc.Mdsp_ff.Bonded.forces;
-    snap_virial = t.acc.Mdsp_ff.Bonded.virial;
+    snap_forces =
+      (if t.split then
+         Array.map2 Vec3.add acc.Mdsp_ff.Bonded.forces
+           fast.Mdsp_ff.Bonded.forces
+       else Array.copy acc.Mdsp_ff.Bonded.forces);
+    snap_virial =
+      (if t.split then acc.Mdsp_ff.Bonded.virial +. fast.Mdsp_ff.Bonded.virial
+       else acc.Mdsp_ff.Bonded.virial);
     snap_nlist_box = Mdsp_space.Neighbor_list.box nlist;
     snap_nlist_ref = Mdsp_space.Neighbor_list.ref_positions nlist;
   }
@@ -324,9 +334,19 @@ let drift t dt =
     Exec.sweep ~phase:"constraints.fold"
       ~reads:[ "state.positions"; "integrate.prev" ]
       ~writes:[ "state.velocities" ] exec ~total:n (fun _ lo hi ->
+        (* [Vec3.scale s (Vec3.sub a b)] on the same bits, written as one
+           record: 4 words per atom instead of 10. *)
+        let s = 1. /. dt in
         for i = lo to hi - 1 do
-          if not (Virtual_sites.is_site t.vsites i) then
-            v.(i) <- Vec3.scale (1. /. dt) (Vec3.sub x.(i) prev.(i))
+          if not (Virtual_sites.is_site t.vsites i) then begin
+            let a = x.(i) and b = prev.(i) in
+            v.(i) <-
+              {
+                Vec3.x = s *. (a.Vec3.x -. b.Vec3.x);
+                y = s *. (a.Vec3.y -. b.Vec3.y);
+                z = s *. (a.Vec3.z -. b.Vec3.z);
+              }
+          end
         done)
   end;
   if Virtual_sites.count t.vsites > 0 then
@@ -391,6 +411,8 @@ let attempt_mc_baro t ~pressure_atm ~max_dlnv =
   end
 
 let minimize ?(max_step = 0.2) t ~steps =
+  (* The moves follow [t.acc], which must hold every class. *)
+  if t.split then refresh_forces t;
   let n = State.n t.st in
   let x = t.st.State.positions in
   let alpha = ref 0.02 in

@@ -83,7 +83,8 @@ val set_temperature : t -> float -> unit
 (** Steepest-descent energy minimization with an adaptive step and a
     per-atom displacement cap of [max_step] (default 0.2 A); constraints are
     re-satisfied after every move. Use before dynamics on systems built with
-    overlaps. *)
+    overlaps. After RESPA steps it first refreshes the forces, so the first
+    move follows every class, not the slow one alone. *)
 val minimize : ?max_step:float -> t -> steps:int -> unit
 
 (** Advance one step. The kick, drift, constraint ([constraints.shake],
@@ -107,8 +108,10 @@ val refresh_forces : t -> unit
     dynamic {!State}, the step counter, the thermostat target and
     Nosé–Hoover chain velocities, Monte-Carlo barostat counters, the
     engine's RNG stream, the in-flight forces/energies/virial, and the
-    neighbor list's reference positions and box. Post-step hooks are not
-    captured — re-register them after {!restore}. *)
+    neighbor list's reference positions and box. After RESPA steps the
+    forces and the virial are the sums of the slow and fast classes (the
+    virial {!pressure_atm} reads). Post-step hooks are not captured —
+    re-register them after {!restore}. *)
 type snapshot = {
   snap_state : State.t;
   snap_steps : int;

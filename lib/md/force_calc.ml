@@ -61,6 +61,9 @@ type flat = {
      before any read. *)
   slot_energy : float array;
   slot_virial : float array;
+  (* The bonded phase's private partials, one per slot; empty at one
+     slot. *)
+  bonded_slots : Mdsp_ff.Bonded.accum array;
 }
 
 let make_flat ~exec natoms =
@@ -89,6 +92,9 @@ let make_flat ~exec natoms =
     slot_fz = Array.map (fun s -> s.Soa.fz) privates;
     slot_energy = Array.make ns 0.;
     slot_virial = Array.make ns 0.;
+    bonded_slots =
+      (if ns = 1 then [||]
+       else Array.init ns (fun _ -> Mdsp_ff.Bonded.make_accum natoms));
   }
 
 type t = {
@@ -302,7 +308,9 @@ let evaluate t cls box positions acc =
     if not fast then (0., 0., 0.)
     else if Mdsp_ff.Bonded.term_count t.topo = 0 then
       Exec.timed ~phase:"bonded" t.exec (fun () -> (0., 0., 0.))
-    else Mdsp_ff.Bonded.all ~exec:t.exec box t.topo positions acc
+    else
+      Mdsp_ff.Bonded.all ~exec:t.exec ~slots:t.flat.bonded_slots box t.topo
+        positions acc
   in
   load t box positions acc;
   let pair14 = if fast then pairs14 t box else 0. in

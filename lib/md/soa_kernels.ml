@@ -190,7 +190,11 @@ type coulomb = No_c | Cutoff_c | Rf_c | Ewald_c
    form: qq and the LJ terms times the 1-4 scales, as compute_pairs14 has
    them. The literal [+. 0.] of the LJ-only form is the boxed
    [e_lj +. e_c] with e_c = 0 — do not "simplify" it away (it normalizes
-   -0. exactly like the boxed path).
+   -0. exactly like the boxed path). The energy and virial sums run in
+   locals seeded from [sc], the same additions in the same order, and are
+   stored into [sc] once per range: the slots' scratch records sit side
+   by side, and a store per pair into them makes the slots of a pool
+   phase fight over one cache line.
 
    Every call passes [coulomb] and [scaled] as literals: the compiler
    inlines the body there and folds their tests, so each call site is the
@@ -208,6 +212,7 @@ let[@inline] analytic_range ~coulomb ~scaled ~krf ~crf ~beta pp
   let eps4 = pp.eps4 and eps24 = pp.eps24 and sig2 = pp.sig2 in
   let q = pp.q and cq = pp.cq in
   let s14l = pp.scale14_lj and s14c = pp.scale14_coul in
+  let energy = ref sc.energy and virial = ref sc.virial in
   for k = lo to hi - 1 do
     let i = is.(k) and j = js.(k) in
     let dx = mi1 lx (x.{i} -. x.{j}) in
@@ -249,7 +254,7 @@ let[@inline] analytic_range ~coulomb ~scaled ~krf ~crf ~beta pp
       in
       let e = (if scaled then s14l *. e_lj else e_lj) +. e_c in
       let fr = (if scaled then s14l *. f_lj else f_lj) +. f_c in
-      sc.energy <- sc.energy +. e;
+      energy := !energy +. e;
       let gx = fr *. dx and gy = fr *. dy and gz = fr *. dz in
       fx.{i} <- fx.{i} +. gx;
       fy.{i} <- fy.{i} +. gy;
@@ -257,24 +262,38 @@ let[@inline] analytic_range ~coulomb ~scaled ~krf ~crf ~beta pp
       fx.{j} <- fx.{j} -. gx;
       fy.{j} <- fy.{j} -. gy;
       fz.{j} <- fz.{j} -. gz;
-      sc.virial <- sc.virial +. ((gx *. dx) +. (gy *. dy) +. (gz *. dz))
+      virial := !virial +. ((gx *. dx) +. (gy *. dy) +. (gz *. dz))
     end
-  done
+  done;
+  sc.energy <- !energy;
+  sc.virial <- !virial
+
+(* One function per Coulomb form, each inlining the body once, and
+   [pair_range] choosing between them: with the four specialisations
+   inlined into one function they share its frame and spill slots, and
+   the Ewald loop measured 2.5-4 % slower. *)
+let pair_range_none pp box s ~is ~js lo hi sc =
+  analytic_range ~coulomb:No_c ~scaled:false ~krf:0. ~crf:0. ~beta:0. pp
+    pp.shift box s ~is ~js lo hi sc
+
+let pair_range_cutoff pp box s ~is ~js lo hi sc =
+  analytic_range ~coulomb:Cutoff_c ~scaled:false ~krf:0. ~crf:0. ~beta:0. pp
+    pp.shift box s ~is ~js lo hi sc
+
+let pair_range_rf ~krf ~crf pp box s ~is ~js lo hi sc =
+  analytic_range ~coulomb:Rf_c ~scaled:false ~krf ~crf ~beta:0. pp pp.shift
+    box s ~is ~js lo hi sc
+
+let pair_range_ewald ~beta pp box s ~is ~js lo hi sc =
+  analytic_range ~coulomb:Ewald_c ~scaled:false ~krf:0. ~crf:0. ~beta pp
+    pp.shift box s ~is ~js lo hi sc
 
 let pair_range pp box s ~is ~js lo hi sc =
   match pp.elec with
-  | Ek_none ->
-      analytic_range ~coulomb:No_c ~scaled:false ~krf:0. ~crf:0. ~beta:0. pp
-        pp.shift box s ~is ~js lo hi sc
-  | Ek_cutoff ->
-      analytic_range ~coulomb:Cutoff_c ~scaled:false ~krf:0. ~crf:0. ~beta:0.
-        pp pp.shift box s ~is ~js lo hi sc
-  | Ek_rf { krf; crf } ->
-      analytic_range ~coulomb:Rf_c ~scaled:false ~krf ~crf ~beta:0. pp pp.shift
-        box s ~is ~js lo hi sc
-  | Ek_ewald { beta } ->
-      analytic_range ~coulomb:Ewald_c ~scaled:false ~krf:0. ~crf:0. ~beta pp
-        pp.shift box s ~is ~js lo hi sc
+  | Ek_none -> pair_range_none pp box s ~is ~js lo hi sc
+  | Ek_cutoff -> pair_range_cutoff pp box s ~is ~js lo hi sc
+  | Ek_rf { krf; crf } -> pair_range_rf ~krf ~crf pp box s ~is ~js lo hi sc
+  | Ek_ewald { beta } -> pair_range_ewald ~beta pp box s ~is ~js lo hi sc
 
 (* Any other evaluator (tables, FEP lambdas, Switch, custom forms): the
    mirror of Pair_interactions.apply_pair with the call to [eval] left in,
@@ -286,6 +305,7 @@ let eval_range (ev : Pair_interactions.evaluator) (box : Pbc.t) (s : Soa.t)
   let lx = box.Pbc.lx and ly = box.Pbc.ly and lz = box.Pbc.lz in
   let eval = ev.Pair_interactions.eval in
   let rc2 = ev.Pair_interactions.cutoff *. ev.Pair_interactions.cutoff in
+  let energy = ref sc.energy and virial = ref sc.virial in
   for k = lo to hi - 1 do
     let i = is.(k) and j = js.(k) in
     let dx = mi1 lx (x.{i} -. x.{j}) in
@@ -294,7 +314,7 @@ let eval_range (ev : Pair_interactions.evaluator) (box : Pbc.t) (s : Soa.t)
     let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) in
     if r2 < rc2 then begin
       let e, fr = eval i j r2 in
-      sc.energy <- sc.energy +. e;
+      energy := !energy +. e;
       let gx = fr *. dx and gy = fr *. dy and gz = fr *. dz in
       fx.{i} <- fx.{i} +. gx;
       fy.{i} <- fy.{i} +. gy;
@@ -302,9 +322,11 @@ let eval_range (ev : Pair_interactions.evaluator) (box : Pbc.t) (s : Soa.t)
       fx.{j} <- fx.{j} -. gx;
       fy.{j} <- fy.{j} -. gy;
       fz.{j} <- fz.{j} -. gz;
-      sc.virial <- sc.virial +. ((gx *. dx) +. (gy *. dy) +. (gz *. dz))
+      virial := !virial +. ((gx *. dx) +. (gy *. dy) +. (gz *. dz))
     end
-  done
+  done;
+  sc.energy <- !energy;
+  sc.virial <- !virial
 
 (* ------------------------------------------------------------------ *)
 (* The pair kernel an evaluator selects.                               *)

@@ -11,8 +11,9 @@
     identity.
 
     The analytic loop is one [[@inline]] body that each call site
-    specialises with literal selectors: {!pair_range} has one call per
-    electrostatics kind, {!pairs14_range} one for the scaled 1-4 form. The
+    specialises with literal selectors: {!pair_range} selects one small
+    function per electrostatics kind, each with one call, and
+    {!pairs14_range} has one for the scaled 1-4 form. The
     compiler inlines every call and folds the selector tests, so each call
     site is an allocation-free loop of its own form (no closures, no boxed
     floats, no tuples, no per-pair test of the form). [test_parallel] meters
@@ -21,7 +22,11 @@
 
     Kernels accumulate energy and virial into a caller-owned {!scratch} and
     forces into flat columns; the caller (Force_calc) owns phase ordering,
-    per-slot column management and the energy bookkeeping between terms. *)
+    per-slot column management and the energy bookkeeping between terms.
+    A kernel call sums energy and virial in locals seeded from the scratch
+    and stores them into it once, when the range is done: the slots of a
+    pool phase own scratch records that sit side by side in memory, and a
+    store per pair would make them share a cache line. *)
 
 open Mdsp_util
 

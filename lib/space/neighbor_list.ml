@@ -17,12 +17,16 @@ let reserve b need =
     b.bj <- bj'
   end
 
-let push b i j =
-  let k = b.cnt in
-  if k >= Array.length b.bi then reserve b (k + 1);
+(* Store pair [k] of [b], growing it first when full; the count is the
+   caller's to keep, and stands at [k] while [reserve] copies. Inlined
+   into the scan's callback, so an in-range pair costs no call. *)
+let[@inline] put b k i j =
+  if k >= Array.length b.bi then begin
+    b.cnt <- k;
+    reserve b (k + 1)
+  end;
   b.bi.(k) <- (if i < j then i else j);
-  b.bj.(k) <- (if i < j then j else i);
-  b.cnt <- k + 1
+  b.bj.(k) <- (if i < j then j else i)
 
 type t = {
   cutoff : float;
@@ -61,18 +65,29 @@ let do_build t positions =
   t.pairs.cnt <- 0;
   Array.iter (fun b -> b.cnt <- 0) t.spill;
   (* The scan walks the whole CSR cell structure and, through it, arbitrary
-     positions; each slot writes its own buffer. *)
+     positions; each slot writes its own buffer. The slot counts its pairs
+     in a local and stores the count once per tile: the buffer records of
+     the slots sit side by side, and a store per pair into them makes the
+     slots fight over one cache line. *)
   Exec.sweep ~phase:"nbuild" ~writes:[ "nlist.tiles" ]
     ~whole:[ ("cell.bin", n); ("state.positions", n) ]
     exec ~total:ntiles (fun s tlo thi ->
       let b = if s = 0 then t.pairs else t.spill.(s - 1) in
       let lo = Cell_list.tile_start cl ~ntiles tlo
       and hi = Cell_list.tile_start cl ~ntiles thi in
-      match t.exclusions with
-      | None -> Cell_list.iter_within cl lo hi (fun i j -> push b i j)
+      let cnt = ref b.cnt in
+      (match t.exclusions with
+      | None ->
+          Cell_list.iter_within cl lo hi (fun i j ->
+              put b !cnt i j;
+              incr cnt)
       | Some ex ->
           Cell_list.iter_within cl lo hi (fun i j ->
-              if not (Exclusions.excluded ex i j) then push b i j));
+              if not (Exclusions.excluded ex i j) then begin
+                put b !cnt i j;
+                incr cnt
+              end));
+      b.cnt <- !cnt);
   (* Append the other slots' pairs in slot order (serial: a few blits). *)
   let b0 = t.pairs in
   reserve b0 (Array.fold_left (fun a b -> a + b.cnt) b0.cnt t.spill);

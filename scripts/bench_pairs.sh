@@ -4,21 +4,22 @@
 #
 #   bash scripts/bench_pairs.sh BASE_REV [PAIRS] [WORKLOAD...]
 #
-# BASE_REV (any git revision) is checked out in a temporary git worktree.
-# For seeds 1..PAIRS (default 10) and every workload (default: the
+# BASE_REV (any git revision) is unpacked with git archive into a
+# temporary directory, so the script writes nothing under .git. For seeds 1..PAIRS (default 10) and every workload (default: the
 # workloads BENCHMARK.json declares), it runs
 #
 #   bash bench/perf/run.sh --workload W --seed k --trace 0
 #
-# once in the base worktree and once in this checkout, at perf.exe's
+# once in the base copy and once in this checkout, at perf.exe's
 # default window (the benchmark's 15 s). Odd seeds run the base first,
 # even seeds this checkout first, so a drift in host speed does not
 # favour one side. bench/perf/diff.exe then compares the base records
 # with this checkout's; its table goes to stdout and the script exits
 # with its status (1 when a row is worse). Run it from the root of the
 # checkout with nothing else loading the machine. Uncommitted changes in
-# this checkout are measured as they are. The records stay in a
-# temporary directory whose path is printed at the end.
+# this checkout are measured as they are. The base copy is removed on
+# exit; the records stay in a temporary directory whose path is printed
+# at the end.
 set -euo pipefail
 
 usage="usage: bash scripts/bench_pairs.sh BASE_REV [PAIRS] [WORKLOAD...]"
@@ -56,11 +57,12 @@ fi
 base_sha=$(git rev-parse --verify "$base_rev^{commit}")
 work=$(mktemp -d)
 base_dir="$work/base"
-git worktree add --detach "$base_dir" "$base_sha" >/dev/null
 cleanup() {
-  git -C "$head_dir" worktree remove --force "$base_dir" 2>/dev/null || true
+  rm -rf "$base_dir"
 }
 trap cleanup EXIT
+mkdir "$base_dir"
+git archive "$base_sha" | tar -x -C "$base_dir"
 mkdir -p "$work/old" "$work/new"
 
 # run DIR OUT W K: one benchmark run in checkout DIR, record into OUT. A

@@ -187,6 +187,299 @@ let test_shake_unconverged_structured () =
          let rec go i = i + n <= m && (String.sub msg i n = sub || go (i + 1)) in
          go 0)
 
+(* --- the boxed solver, the oracle of the flat one ---
+
+   SHAKE and RATTLE as they ran on boxed vectors before the solver moved
+   onto flat columns: per-constraint [Vec3] arithmetic written back into
+   the arrays after every update, the unconverged payload computed with
+   [Pbc.dist2]. The flat solver must leave the same bits in the arrays
+   and raise the same payload, at every slot count. *)
+
+let oracle_pairs topo cons =
+  Array.map
+    (fun (u : Mdsp_ff.Topology.cluster) ->
+      Array.map
+        (fun k ->
+          let c = topo.Mdsp_ff.Topology.constraints.(k) in
+          (c.Mdsp_ff.Topology.ci, c.Mdsp_ff.Topology.cj, c.Mdsp_ff.Topology.dist))
+        u.Mdsp_ff.Topology.cl_constraints)
+    (Constraints.clusters cons)
+
+let oracle_unconverged cons pairs box positions ~solver ~iters cid =
+  let violation =
+    Array.fold_left
+      (fun acc (i, j, d) ->
+        let d2 = d *. d in
+        let r2 = Pbc.dist2 box positions.(i) positions.(j) in
+        Float.max acc (abs_float (r2 -. d2) /. d2))
+      0. pairs.(cid)
+  in
+  Constraints.Unconverged
+    {
+      Constraints.uc_solver = solver;
+      uc_cluster = cid;
+      uc_first_constraint =
+        (Constraints.clusters cons).(cid).Mdsp_ff.Topology.cl_constraints.(0);
+      uc_iters = iters;
+      uc_max_violation = violation;
+    }
+
+let oracle_shake ?(tol = 1e-8) ?(max_iter = 200) topo cons box ~prev
+    positions ~masses =
+  let all = oracle_pairs topo cons in
+  Array.iteri
+    (fun cid pairs ->
+      let iter = ref 0 in
+      let converged = ref false in
+      while (not !converged) && !iter < max_iter do
+        converged := true;
+        Array.iter
+          (fun (i, j, d) ->
+            let d2 = d *. d in
+            let rij = Pbc.min_image box positions.(i) positions.(j) in
+            let diff = Vec3.norm2 rij -. d2 in
+            if not (abs_float diff <= tol *. d2) then begin
+              converged := false;
+              let rij_prev = Pbc.min_image box prev.(i) prev.(j) in
+              let inv_mi = 1. /. masses.(i) and inv_mj = 1. /. masses.(j) in
+              let denom = 2. *. (inv_mi +. inv_mj) *. Vec3.dot rij rij_prev in
+              if abs_float denom < 1e-12 then
+                failwith "Constraints.shake: degenerate constraint geometry";
+              let g = diff /. denom in
+              positions.(i) <-
+                Vec3.sub positions.(i) (Vec3.scale (g *. inv_mi) rij_prev);
+              positions.(j) <-
+                Vec3.add positions.(j) (Vec3.scale (g *. inv_mj) rij_prev)
+            end)
+          pairs;
+        incr iter
+      done;
+      if not !converged then
+        raise
+          (oracle_unconverged cons all box positions ~solver:"SHAKE"
+             ~iters:!iter cid))
+    all
+
+let oracle_rattle ?(tol = 1e-8) ?(max_iter = 200) topo cons box positions
+    velocities ~masses =
+  let all = oracle_pairs topo cons in
+  Array.iteri
+    (fun cid pairs ->
+      let iter = ref 0 in
+      let converged = ref false in
+      while (not !converged) && !iter < max_iter do
+        converged := true;
+        Array.iter
+          (fun (i, j, d) ->
+            let rij = Pbc.min_image box positions.(i) positions.(j) in
+            let vij = Vec3.sub velocities.(i) velocities.(j) in
+            let rv = Vec3.dot rij vij in
+            let inv_mi = 1. /. masses.(i) and inv_mj = 1. /. masses.(j) in
+            let d2 = d *. d in
+            if not (abs_float rv <= tol *. d2 *. 10.) then begin
+              converged := false;
+              let k = rv /. (d2 *. (inv_mi +. inv_mj)) in
+              velocities.(i) <-
+                Vec3.sub velocities.(i) (Vec3.scale (k *. inv_mi) rij);
+              velocities.(j) <-
+                Vec3.add velocities.(j) (Vec3.scale (k *. inv_mj) rij)
+            end)
+          pairs;
+        incr iter
+      done;
+      if not !converged then
+        raise
+          (oracle_unconverged cons all box positions ~solver:"RATTLE"
+             ~iters:!iter cid))
+    all
+
+let vec_bits (v : Vec3.t) =
+  let b = Int64.bits_of_float in
+  (b v.Vec3.x, b v.Vec3.y, b v.Vec3.z)
+
+let array_bits a = Array.map vec_bits a
+
+(* What a solver call left: normal return, or the exception with its float
+   as bits (a NaN violation compares equal to itself), plus the array it
+   wrote. *)
+let outcome run arr =
+  let raised =
+    match run () with
+    | () -> None
+    | exception Constraints.Unconverged u ->
+        Some
+          ( u.Constraints.uc_solver,
+            u.Constraints.uc_cluster,
+            u.Constraints.uc_first_constraint,
+            u.Constraints.uc_iters,
+            Int64.bits_of_float u.Constraints.uc_max_violation )
+  in
+  (raised, array_bits arr)
+
+(* SHAKE on [prev] displaced by [x], then RATTLE of [v] on the result:
+   flat and oracle from copies of the same inputs, compared bitwise. *)
+let check_against_oracle ?tol ?max_iter ?(exec = Exec.serial) label topo box
+    ~prev ~x ~v =
+  let cons = Constraints.create ?tol ?max_iter topo in
+  let masses = Mdsp_ff.Topology.masses topo in
+  let flat_x = Array.copy x and oracle_x = Array.copy x in
+  let flat =
+    outcome
+      (fun () -> Constraints.shake ~exec cons box ~prev flat_x ~masses)
+      flat_x
+  in
+  let oracle =
+    outcome
+      (fun () ->
+        oracle_shake ?tol ?max_iter topo cons box ~prev oracle_x ~masses)
+      oracle_x
+  in
+  check_true (label ^ ": SHAKE = boxed oracle bitwise") (flat = oracle);
+  let flat_v = Array.copy v and oracle_v = Array.copy v in
+  let flat =
+    outcome
+      (fun () ->
+        Constraints.rattle ~exec cons box flat_x flat_v ~masses)
+      flat_v
+  in
+  let oracle =
+    outcome
+      (fun () ->
+        oracle_rattle ?tol ?max_iter topo cons box oracle_x oracle_v ~masses)
+      oracle_v
+  in
+  check_true (label ^ ": RATTLE = boxed oracle bitwise") (flat = oracle)
+
+let displaced ~seed ~scale x =
+  let rng = Rng.create seed in
+  Array.map (fun p -> Vec3.add p (Vec3.scale scale (Rng.gaussian_vec rng))) x
+
+let random_velocities ~seed n =
+  let rng = Rng.create seed in
+  Array.init n (fun _ -> Rng.gaussian_vec rng)
+
+let test_constraints_match_oracle () =
+  let sys = Mdsp_workload.Workloads.water_box ~n_side:5 () in
+  let topo = sys.Mdsp_workload.Workloads.topo in
+  let box = sys.Mdsp_workload.Workloads.box in
+  let prev = sys.Mdsp_workload.Workloads.positions in
+  let x = displaced ~seed:31 ~scale:0.05 prev in
+  let v = random_velocities ~seed:32 (Array.length prev) in
+  List.iter
+    (fun n ->
+      let run exec =
+        check_against_oracle ~exec
+          (Printf.sprintf "water n_side 5, %d slot(s)" n)
+          topo box ~prev ~x ~v
+      in
+      if n = 1 then run Exec.serial
+      else begin
+        let pool = Exec.create (Exec.Domains { n }) in
+        Fun.protect ~finally:(fun () -> Exec.shutdown pool) (fun () ->
+            run pool)
+      end)
+    [ 1; 2; 3; 4 ];
+  (* One cluster of three constraints along a 4-atom chain, unequal
+     masses: the Gauss-Seidel order and the per-atom mass weights show. *)
+  let b = Mdsp_ff.Topology.Builder.create () in
+  Mdsp_ff.Topology.Builder.set_lj_types b [| (0.1, 1.0) |];
+  List.iter
+    (fun mass ->
+      ignore
+        (Mdsp_ff.Topology.Builder.add_atom b ~mass ~charge:0. ~type_id:0
+           ~name:"X"))
+    [ 1.008; 12.011; 15.999; 3.5 ];
+  Mdsp_ff.Topology.Builder.add_constraint b ~i:0 ~j:1 ~dist:1.09;
+  Mdsp_ff.Topology.Builder.add_constraint b ~i:1 ~j:2 ~dist:1.43;
+  Mdsp_ff.Topology.Builder.add_constraint b ~i:2 ~j:3 ~dist:0.96;
+  let topo = Mdsp_ff.Topology.Builder.finish b in
+  Alcotest.(check int) "the chain is one fused cluster" 1
+    (Array.length (Constraints.clusters (Constraints.create topo)));
+  let prev =
+    [|
+      Vec3.make 4.1 5.2 4.9;
+      Vec3.make 5.15 5.4 5.0;
+      Vec3.make 6.3 6.2 5.35;
+      Vec3.make 6.9 6.95 5.7;
+    |]
+  in
+  check_against_oracle "4-atom chain" topo (Pbc.cubic 9.5) ~prev
+    ~x:(displaced ~seed:33 ~scale:0.08 prev)
+    ~v:(random_velocities ~seed:34 4)
+
+(* The failures: the triangle that cannot close, a NaN position and a NaN
+   velocity. Same payload bits, same arrays after the raise. *)
+let test_constraints_failures_match_oracle () =
+  let b = Mdsp_ff.Topology.Builder.create () in
+  Mdsp_ff.Topology.Builder.set_lj_types b [| (0.1, 1.0) |];
+  for _ = 1 to 3 do
+    ignore
+      (Mdsp_ff.Topology.Builder.add_atom b ~mass:1. ~charge:0. ~type_id:0
+         ~name:"X")
+  done;
+  Mdsp_ff.Topology.Builder.add_constraint b ~i:0 ~j:1 ~dist:1.;
+  Mdsp_ff.Topology.Builder.add_constraint b ~i:1 ~j:2 ~dist:1.;
+  Mdsp_ff.Topology.Builder.add_constraint b ~i:0 ~j:2 ~dist:3.;
+  let topo = Mdsp_ff.Topology.Builder.finish b in
+  let x = [| Vec3.make 0. 0. 0.; Vec3.make 1. 0. 0.; Vec3.make 2. 0. 0. |] in
+  check_against_oracle ~max_iter:25 "unclosable triangle" topo (Pbc.cubic 50.)
+    ~prev:(Array.copy x) ~x ~v:(random_velocities ~seed:35 3);
+  let sys = Mdsp_workload.Workloads.water_box ~n_side:2 () in
+  let topo = sys.Mdsp_workload.Workloads.topo in
+  let box = sys.Mdsp_workload.Workloads.box in
+  let prev = sys.Mdsp_workload.Workloads.positions in
+  let n = Array.length prev in
+  let x = displaced ~seed:36 ~scale:0.05 prev in
+  x.(0) <- Vec3.make Float.nan x.(0).Vec3.y x.(0).Vec3.z;
+  check_against_oracle "NaN position" topo box ~prev ~x
+    ~v:(random_velocities ~seed:37 n);
+  let v = random_velocities ~seed:38 n in
+  v.(0) <- Vec3.make Float.nan 0. 0.;
+  check_against_oracle "NaN velocity" topo box ~prev ~x:(Array.copy prev) ~v
+
+(* One SHAKE and one RATTLE call on water n_side 5 allocate each atom's
+   written-back record (4 words) and a fixed overhead: the sweep closures
+   and one scratch per tile. *)
+let test_constraints_allocation () =
+  let sys = Mdsp_workload.Workloads.water_box ~n_side:5 () in
+  let topo = sys.Mdsp_workload.Workloads.topo in
+  let box = sys.Mdsp_workload.Workloads.box in
+  let prev = sys.Mdsp_workload.Workloads.positions in
+  let n = Array.length prev in
+  let cons = Constraints.create topo in
+  let masses = Mdsp_ff.Topology.masses topo in
+  let budget = float_of_int ((4 * n) + 128) in
+  let x0 = displaced ~seed:39 ~scale:0.05 prev in
+  let v0 = random_velocities ~seed:40 n in
+  let metered label f =
+    f ();
+    let w0 = Gc.minor_words () in
+    f ();
+    let w = Gc.minor_words () -. w0 in
+    check_true
+      (Printf.sprintf "%s on %d atoms: %.0f minor words <= %.0f" label n w
+         budget)
+      (w <= budget)
+  in
+  let x = Array.copy x0 in
+  metered "SHAKE" (fun () ->
+      Array.blit x0 0 x 0 n;
+      Constraints.shake cons box ~prev x ~masses);
+  let v = Array.copy v0 in
+  metered "RATTLE" (fun () ->
+      Array.blit v0 0 v 0 n;
+      Constraints.rattle cons box x v ~masses)
+
+(* [prev] is read after [positions] moved; the same array for both would
+   read the moved coordinates. *)
+let test_shake_rejects_aliased_prev () =
+  let topo, pos = water_topology () in
+  let cons = Constraints.create topo in
+  let masses = Mdsp_ff.Topology.masses topo in
+  Alcotest.check_raises "prev == positions"
+    (Invalid_argument "Constraints.shake: prev is the positions array")
+    (fun () -> Constraints.shake cons (Pbc.cubic 10.) ~prev:pos pos ~masses)
+
 (* --- Engines on the LJ fluid --- *)
 
 let test_nve_energy_conservation () =
@@ -825,8 +1118,8 @@ let test_soa_load_seeded () =
 let allocation_budgets =
   [
     ("lj256", 54_025.2);
-    ("chain2k after 20 minimize steps", 446_750.6);
-    ("water n_side 5, GSE 16^3", 2_069_552.0);
+    ("chain2k after 20 minimize steps", 446_511.6);
+    ("water n_side 5, GSE 16^3", 113_160.5);
   ]
 
 let minor_words_per_step ?gse_grid ?(minimize = 0) sys =
@@ -900,6 +1193,14 @@ let () =
             test_shake_nan_unconverged;
           Alcotest.test_case "RATTLE rejects a NaN velocity" `Quick
             test_rattle_nan_unconverged;
+          Alcotest.test_case "SHAKE/RATTLE = boxed oracle bitwise" `Quick
+            test_constraints_match_oracle;
+          Alcotest.test_case "failures = boxed oracle bitwise" `Quick
+            test_constraints_failures_match_oracle;
+          Alcotest.test_case "SHAKE/RATTLE allocation" `Quick
+            test_constraints_allocation;
+          Alcotest.test_case "SHAKE rejects prev == positions" `Quick
+            test_shake_rejects_aliased_prev;
         ] );
       ( "integration",
         [

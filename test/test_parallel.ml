@@ -839,6 +839,31 @@ let test_respa_restore_exact () =
   check_true "3 + 4 resumed RESPA steps equal 7 straight ones bitwise"
     (trajectory_bits resumed = trajectory_bits straight)
 
+(* A snapshot after RESPA steps holds both classes: restored, the engine
+   reads the live engine's pressure, not the slow class's. *)
+let test_respa_restore_pressure () =
+  let live = respa_engine ~inner:(Some 2) (respa_chain ()) in
+  E.run live 3;
+  let resumed = respa_engine ~inner:(Some 2) (respa_chain ()) in
+  E.restore resumed (E.snapshot live);
+  let p = E.pressure_atm live and p' = E.pressure_atm resumed in
+  check_true
+    (Printf.sprintf "restored pressure %.4f atm = live %.4f atm" p' p)
+    (Int64.bits_of_float p' = Int64.bits_of_float p)
+
+(* Minimizing after RESPA steps moves along every class: one step equals
+   one on an engine whose forces were refreshed first. *)
+let test_respa_minimize_full_forces () =
+  let run refresh =
+    let eng = respa_engine ~inner:(Some 2) (respa_chain ()) in
+    E.run eng 3;
+    if refresh then E.refresh_forces eng;
+    E.minimize eng ~steps:1;
+    trajectory_bits eng
+  in
+  check_true "one minimize step after RESPA = one after refresh_forces"
+    (run false = run true)
+
 let test_soa_trajectory_matches_boxed () =
   (* A trajectory is a function of the forces at the configurations it
      visits, so flat forces equal to the oracle's at every visited
@@ -1502,6 +1527,10 @@ let () =
             test_respa_pressure_full_virial;
           Alcotest.test_case "RESPA restore continues bitwise" `Quick
             test_respa_restore_exact;
+          Alcotest.test_case "RESPA restore keeps the full pressure" `Quick
+            test_respa_restore_pressure;
+          Alcotest.test_case "RESPA minimize follows every class" `Quick
+            test_respa_minimize_full_forces;
           Alcotest.test_case "25-step trajectory bitwise" `Quick
             test_soa_trajectory_matches_boxed;
           Alcotest.test_case "parallel SoA deterministic" `Quick
