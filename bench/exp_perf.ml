@@ -106,8 +106,8 @@ let e5 () =
 let method_costs () =
   let cv = Mdsp_core.Cv.distance ~i:0 ~j:1 in
   let meta =
-    Mdsp_core.Metadynamics.create ~cv ~sigma:0.3 ~height:0.1 ~stride:100
-      ~temp:300. ()
+    Mdsp_core.Metadynamics.create ~cvs:[| cv |] ~sigmas:[| 0.3 |] ~height:0.1
+      ~stride:100 ~temp:300. ()
   in
   let smd = Mdsp_core.Smd.create ~cv ~k:10. ~start:0. ~speed_per_step:1e-4 () in
   let temper =

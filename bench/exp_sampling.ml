@@ -5,8 +5,8 @@ open Mdsp_util
 open Bench_common
 module E = Mdsp_md.Engine
 
-let dw_barrier = 3.0
-let dw_half_width = 2.5
+let dw_barrier = Mdsp_workload.Workloads.double_well_barrier
+let dw_half_width = Mdsp_workload.Workloads.double_well_half_width
 
 (* E8 (Fig. 5): metadynamics recovers the double-well free energy. *)
 let e8 () =
@@ -14,8 +14,8 @@ let e8 () =
   let eng = double_well_engine ~temp:300. () in
   let cv = Mdsp_core.Cv.position ~axis:`X ~i:0 in
   let meta =
-    Mdsp_core.Metadynamics.create ~well_tempered:2700. ~cv ~sigma:0.25
-      ~height:0.12 ~stride:50 ~temp:300. ()
+    Mdsp_core.Metadynamics.create ~well_tempered:2700. ~cvs:[| cv |]
+      ~sigmas:[| 0.25 |] ~height:0.12 ~stride:50 ~temp:300. ()
   in
   Mdsp_core.Metadynamics.attach meta eng;
   E.run eng 150_000;
@@ -221,8 +221,9 @@ let e11 () =
           T.cell_f ~prec:3 img.(0);
           T.cell_f ~prec:3 img.(1);
           T.cell_f ~prec:3
-            (Mdsp_workload.Workloads.double_well_2d_path ~half_width:2.5
-               ~bow:1.5 img.(0));
+            (Mdsp_workload.Workloads.double_well_2d_path
+               ~half_width:dw_half_width
+               ~bow:Mdsp_workload.Workloads.double_well_2d_bow img.(0));
         ])
     (Mdsp_core.String_method.images sm);
   T.print t;

@@ -8,8 +8,8 @@
 open Mdsp_workload
 module E = Mdsp_md.Engine
 
-let barrier = 3.0
-let half_width = 2.5
+let barrier = Workloads.double_well_barrier
+let half_width = Workloads.double_well_half_width
 let temp = 300.
 
 let make_engine () =
@@ -41,8 +41,8 @@ let () =
   Printf.printf "route 2: well-tempered metadynamics (240 ps)...\n%!";
   let eng = make_engine () in
   let meta =
-    Mdsp_core.Metadynamics.create ~well_tempered:2700. ~cv ~sigma:0.25
-      ~height:0.12 ~stride:50 ~temp ()
+    Mdsp_core.Metadynamics.create ~well_tempered:2700. ~cvs:[| cv |]
+      ~sigmas:[| 0.25 |] ~height:0.12 ~stride:50 ~temp ()
   in
   Mdsp_core.Metadynamics.attach meta eng;
   E.run eng 120_000;

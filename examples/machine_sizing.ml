@@ -35,8 +35,8 @@ let () =
   let cfg = Config.anton_like () in
   let cv = Mdsp_core.Cv.distance ~i:0 ~j:1 in
   let meta =
-    Mdsp_core.Metadynamics.create ~cv ~sigma:0.3 ~height:0.1 ~stride:100
-      ~temp:300. ()
+    Mdsp_core.Metadynamics.create ~cvs:[| cv |] ~sigmas:[| 0.3 |] ~height:0.1
+      ~stride:100 ~temp:300. ()
   in
   let temper =
     Mdsp_core.Tempering.create ~temps:[| 300.; 315.; 330. |] ~stride:200 ()

@@ -64,7 +64,6 @@ module Restraints = Mdsp_core.Restraints
 module Smd = Mdsp_core.Smd
 module Umbrella = Mdsp_core.Umbrella
 module Metadynamics = Mdsp_core.Metadynamics
-module Metadynamics2 = Mdsp_core.Metadynamics2
 module Tempering = Mdsp_core.Tempering
 module Remd = Mdsp_core.Remd
 module Tamd = Mdsp_core.Tamd

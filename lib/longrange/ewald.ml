@@ -78,11 +78,11 @@ let reciprocal t charges positions (acc : Mdsp_ff.Bonded.accum) =
     t.kvecs;
   !energy
 
-let self_energy t charges =
+let self_energy ~beta charges =
   let sum_q2 = Array.fold_left (fun a q -> a +. (q *. q)) 0. charges in
-  -.t.beta_ /. sqrt Float.pi *. sum_q2 *. Units.coulomb
+  -.beta /. sqrt Float.pi *. sum_q2 *. Units.coulomb
 
-let excluded_correction t box charges positions exclusions
+let excluded_correction ~beta box charges positions exclusions
     (acc : Mdsp_ff.Bonded.accum) =
   let two_over_sqrt_pi = 2. /. sqrt Float.pi in
   let energy = ref 0. in
@@ -92,15 +92,14 @@ let excluded_correction t box charges positions exclusions
       let r2 = Vec3.norm2 d in
       let r = sqrt r2 in
       let qq = Units.coulomb *. charges.(i) *. charges.(j) in
-      let erf_br = Specfun.erf (t.beta_ *. r) in
+      let erf_br = Specfun.erf (beta *. r) in
       let e = qq *. erf_br /. r in
       energy := !energy -. e;
       (* Remove the reciprocal-space force between the excluded pair. *)
       let f_over_r =
         qq
         *. ((erf_br /. r)
-           -. (two_over_sqrt_pi *. t.beta_ *. exp (-.t.beta_ *. t.beta_ *. r2))
-           )
+           -. (two_over_sqrt_pi *. beta *. exp (-.beta *. beta *. r2)))
         /. r2
       in
       let f = Vec3.scale (-.f_over_r) d in
@@ -114,7 +113,7 @@ let total_reference t box charges positions =
   let n = Array.length positions in
   let acc = Mdsp_ff.Bonded.make_accum n in
   let e_rec = reciprocal t charges positions acc in
-  let e_self = self_energy t charges in
+  let e_self = self_energy ~beta:t.beta_ charges in
   (* Real-space sum over periodic images (shells of +-2 boxes), including
      interactions of each charge with its own images. The shell range is
      adequate down to beta * L >= ~2.5; smaller beta values converge too

@@ -42,14 +42,19 @@ val with_box : t -> Pbc.t -> t
 val reciprocal :
   t -> float array -> Vec3.t array -> Mdsp_ff.Bonded.accum -> float
 
-(** Self-energy correction: [-beta/sqrt(pi) * sum q_i^2]. Constant; no
-    forces. *)
-val self_energy : t -> float array -> float
+(** [self_energy ~beta charges] is the self-energy correction
+    [-beta/sqrt(pi) * sum q_i^2]: no forces, and constant for fixed charges
+    and [beta], so a caller can compute it once. *)
+val self_energy : beta:float -> float array -> float
 
-(** Correction removing the reciprocal-space interaction of excluded pairs:
-    subtracts [qq erf(beta r)/r] for each excluded pair (with forces). *)
+(** [excluded_correction ~beta box charges positions exclusions acc] removes
+    the reciprocal-space interaction of the excluded pairs: subtracts
+    [qq erf(beta r)/r] for each pair of {!Mdsp_space.Exclusions.pairs}, in
+    that order, with forces and virial into [acc]. Both corrections depend
+    on the splitting parameter alone, not on a k list or a grid, so they
+    serve the Ewald and the GSE solvers alike. *)
 val excluded_correction :
-  t -> Pbc.t -> float array -> Vec3.t array ->
+  beta:float -> Pbc.t -> float array -> Vec3.t array ->
   Mdsp_space.Exclusions.t -> Mdsp_ff.Bonded.accum -> float
 
 (** Total energy of a neutral point-charge system: reciprocal + self +

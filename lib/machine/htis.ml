@@ -102,20 +102,20 @@ let totals a =
 let compute_forces ?perm ?format ts ~types ~charges ~cutoff box nlist
     positions =
   let a = make_accum ?format (Array.length positions) in
-  let pairs = Mdsp_space.Neighbor_list.pairs nlist in
-  let order =
-    match perm with
-    | Some p ->
-        if Array.length p <> Array.length pairs then
-          invalid_arg "Htis.compute_forces: permutation length mismatch";
-        p
-    | None -> Array.init (Array.length pairs) Fun.id
+  let is, js = Mdsp_space.Neighbor_list.raw_pairs nlist in
+  let np = Mdsp_space.Neighbor_list.length nlist in
+  let add k =
+    add_pair ts ~types ~charges ~cutoff box positions a is.(k) js.(k)
   in
-  Array.iter
-    (fun k ->
-      let i, j = pairs.(k) in
-      add_pair ts ~types ~charges ~cutoff box positions a i j)
-    order;
+  (match perm with
+  | Some p ->
+      if Array.length p <> np then
+        invalid_arg "Htis.compute_forces: permutation length mismatch";
+      Array.iter add p
+  | None ->
+      for k = 0 to np - 1 do
+        add k
+      done);
   totals a
 
 let cycles cfg ~pairs =

@@ -18,13 +18,12 @@ let compute ?format ~nodes ts ~types ~charges ~cutoff
   let n_nodes = Decomp.node_count decomp in
   (* Assign each pair to the node owning its first atom (the simplified
      ownership rule; any deterministic rule preserves the property). *)
-  let pairs = Mdsp_space.Neighbor_list.pairs nlist in
+  let is, js = Mdsp_space.Neighbor_list.raw_pairs nlist in
   let node_pairs = Array.make n_nodes [] in
-  Array.iter
-    (fun (i, j) ->
-      let node = Decomp.owner decomp positions.(i) in
-      node_pairs.(node) <- (i, j) :: node_pairs.(node))
-    pairs;
+  for k = 0 to Mdsp_space.Neighbor_list.length nlist - 1 do
+    let node = Decomp.owner decomp positions.(is.(k)) in
+    node_pairs.(node) <- k :: node_pairs.(node)
+  done;
   (* Per-node fixed-point accumulation, the energy in the widened
      whole-system format. *)
   let pairs_per_node = Array.make n_nodes 0 in
@@ -34,8 +33,9 @@ let compute ?format ~nodes ts ~types ~charges ~cutoff
         pairs_per_node.(node) <- List.length plist;
         let a = Htis.make_accum ?format n in
         List.iter
-          (fun (i, j) ->
-            Htis.add_pair ts ~types ~charges ~cutoff box positions a i j)
+          (fun k ->
+            Htis.add_pair ts ~types ~charges ~cutoff box positions a is.(k)
+              js.(k))
           plist;
         a)
       node_pairs

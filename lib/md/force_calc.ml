@@ -109,15 +109,15 @@ type t = {
   mutable biases_rev : bias list;
   mutable transform : transform option;
   charges : float array;
+  (* The Ewald self term: fixed, as are the charges and the solver's beta
+     (a rebuild for a new box keeps beta). *)
+  self_energy : float;
   exec : Exec.t;
-  (* Cached handle for the GSE self/excluded corrections: those depend only
-     on beta (self) or on the box passed per call (excluded), so the handle
-     never goes stale even under a barostat. *)
-  mutable gse_ewald : Mdsp_longrange.Ewald.t option;
   flat : flat;
 }
 
 let create ?(exec = Exec.serial) topo ~evaluator ~longrange ~nlist =
+  let charges = Mdsp_ff.Topology.charges topo in
   {
     topo;
     evaluator;
@@ -126,9 +126,17 @@ let create ?(exec = Exec.serial) topo ~evaluator ~longrange ~nlist =
     nlist;
     biases_rev = [];
     transform = None;
-    charges = Mdsp_ff.Topology.charges topo;
+    charges;
+    self_energy =
+      (match longrange with
+      | Lr_none -> 0.
+      | Lr_ewald ew ->
+          Mdsp_longrange.Ewald.self_energy
+            ~beta:(Mdsp_longrange.Ewald.beta ew) charges
+      | Lr_gse gse ->
+          Mdsp_longrange.Ewald.self_energy
+            ~beta:(Mdsp_longrange.Gse.beta gse) charges);
     exec;
-    gse_ewald = None;
     flat = make_flat ~exec (Mdsp_ff.Topology.n_atoms topo);
   }
 
@@ -164,18 +172,6 @@ let compute_biases t box positions acc =
     0.
     (List.rev t.biases_rev)
 
-let gse_correction_handle t gse box =
-  match t.gse_ewald with
-  | Some ew -> ew
-  | None ->
-      (* Minimal k list: only the beta-dependent correction terms are used. *)
-      let ew =
-        Mdsp_longrange.Ewald.create ~beta:(Mdsp_longrange.Gse.beta gse)
-          ~kmax:1 box
-      in
-      t.gse_ewald <- Some ew;
-      ew
-
 (* A reciprocal-space handle computes on the box it was built for. Under a
    barostat the box changes between calls, so the handle is rebuilt for the
    box passed in (GSE: same beta, sigma and grid; Ewald: same beta and
@@ -190,29 +186,27 @@ let follow_box t box =
       if Mdsp_longrange.Gse.box gse <> box then
         t.longrange <- Lr_gse (Mdsp_longrange.Gse.with_box gse box)
 
+(* The corrections on top of the reciprocal forces: the self term and the
+   excluded pairs, which read only the solver's beta. *)
+let correction t ~beta box positions acc =
+  t.self_energy
+  +. Mdsp_longrange.Ewald.excluded_correction ~beta box t.charges positions
+       t.topo.exclusions acc
+
 let compute_longrange t box positions acc =
   follow_box t box;
   match t.longrange with
   | Lr_none -> (0., 0.)
   | Lr_ewald ew ->
       let recip = Mdsp_longrange.Ewald.reciprocal ew t.charges positions acc in
-      let corr =
-        Mdsp_longrange.Ewald.self_energy ew t.charges
-        +. Mdsp_longrange.Ewald.excluded_correction ew box t.charges positions
-             t.topo.exclusions acc
-      in
-      (recip, corr)
+      let beta = Mdsp_longrange.Ewald.beta ew in
+      (recip, correction t ~beta box positions acc)
   | Lr_gse gse ->
       let recip =
         Mdsp_longrange.Gse.reciprocal ~exec:t.exec gse t.charges positions acc
       in
-      let ew = gse_correction_handle t gse box in
-      let corr =
-        Mdsp_longrange.Ewald.self_energy ew t.charges
-        +. Mdsp_longrange.Ewald.excluded_correction ew box t.charges positions
-             t.topo.exclusions acc
-      in
-      (recip, corr)
+      let beta = Mdsp_longrange.Gse.beta gse in
+      (recip, correction t ~beta box positions acc)
 
 (* --- the flat force phases ----------------------------------------- *)
 

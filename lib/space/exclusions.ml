@@ -1,4 +1,14 @@
-type t = { adj : int array array; npairs : int }
+(* [pairs] lists [adj]'s pairs with i < j in ascending order, built once:
+   the set never changes. *)
+type t = { adj : int array array; npairs : int; pairs : (int * int) list }
+
+let make adj =
+  let acc = ref [] in
+  Array.iteri
+    (fun i a -> Array.iter (fun j -> if j > i then acc := (i, j) :: !acc) a)
+    adj;
+  let pairs = List.rev !acc in
+  { adj; npairs = List.length pairs; pairs }
 
 let of_pairs ~n pairs =
   let sets = Array.make n [] in
@@ -19,17 +29,15 @@ let of_pairs ~n pairs =
         invalid_arg "Exclusions.of_pairs: atom index out of range";
       add i j)
     pairs;
-  let adj =
-    Array.map
-      (fun l ->
-        let a = Array.of_list l in
-        Array.sort compare a;
-        a)
-      sets
-  in
-  { adj; npairs = Hashtbl.length seen }
+  make
+    (Array.map
+       (fun l ->
+         let a = Array.of_list l in
+         Array.sort compare a;
+         a)
+       sets)
 
-let empty ~n = { adj = Array.make n [||]; npairs = 0 }
+let empty ~n = make (Array.make n [||])
 
 let from_bonds ~n ~bonds ~through =
   if through < 1 || through > 3 then
@@ -79,10 +87,4 @@ let excluded t i j =
   !found
 
 let count t = t.npairs
-
-let pairs t =
-  let acc = ref [] in
-  Array.iteri
-    (fun i a -> Array.iter (fun j -> if j > i then acc := (i, j) :: !acc) a)
-    t.adj;
-  List.rev !acc
+let pairs t = t.pairs

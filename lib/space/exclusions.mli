@@ -17,7 +17,8 @@ val from_bonds : n:int -> bonds:(int * int) list -> through:int -> t
 val excluded : t -> int -> int -> bool
 val count : t -> int
 
-(** All excluded pairs (i < j). *)
+(** All excluded pairs (i < j), in ascending order. Built once with the
+    set, which is immutable, so every call returns the same list. *)
 val pairs : t -> (int * int) list
 
 (** The empty exclusion set for [n] atoms. *)

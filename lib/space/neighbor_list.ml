@@ -135,7 +135,6 @@ let create ?exclusions ?(exec = Exec.serial) ~cutoff ~skin box positions =
   do_build t positions;
   t
 
-let pairs t = Array.init t.pairs.cnt (fun k -> (t.pairs.bi.(k), t.pairs.bj.(k)))
 let length t = t.pairs.cnt
 let raw_pairs t = (t.pairs.bi, t.pairs.bj)
 

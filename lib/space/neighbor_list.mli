@@ -37,9 +37,6 @@ val create :
   ?exclusions:Exclusions.t -> ?exec:Exec.t -> cutoff:float -> skin:float ->
   Pbc.t -> Vec3.t array -> t
 
-(** Pairs currently in the list, as parallel arrays (i, j) with i < j. *)
-val pairs : t -> (int * int) array
-
 (** Number of stored pairs. *)
 val length : t -> int
 
@@ -47,7 +44,9 @@ val length : t -> int
     indices below {!length} are meaningful). Shared with the list and
     invalidated by the next rebuild; read-only by convention. The SoA pair
     kernels iterate these directly so their inner loop stays closure- and
-    allocation-free. *)
+    allocation-free, and the machine model's pair passes
+    ([Mdsp_machine.Htis], [Mdsp_machine.Machine_sim]) index them by pair
+    id without building a tuple per pair. *)
 val raw_pairs : t -> int array * int array
 
 (** [iter t f] applies [f i j] to every stored pair. *)

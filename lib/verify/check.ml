@@ -5,8 +5,10 @@ module K = Kernel
    registered workload's: a proof over this env covers the shipped runs. *)
 let kernel_box = Mdsp_util.Pbc.cubic 24.
 
+module W = Mdsp_workload.Workloads
+
 (* The double-well workload biases, re-expressed in the kernel DSL with the
-   parameter values the workloads use — so the interval pass covers the
+   parameter values the workloads install — so the interval pass covers the
    biases even though Workloads implements them as plain closures. *)
 let dsl_double_well_x () =
   let open! K in
@@ -15,7 +17,12 @@ let dsl_double_well_x () =
       ((Param "barrier" * sq (sq (X / Param "half_width") - c 1.))
       + (Param "k_yz" * (sq Y + sq Z)))
     ~particles:[| 0 |]
-    ~params:[ ("barrier", 1.0); ("half_width", 4.0); ("k_yz", 1.0) ]
+    ~params:
+      [
+        ("barrier", W.double_well_barrier);
+        ("half_width", W.double_well_half_width);
+        ("k_yz", 1.0);
+      ]
 
 let dsl_double_well_2d () =
   let open! K in
@@ -29,9 +36,9 @@ let dsl_double_well_2d () =
     ~particles:[| 0 |]
     ~params:
       [
-        ("barrier", 1.0);
-        ("half_width", 4.0);
-        ("bow", 2.0);
+        ("barrier", W.double_well_barrier);
+        ("half_width", W.double_well_half_width);
+        ("bow", W.double_well_2d_bow);
         ("ky", 1.0);
         ("kz", 2.0);
       ]

@@ -29,8 +29,9 @@ type summary = {
 }
 
 (** The built-in kernel surface: the restraint kernels and the double-well
-    workload biases re-expressed in the kernel DSL (same functional forms
-    and parameter values as [Mdsp_workload.Workloads]). *)
+    workload biases re-expressed in the kernel DSL (same functional forms as
+    [Mdsp_workload.Workloads]'s biases, and the parameter values its
+    [make_engine] installs, read from the constants it exports). *)
 val builtin_kernels : unit -> Mdsp_core.Kernel.t list
 
 (** A kernel that must fail verification — [1/x] plus [log x] over a box

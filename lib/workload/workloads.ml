@@ -329,10 +329,11 @@ let double_well_energy ~barrier ~half_width x =
   let u = x /. half_width in
   barrier *. (((u *. u) -. 1.) ** 2.)
 
-let dw_defaults = (3.0, 2.5) (* barrier kcal/mol, half width angstrom *)
+let double_well_barrier = 3.0
+let double_well_half_width = 2.5
+let double_well_2d_bow = 1.5
 
-let double_well ?(barrier = fst dw_defaults) ?(half_width = snd dw_defaults)
-    () =
+let double_well () =
   let box = Pbc.cubic 20. in
   let b = Mdsp_ff.Topology.Builder.create () in
   Mdsp_ff.Topology.Builder.set_lj_types b [| (0., 1.) |];
@@ -340,11 +341,8 @@ let double_well ?(barrier = fst dw_defaults) ?(half_width = snd dw_defaults)
     (Mdsp_ff.Topology.Builder.add_atom b ~mass:12. ~charge:0. ~type_id:0
        ~name:"DW");
   let topo = Mdsp_ff.Topology.Builder.finish b in
-  let positions = [| Vec3.make (10. -. half_width) 10. 10. |] in
-  ignore barrier;
+  let positions = [| Vec3.make (10. -. double_well_half_width) 10. 10. |] in
   { topo; positions; box; label = "double_well" }
-
-let dw2_defaults = (3.0, 2.5, 1.5) (* barrier, half width, bow *)
 
 let double_well_2d_bias ~barrier ~half_width ~bow =
   {
@@ -387,7 +385,7 @@ let double_well_2d_bias ~barrier ~half_width ~bow =
 let double_well_2d_path ~half_width ~bow x =
   bow *. (1. -. ((x /. half_width) ** 2.))
 
-let double_well_2d ?(barrier = 3.0) ?(half_width = 2.5) ?(bow = 1.5) () =
+let double_well_2d () =
   let box = Pbc.cubic 20. in
   let b = Mdsp_ff.Topology.Builder.create () in
   Mdsp_ff.Topology.Builder.set_lj_types b [| (0., 1.) |];
@@ -395,8 +393,7 @@ let double_well_2d ?(barrier = 3.0) ?(half_width = 2.5) ?(bow = 1.5) () =
     (Mdsp_ff.Topology.Builder.add_atom b ~mass:12. ~charge:0. ~type_id:0
        ~name:"DW2");
   let topo = Mdsp_ff.Topology.Builder.finish b in
-  let positions = [| Vec3.make (10. -. half_width) 10. 10. |] in
-  ignore (barrier, bow);
+  let positions = [| Vec3.make (10. -. double_well_half_width) 10. 10. |] in
   { topo; positions; box; label = "double_well_2d" }
 
 type preset = { name : string; atoms : int; build : unit -> system }
@@ -486,15 +483,12 @@ let make_engine ?(config = Mdsp_md.Engine.default_config) ?cutoff ?elec
   let fc =
     Mdsp_md.Force_calc.create ~exec sys.topo ~evaluator ~longrange ~nlist
   in
-  if sys.label = "double_well" then begin
-    let barrier, half_width = dw_defaults in
-    Mdsp_md.Force_calc.add_bias fc (double_well_bias ~barrier ~half_width)
-  end;
-  if sys.label = "double_well_2d" then begin
-    let barrier, half_width, bow = dw2_defaults in
+  let barrier = double_well_barrier and half_width = double_well_half_width in
+  if sys.label = "double_well" then
+    Mdsp_md.Force_calc.add_bias fc (double_well_bias ~barrier ~half_width);
+  if sys.label = "double_well_2d" then
     Mdsp_md.Force_calc.add_bias fc
-      (double_well_2d_bias ~barrier ~half_width ~bow)
-  end;
+      (double_well_2d_bias ~barrier ~half_width ~bow:double_well_2d_bow);
   let st =
     Mdsp_md.State.create ~positions:sys.positions
       ~masses:(Mdsp_ff.Topology.masses sys.topo) ~box:sys.box

@@ -55,13 +55,24 @@ val ion_pair :
   ?seed:int -> ?separation:float -> ?charge:float -> n_solvent:int -> unit ->
   system
 
+(** The parameters of the double-well potentials {!make_engine} installs
+    for {!double_well} and {!double_well_2d}: the barrier height
+    (kcal/mol) and the well half-width (Angstrom) both share, and the 2-D
+    channel's bow (Angstrom). The verification registry
+    ([Mdsp_verify.Check]) certifies its kernel-DSL copies of the two
+    biases at these values. *)
+val double_well_barrier : float
+
+val double_well_half_width : float
+val double_well_2d_bow : float
+
 (** One particle in a quartic double-well external potential
-    [v(x) = barrier * ((x/half_width)^2 - 1)^2] along x (y, z harmonic).
-    The bias implementing the well is registered automatically by
-    {!make_engine} when the system was built here. Minima sit at
-    [x = +- half_width] relative to the box center. *)
-val double_well :
-  ?barrier:float -> ?half_width:float -> unit -> system
+    [v(x) = barrier * ((x/half_width)^2 - 1)^2] along x (y, z harmonic),
+    with {!double_well_barrier} and {!double_well_half_width}. The bias
+    implementing the well is registered automatically by {!make_engine}
+    when the system was built here. Minima sit at [x = +- half_width]
+    relative to the box center; the particle starts in the left one. *)
+val double_well : unit -> system
 
 (** The external-potential bias for {!double_well} (also used standalone by
     the metadynamics and TAMD experiments). Coordinates are relative to the
@@ -78,9 +89,11 @@ val double_well_energy : barrier:float -> half_width:float -> float -> float
     [v = barrier ((x/a)^2 - 1)^2 + ky (y - bow (1 - (x/a)^2))^2 + kz z^2]
     whose minimum free-energy path bows away from the straight line: minima
     at (+-a, 0), saddle near (0, bow). Used by the string-method experiment.
-    [make_engine] registers the bias automatically. *)
-val double_well_2d :
-  ?barrier:float -> ?half_width:float -> ?bow:float -> unit -> system
+    [make_engine] registers the bias automatically, with
+    {!double_well_barrier}, [a =] {!double_well_half_width} and
+    [bow =] {!double_well_2d_bow}, [ky = 1] and [kz = 2]; the particle
+    starts in the left well. *)
+val double_well_2d : unit -> system
 
 val double_well_2d_bias :
   barrier:float -> half_width:float -> bow:float -> Mdsp_md.Force_calc.bias

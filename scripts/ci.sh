@@ -7,6 +7,12 @@ cd "$(dirname "$0")/.."
 
 dune build @all
 
+# Example smoke: the examples build with everything else, but the shape
+# checks of the constructors they call (one sigma per CV in
+# Metadynamics.create) fire only at run time, so each must run to the end.
+dune exec examples/machine_sizing.exe >/dev/null
+dune exec examples/free_energy_pipeline.exe >/dev/null
+
 # Inlining gate: the analytic pair loop is one [@inline] body that each
 # call site in Soa_kernels specialises with literal selectors. Its speed
 # and its zero allocation hold only if every call is inlined and its
@@ -101,6 +107,8 @@ dune exec bin/mdsp.exe -- check --datapath --json /tmp/mdsp-verify.json
 test -s /tmp/mdsp-verify.json
 grep -q '"verify\.ok": 1' /tmp/mdsp-verify.json
 grep -q '"kernel\.flat_bottom": 1' /tmp/mdsp-verify.json
+grep -q '"kernel\.double_well_x": 1' /tmp/mdsp-verify.json
+grep -q '"kernel\.double_well_2d": 1' /tmp/mdsp-verify.json
 grep -q '"table\.lj": 1' /tmp/mdsp-verify.json
 grep -q '"sanitize\.slots4": 1' /tmp/mdsp-verify.json
 grep -q '"datapath\.water\.ok": 1' /tmp/mdsp-verify.json

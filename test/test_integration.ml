@@ -207,8 +207,8 @@ let test_bead_chain_full_workflow () =
   (* Metadynamics on the end-to-end distance. *)
   let cv = Mdsp_core.Cv.distance ~i:0 ~j:9 in
   let meta =
-    Mdsp_core.Metadynamics.create ~cv ~sigma:0.5 ~height:0.1 ~stride:50
-      ~temp:150. ()
+    Mdsp_core.Metadynamics.create ~cvs:[| cv |] ~sigmas:[| 0.5 |] ~height:0.1
+      ~stride:50 ~temp:150. ()
   in
   Mdsp_core.Metadynamics.attach meta eng;
   E.refresh_forces eng;

@@ -179,21 +179,20 @@ let test_ewald_self_energy () =
   let q = [| 1.; -1.; 2. |] in
   check_close ~rel:1e-9 "self energy"
     (-0.5 /. sqrt Float.pi *. 6. *. Units.coulomb)
-    (Ewald.self_energy ew q)
+    (Ewald.self_energy ~beta:(Ewald.beta ew) q)
 
 let test_ewald_excluded_correction_forces () =
   let box = Pbc.cubic 12. in
   let pos = [| Vec3.make 5. 5. 5.; Vec3.make 6.1 5. 5.; Vec3.make 5. 7. 5. |] in
   let q = [| 0.4; -0.4; 0.2 |] in
   let ex = Mdsp_space.Exclusions.of_pairs ~n:3 [ (0, 1) ] in
-  let ew = Ewald.create ~beta:0.4 ~kmax:4 box in
   let acc = Mdsp_ff.Bonded.make_accum 3 in
-  ignore (Ewald.excluded_correction ew box q pos ex acc);
+  ignore (Ewald.excluded_correction ~beta:0.4 box q pos ex acc);
   let numeric =
     numeric_forces ~h:1e-6
       (fun p ->
         let a = Mdsp_ff.Bonded.make_accum 3 in
-        Ewald.excluded_correction ew box q p ex a)
+        Ewald.excluded_correction ~beta:0.4 box q p ex a)
       pos
   in
   check_true "excluded-correction forces match numeric"

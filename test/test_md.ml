@@ -1119,7 +1119,7 @@ let allocation_budgets =
   [
     ("lj256", 54_025.2);
     ("chain2k after 20 minimize steps", 446_511.6);
-    ("water n_side 5, GSE 16^3", 113_160.5);
+    ("water n_side 5, GSE 16^3", 106_401.5);
   ]
 
 let minor_words_per_step ?gse_grid ?(minimize = 0) sys =

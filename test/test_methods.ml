@@ -159,9 +159,10 @@ let test_harmonic_bias_energy_and_tracking () =
 let test_metadynamics_bias_math () =
   let cv = Cv.position ~axis:`X ~i:0 in
   let m =
-    Metadynamics.create ~cv ~sigma:0.5 ~height:1.0 ~stride:10 ~temp:300. ()
+    Metadynamics.create ~cvs:[| cv |] ~sigmas:[| 0.5 |] ~height:1.0 ~stride:10
+      ~temp:300. ()
   in
-  check_float ~eps:0. "no hills yet" 0. (Metadynamics.bias_energy m 0.);
+  check_float ~eps:0. "no hills yet" 0. (Metadynamics.bias_energy m [| 0. |]);
   Alcotest.(check int) "count" 0 (Metadynamics.n_hills m)
 
 let test_metadynamics_deposits_and_biases () =
@@ -177,7 +178,8 @@ let test_metadynamics_deposits_and_biases () =
   let eng = Mdsp_workload.Workloads.make_engine ~config:cfg sys in
   let cv = Cv.position ~axis:`X ~i:0 in
   let m =
-    Metadynamics.create ~cv ~sigma:0.3 ~height:0.05 ~stride:25 ~temp:300. ()
+    Metadynamics.create ~cvs:[| cv |] ~sigmas:[| 0.3 |] ~height:0.05 ~stride:25
+      ~temp:300. ()
   in
   Metadynamics.attach m eng;
   (* Deposit little enough total bias (24 * 0.05 = 1.2 kcal/mol << 3
@@ -185,7 +187,8 @@ let test_metadynamics_deposits_and_biases () =
   E.run eng 600;
   Alcotest.(check int) "one hill per stride" 24 (Metadynamics.n_hills m);
   check_true "starting well filled first"
-    (Metadynamics.bias_energy m (-2.5) > Metadynamics.bias_energy m 2.5)
+    (Metadynamics.bias_energy m [| -2.5 |]
+    > Metadynamics.bias_energy m [| 2.5 |])
 
 let test_metadynamics_well_tempered_heights_decay () =
   let sys = Mdsp_workload.Workloads.double_well () in
@@ -200,26 +203,26 @@ let test_metadynamics_well_tempered_heights_decay () =
   let eng = Mdsp_workload.Workloads.make_engine ~config:cfg sys in
   let cv = Cv.position ~axis:`X ~i:0 in
   let m =
-    Metadynamics.create ~well_tempered:1500. ~cv ~sigma:0.3 ~height:0.2
-      ~stride:25 ~temp:300. ()
+    Metadynamics.create ~well_tempered:1500. ~cvs:[| cv |] ~sigmas:[| 0.3 |]
+      ~height:0.2 ~stride:25 ~temp:300. ()
   in
   Metadynamics.attach m eng;
   E.run eng 5000;
   (* Well-tempered bias converges: total bias < plain-deposition total. *)
-  let total = Metadynamics.bias_energy m (-2.5) in
+  let total = Metadynamics.bias_energy m [| -2.5 |] in
   check_true "well-tempered bias stays bounded"
     (total < 0.2 *. float_of_int (Metadynamics.n_hills m))
 
 (* --- 2D metadynamics --- *)
 
-let test_metadynamics2_bias_and_forces () =
+let test_metadynamics_2d_bias_and_forces () =
   let cv1 = Cv.position ~axis:`X ~i:0 in
   let cv2 = Cv.position ~axis:`Y ~i:0 in
   let m =
-    Metadynamics2.create ~cv1 ~cv2 ~sigma1:0.5 ~sigma2:0.7 ~height:1.2
+    Metadynamics.create ~cvs:[| cv1; cv2 |] ~sigmas:[| 0.5; 0.7 |] ~height:1.2
       ~stride:10 ~temp:300. ()
   in
-  check_float ~eps:0. "empty" 0. (Metadynamics2.bias_energy m 0. 0.);
+  check_float ~eps:0. "empty" 0. (Metadynamics.bias_energy m [| 0.; 0. |]);
   (* Deposit by driving the private path through an engine hook. *)
   let sys = Mdsp_workload.Workloads.double_well_2d () in
   let cfg =
@@ -231,28 +234,29 @@ let test_metadynamics2_bias_and_forces () =
     }
   in
   let eng = Mdsp_workload.Workloads.make_engine ~config:cfg sys in
-  Metadynamics2.attach m eng;
+  Metadynamics.attach m eng;
   E.run eng 200;
-  Alcotest.(check int) "hills deposited" 20 (Metadynamics2.n_hills m);
+  Alcotest.(check int) "hills deposited" 20 (Metadynamics.n_hills m);
   (* The bias is positive where the walker has been. *)
   let st = E.state eng in
   let box = st.Mdsp_md.State.box in
   let s1 = cv1.Cv.value box st.Mdsp_md.State.positions in
   let s2 = cv2.Cv.value box st.Mdsp_md.State.positions in
-  check_true "bias accumulated at walker" (Metadynamics2.bias_energy m s1 s2 > 0.);
+  check_true "bias accumulated at walker"
+    (Metadynamics.bias_energy m [| s1; s2 |] > 0.);
   (* The surface is -scale * bias everywhere. *)
   let surf =
-    Metadynamics2.free_energy_surface m ~lo1:(-3.) ~hi1:3. ~bins1:6 ~lo2:(-3.)
+    Metadynamics.free_energy_surface m ~lo1:(-3.) ~hi1:3. ~bins1:6 ~lo2:(-3.)
       ~hi2:3. ~bins2:6
   in
   Array.iter
     (Array.iter (fun (a, b, f) ->
          check_close ~rel:1e-9 "surface consistency"
-           (-.Metadynamics2.bias_energy m a b)
+           (-.Metadynamics.bias_energy m [| a; b |])
            f))
     surf
 
-let test_metadynamics2_surface_and_path () =
+let test_metadynamics_2d_surface_and_path () =
   let cv1 = Cv.position ~axis:`X ~i:0 in
   let cv2 = Cv.position ~axis:`Y ~i:0 in
   let sys = Mdsp_workload.Workloads.double_well_2d () in
@@ -266,26 +270,235 @@ let test_metadynamics2_surface_and_path () =
   in
   let eng = Mdsp_workload.Workloads.make_engine ~config:cfg sys in
   let m =
-    Metadynamics2.create ~well_tempered:2500. ~cv1 ~cv2 ~sigma1:0.4
-      ~sigma2:0.4 ~height:0.2 ~stride:20 ~temp:250. ()
+    Metadynamics.create ~well_tempered:2500. ~cvs:[| cv1; cv2 |]
+      ~sigmas:[| 0.4; 0.4 |] ~height:0.2 ~stride:20 ~temp:250. ()
   in
-  Metadynamics2.attach m eng;
+  Metadynamics.attach m eng;
   E.run eng 60_000;
-  check_true "many hills" (Metadynamics2.n_hills m > 1000);
+  check_true "many hills" (Metadynamics.n_hills m > 1000);
   (* Crossings go through the bowed channel, so the accumulated bias at the
      channel apex (0, 1.5) must dominate the straight-line saddle point
      (0, -1), i.e. the free-energy surface prefers the channel. *)
-  let b_channel = Metadynamics2.bias_energy m 0. 1.5 in
-  let b_straight = Metadynamics2.bias_energy m 0. (-1.0) in
+  let b_channel = Metadynamics.bias_energy m [| 0.; 1.5 |] in
+  let b_straight = Metadynamics.bias_energy m [| 0.; -1.0 |] in
   check_true
     (Printf.sprintf "channel sampled more (%.2f > %.2f)" b_channel b_straight)
     (b_channel > b_straight);
   (* And the ridge path machinery returns one point per x column. *)
   let path =
-    Metadynamics2.ridge_path m ~lo1:(-3.) ~hi1:3. ~bins1:13 ~lo2:(-1.) ~hi2:3.
+    Metadynamics.ridge_path m ~lo1:(-3.) ~hi1:3. ~bins1:13 ~lo2:(-1.) ~hi2:3.
       ~bins2:17
   in
   Alcotest.(check int) "path columns" 13 (Array.length path)
+
+(* --- Metadynamics over k CVs --- *)
+
+(* The double-well particle without its external potential: the only
+   force left in [compute_class `Fast] is the metadynamics bias. *)
+let free_particle_engine () =
+  let module W = Mdsp_workload.Workloads in
+  let cfg =
+    {
+      E.default_config with
+      dt_fs = 2.0;
+      temperature = 300.;
+      thermostat = E.Langevin { gamma_fs = 0.01 };
+    }
+  in
+  W.make_engine ~config:cfg { (W.double_well ()) with W.label = "free" }
+
+(* Bias energy and force on particle 0 as the engine's force pass sees
+   them. *)
+let bias_terms eng =
+  let st = E.state eng in
+  let acc = Mdsp_ff.Bonded.make_accum 1 in
+  let e =
+    Mdsp_md.Force_calc.compute_class (E.force_calc eng) `Fast
+      st.Mdsp_md.State.box st.Mdsp_md.State.positions acc
+  in
+  (e.Mdsp_md.Force_calc.bias, acc.Mdsp_ff.Bonded.forces.(0))
+
+(* The two-fold hill sums the one-pass sum replaced: energy in one fold,
+   dV/ds in another, each hill's weight computed twice. Hills are
+   (center, height), newest first. *)
+let two_pass_energy_1d sigma hills s =
+  List.fold_left
+    (fun acc (c, h) ->
+      let d = (s.(0) -. c.(0)) /. sigma.(0) in
+      acc +. (h *. exp (-0.5 *. d *. d)))
+    0. hills
+
+let two_pass_force_1d sigma hills s g =
+  let de_ds =
+    List.fold_left
+      (fun acc (c, h) ->
+        let d = (s.(0) -. c.(0)) /. sigma.(0) in
+        acc +. (h *. exp (-0.5 *. d *. d) *. (-.d /. sigma.(0))))
+      0. hills
+  in
+  Vec3.add Vec3.zero (Vec3.scale (-.de_ds) g.(0))
+
+let two_pass_energy_2d sigma hills s =
+  List.fold_left
+    (fun acc (c, h) ->
+      let d1 = (s.(0) -. c.(0)) /. sigma.(0) in
+      let d2 = (s.(1) -. c.(1)) /. sigma.(1) in
+      acc +. (h *. exp (-0.5 *. ((d1 *. d1) +. (d2 *. d2)))))
+    0. hills
+
+let two_pass_force_2d sigma hills s g =
+  let dv1, dv2 =
+    List.fold_left
+      (fun (g1, g2) (c, h) ->
+        let d1 = (s.(0) -. c.(0)) /. sigma.(0) in
+        let d2 = (s.(1) -. c.(1)) /. sigma.(1) in
+        let e = h *. exp (-0.5 *. ((d1 *. d1) +. (d2 *. d2))) in
+        (g1 -. (e *. d1 /. sigma.(0)), g2 -. (e *. d2 /. sigma.(1))))
+      (0., 0.) hills
+  in
+  Vec3.axpy (-.dv2) g.(1) (Vec3.axpy (-.dv1) g.(0) Vec3.zero)
+
+(* 50 well-tempered hills at seeded CV points, deposited through the
+   engine hook, then the bias at 20 seeded points against the two-pass
+   sums. The CVs read scripted values, so the test places every hill and
+   every probe; their gradients are the position CVs' unit vectors. *)
+let check_against_two_pass ~sigmas ~energy ~force ~check_force =
+  let k = Array.length sigmas in
+  let rng = Rng.create (2024 + k) in
+  let cur = Array.make k 0. in
+  let axes = [| `X; `Y |] in
+  let cvs =
+    Array.init k (fun c ->
+        {
+          (Cv.position ~axis:axes.(c) ~i:0) with
+          Cv.value = (fun _ _ -> cur.(c));
+        })
+  in
+  let grads =
+    Array.map
+      (fun cv -> snd (List.hd (cv.Cv.gradient (Pbc.cubic 20.) [| Vec3.zero |])))
+      cvs
+  in
+  let eng = free_particle_engine () in
+  let delta_t = 1200. and w0 = 0.3 in
+  let m =
+    Metadynamics.create ~well_tempered:delta_t ~cvs ~sigmas ~height:w0
+      ~stride:1 ~temp:300. ()
+  in
+  Metadynamics.attach m eng;
+  let hills = ref [] in
+  for _ = 1 to 50 do
+    let c = Array.init k (fun _ -> Rng.uniform_in rng (-2.) 2.) in
+    Array.blit c 0 cur 0 k;
+    E.run eng 1;
+    let h = w0 *. exp (-.energy sigmas !hills c /. (Units.k_b *. delta_t)) in
+    hills := (c, h) :: !hills
+  done;
+  Alcotest.(check int) "hills deposited" 50 (Metadynamics.n_hills m);
+  let bits = Int64.bits_of_float in
+  for p = 1 to 20 do
+    let s = Array.init k (fun _ -> Rng.uniform_in rng (-2.5) 2.5) in
+    Array.blit s 0 cur 0 k;
+    let e_ref = energy sigmas !hills s in
+    check_true
+      (Printf.sprintf "%dD point %d: bias_energy %h = two-pass %h" k p
+         (Metadynamics.bias_energy m s) e_ref)
+      (bits (Metadynamics.bias_energy m s) = bits e_ref);
+    let e, f = bias_terms eng in
+    check_true
+      (Printf.sprintf "%dD point %d: force-pass energy %h = two-pass %h" k p e
+         e_ref)
+      (bits e = bits e_ref);
+    check_force
+      (Printf.sprintf "%dD point %d" k p)
+      (force sigmas !hills s grads)
+      f
+  done
+
+let test_metadynamics_matches_two_pass () =
+  let bitwise msg (a : Vec3.t) (b : Vec3.t) =
+    let bits = Int64.bits_of_float in
+    check_true
+      (Printf.sprintf "%s: force %s = two-pass %s" msg (Vec3.to_string b)
+         (Vec3.to_string a))
+      (bits a.Vec3.x = bits b.Vec3.x
+      && bits a.Vec3.y = bits b.Vec3.y
+      && bits a.Vec3.z = bits b.Vec3.z)
+  in
+  check_against_two_pass ~sigmas:[| 0.35 |] ~energy:two_pass_energy_1d
+    ~force:two_pass_force_1d ~check_force:bitwise;
+  (* Two CVs: the gradient share is now w * (-d/sigma), not the old
+     -(w d / sigma), so forces agree to rounding only. *)
+  let close msg (a : Vec3.t) (b : Vec3.t) =
+    check_true
+      (Printf.sprintf "%s: force %s vs two-pass %s" msg (Vec3.to_string b)
+         (Vec3.to_string a))
+      (Vec3.dist a b <= 1e-12 *. Vec3.norm a)
+  in
+  check_against_two_pass ~sigmas:[| 0.35; 0.6 |] ~energy:two_pass_energy_2d
+    ~force:two_pass_force_2d ~check_force:close
+
+let test_metadynamics_three_cvs () =
+  let eng = free_particle_engine () in
+  let cvs = Array.map (fun axis -> Cv.position ~axis ~i:0) [| `X; `Y; `Z |] in
+  let m =
+    Metadynamics.create ~cvs ~sigmas:[| 0.4; 0.5; 0.6 |] ~height:0.2
+      ~stride:10 ~temp:300. ()
+  in
+  Metadynamics.attach m eng;
+  E.run eng 300;
+  Alcotest.(check int) "one hill per stride" 30 (Metadynamics.n_hills m);
+  (* The bias force on the particle is minus the gradient of bias_energy
+     (each position CV has a unit gradient), at points around the walker. *)
+  let st = E.state eng in
+  let box = st.Mdsp_md.State.box in
+  let rng = Rng.create 3 in
+  let walker = st.Mdsp_md.State.positions.(0) in
+  for p = 1 to 10 do
+    st.Mdsp_md.State.positions.(0) <-
+      Vec3.axpy 0.5 (Rng.gaussian_vec rng) walker;
+    let s =
+      Array.map (fun cv -> cv.Cv.value box st.Mdsp_md.State.positions) cvs
+    in
+    let h = 1e-5 in
+    let slope c =
+      let at d =
+        Metadynamics.bias_energy m
+          (Array.mapi (fun c' v -> if c' = c then v +. d else v) s)
+      in
+      (at h -. at (-.h)) /. (2. *. h)
+    in
+    let numeric = Vec3.make (-.slope 0) (-.slope 1) (-.slope 2) in
+    let _, f = bias_terms eng in
+    check_true
+      (Printf.sprintf "point %d: force %s vs -grad %s" p (Vec3.to_string f)
+         (Vec3.to_string numeric))
+      (Vec3.dist f numeric <= 1e-6 *. Vec3.norm numeric)
+  done
+
+let test_metadynamics_rejects_bad_shapes () =
+  let x = Cv.position ~axis:`X ~i:0 and y = Cv.position ~axis:`Y ~i:0 in
+  let make cvs sigmas =
+    Metadynamics.create ~cvs ~sigmas ~height:0.1 ~stride:10 ~temp:300. ()
+  in
+  let rejects msg f =
+    check_true msg
+      (match f () with () -> false | exception Invalid_argument _ -> true)
+  in
+  rejects "no CV" (fun () -> ignore (make [||] [||]));
+  rejects "two CVs, one sigma" (fun () -> ignore (make [| x; y |] [| 0.3 |]));
+  let m2 = make [| x; y |] [| 0.3; 0.3 |] in
+  rejects "free_energy_estimate on two CVs" (fun () ->
+      ignore (Metadynamics.free_energy_estimate m2 ~lo:(-1.) ~hi:1. ~bins:4));
+  let m1 = make [| x |] [| 0.3 |] in
+  rejects "free_energy_surface on one CV" (fun () ->
+      ignore
+        (Metadynamics.free_energy_surface m1 ~lo1:(-1.) ~hi1:1. ~bins1:4
+           ~lo2:(-1.) ~hi2:1. ~bins2:4));
+  rejects "ridge_path on one CV" (fun () ->
+      ignore
+        (Metadynamics.ridge_path m1 ~lo1:(-1.) ~hi1:1. ~bins1:4 ~lo2:(-1.)
+           ~hi2:1. ~bins2:4))
 
 (* --- Steered MD --- *)
 
@@ -731,7 +944,10 @@ let test_mapping_overheads_small () =
       ~dt_fs:2.5
   in
   let cv = Cv.distance ~i:0 ~j:1 in
-  let meta = Metadynamics.create ~cv ~sigma:0.3 ~height:0.1 ~stride:100 ~temp:300. () in
+  let meta =
+    Metadynamics.create ~cvs:[| cv |] ~sigmas:[| 0.3 |] ~height:0.1 ~stride:100
+      ~temp:300. ()
+  in
   let smd = Smd.create ~cv ~k:10. ~start:0. ~speed_per_step:1e-4 () in
   let temper = Tempering.create ~temps:[| 300.; 320. |] ~stride:100 () in
   let costs =
@@ -792,9 +1008,15 @@ let () =
           Alcotest.test_case "well-tempered decay" `Slow
             test_metadynamics_well_tempered_heights_decay;
           Alcotest.test_case "2D deposits" `Quick
-            test_metadynamics2_bias_and_forces;
+            test_metadynamics_2d_bias_and_forces;
           Alcotest.test_case "2D surface path" `Slow
-            test_metadynamics2_surface_and_path;
+            test_metadynamics_2d_surface_and_path;
+          Alcotest.test_case "= two-pass formulas" `Quick
+            test_metadynamics_matches_two_pass;
+          Alcotest.test_case "over three CVs" `Quick
+            test_metadynamics_three_cvs;
+          Alcotest.test_case "rejects bad shapes" `Quick
+            test_metadynamics_rejects_bad_shapes;
         ] );
       ( "smd",
         [ Alcotest.test_case "pulls and records" `Slow test_smd_pulls_and_accumulates_work ] );

@@ -610,13 +610,10 @@ let oracle ?gse ?(cls = `All) fc box positions =
     | Some gse when slow ->
         let q = Mdsp_ff.Topology.charges topo in
         let recip = Mdsp_longrange.Gse.reciprocal ~exec gse q positions acc in
-        let ew =
-          Mdsp_longrange.Ewald.create ~beta:(Mdsp_longrange.Gse.beta gse)
-            ~kmax:1 box
-        in
+        let beta = Mdsp_longrange.Gse.beta gse in
         ( recip,
-          Mdsp_longrange.Ewald.self_energy ew q
-          +. Mdsp_longrange.Ewald.excluded_correction ew box q positions
+          Mdsp_longrange.Ewald.self_energy ~beta q
+          +. Mdsp_longrange.Ewald.excluded_correction ~beta box q positions
                topo.Mdsp_ff.Topology.exclusions acc )
     | _ -> (0., 0.)
   in

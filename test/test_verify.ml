@@ -163,6 +163,57 @@ let test_safe_kernels_prove_clean () =
           (Format.asprintf "%a" KC.pp_report r))
     (Check.builtin_kernels ())
 
+(* The registered DSL copies of the double-well biases certify the biases
+   the workloads install: same energy and force at a grid of points around
+   the box center. The DSL squares with [Pow_int] where the closures use
+   [**], so the two agree to rounding, not bitwise. *)
+let test_dsl_double_wells_match_workloads () =
+  let module W = Mdsp_workload.Workloads in
+  let module V = Mdsp_util.Vec3 in
+  let barrier = W.double_well_barrier
+  and half_width = W.double_well_half_width in
+  let box = Mdsp_util.Pbc.cubic 20. in
+  let eval (b : Mdsp_md.Force_calc.bias) p =
+    let acc = Mdsp_ff.Bonded.make_accum 1 in
+    let e = b.Mdsp_md.Force_calc.bias_compute box [| p |] acc in
+    (e, acc.Mdsp_ff.Bonded.forces.(0))
+  in
+  let close msg expected actual =
+    if
+      Float.abs (actual -. expected)
+      > 1e-12 *. Float.max 1. (Float.abs expected)
+    then Alcotest.failf "%s: DSL %.17g vs workload %.17g" msg actual expected
+  in
+  List.iter
+    (fun (name, workload) ->
+      let kernel =
+        List.find (fun k -> K.name k = name) (Check.builtin_kernels ())
+      in
+      let dsl = K.to_bias ~time:(fun () -> 0.) kernel in
+      for ix = -4 to 4 do
+        for iy = -3 to 3 do
+          for iz = -2 to 2 do
+            let p =
+              V.make
+                (10. +. (0.9 *. float_of_int ix))
+                (10. +. (0.7 *. float_of_int iy))
+                (10. +. (0.6 *. float_of_int iz))
+            in
+            let e_w, f_w = eval workload p and e_d, f_d = eval dsl p in
+            let at = Printf.sprintf "%s at %s" name (V.to_string p) in
+            close (at ^ " energy") e_w e_d;
+            close (at ^ " fx") f_w.V.x f_d.V.x;
+            close (at ^ " fy") f_w.V.y f_d.V.y;
+            close (at ^ " fz") f_w.V.z f_d.V.z
+          done
+        done
+      done)
+    [
+      ("double_well_x", W.double_well_bias ~barrier ~half_width);
+      ( "double_well_2d",
+        W.double_well_2d_bias ~barrier ~half_width ~bow:W.double_well_2d_bow );
+    ]
+
 let test_square_dependency_precision () =
   (* x * x evaluated as a square, not as a naive product of [-l, h] with
      itself — the fix that lets the flat-bottom sqrt guard verify. *)
@@ -794,6 +845,8 @@ let () =
             test_hazardous_kernel_flagged;
           Alcotest.test_case "shipped kernels prove clean" `Quick
             test_safe_kernels_prove_clean;
+          Alcotest.test_case "double wells match the workloads" `Quick
+            test_dsl_double_wells_match_workloads;
           Alcotest.test_case "x*x is a square" `Quick
             test_square_dependency_precision;
           Alcotest.test_case "exp overflow flagged" `Quick
